@@ -30,13 +30,17 @@ def to_float(game, mu, gamma):
 
 def test_float_decompose_tracks_exact():
     rng = random.Random(55)
-    for _ in range(10):
-        space = random_space(rng, (2, 3), (2, 4))
+    shapes = [((2, 3), (2, 4))] * 10 + [((8, 8), (2, 2)), ((5, 5), (3, 3))]
+    for players, strategies in shapes:
+        space = random_space(rng, players, strategies)
         g = random_game(rng, space)
         mu, gamma = random_mu(rng, space), random_gamma(rng, space)
         exact_parts = decompose(g, mu, gamma)
         gf, mf, cf = to_float(g, mu, gamma)
         float_parts = decompose(gf, mf, cf)
+        want_phi = np.array([float(v) for v in exact_parts.phi.flat()])
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(want_phi))))
+        assert np.max(np.abs(want_phi - np.array(float_parts.phi.flat()))) <= tol
         for a, b in zip(exact_parts.components(), float_parts.components()):
             for i in space.players:
                 want = np.array([float(v) for v in a.flat(i)])

@@ -180,8 +180,9 @@ def test_solve_poisson_basics():
     assert solve_poisson(zero, MU) == zero
 
     rng = random.Random(6)
-    for _ in range(15):
-        space = random_space(rng, (2, 3), (2, 4))
+    shapes = [((2, 3), (2, 4))] * 15 + [((6, 6), (2, 2)), ((4, 4), (3, 3))]
+    for players, strategies in shapes:
+        space = random_space(rng, players, strategies)
         g = random_game(rng, space)
         mu, gamma = random_mu(rng, space), random_gamma(rng, space)
         h = deviation_divergence(g, mu, gamma)
