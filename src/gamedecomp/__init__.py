@@ -26,15 +26,11 @@ from .games import (
     validate_parameters,
 )
 from .operators import (
-    Flow,
-    build_flow,
     deviation_divergence,
-    flow_divergence,
     lambda_project,
     laplacian_apply,
     pi_project,
     solve_poisson,
-    solve_poisson_dense,
 )
 from .decomposition import (
     Decomposition,
@@ -76,7 +72,6 @@ __all__ = [
     "CoMeasureVector",
     "Decomposition",
     "DuplicationSpec",
-    "Flow",
     "Game",
     "GameDecompError",
     "GameDocument",
@@ -91,7 +86,6 @@ __all__ = [
     "StrategySpace",
     "ValidationError",
     "best_response_epsilon",
-    "build_flow",
     "closest_potential",
     "co_measure_inverse",
     "co_measure_quotient",
@@ -101,7 +95,6 @@ __all__ = [
     "expected_payoff",
     "extend_duplicate",
     "extract_potential",
-    "flow_divergence",
     "game_norm_sq",
     "harmonic_equilibrium",
     "inner_product_c0",
@@ -123,7 +116,6 @@ __all__ = [
     "scale",
     "serialize_game",
     "solve_poisson",
-    "solve_poisson_dense",
     "translate_nonstrategic",
     "validate_parameters",
 ]

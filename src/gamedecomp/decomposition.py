@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import freeze, is_zero
+from .numeric import axis_contract, freeze, is_zero
 from .games import (
     CoMeasureVector,
     Game,
@@ -92,10 +91,7 @@ def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     """True iff the mu-weighted own-coordinate sum vanishes everywhere."""
     require_same_space(g, mu)
     for i in g.space.players:
-        acc = None
-        for k, w in enumerate(mu.weights[i].tolist()):
-            term = np.take(g.payoffs[i], k, axis=i) * w
-            acc = term if acc is None else acc + term
+        acc = axis_contract(g.payoffs[i], mu.weights[i], i)
         if not all(is_zero(v, g.exact) for v in acc.reshape(-1).tolist()):
             return False
     return True
@@ -184,8 +180,8 @@ def epsilon_bound(g: Game, mu: MeasureVector, gamma: CoMeasureVector):
     measures; when the product measure is identically 1 it reduces to
     4 max d^2 / (gamma^2 mu^j(S^j)).
 
-    Exact mode returns the square so comparisons eps^2 <= B^2 stay rational;
-    float mode returns B itself.
+    Both scalar modes return the square, so comparisons eps^2 <= B^2 need no
+    root and stay rational in exact mode.
     """
     _, dist_sq = closest_potential(g, mu, gamma)
     prod = mu.product_array()
@@ -198,10 +194,7 @@ def epsilon_bound(g: Game, mu: MeasureVector, gamma: CoMeasureVector):
             factor = 1 / value
             if worst is None or factor > worst:
                 worst = factor
-    bound_sq = 4 * dist_sq * worst
-    if g.exact:
-        return bound_sq
-    return math.sqrt(bound_sq)
+    return 4 * dist_sq * worst
 
 
 def _tensors_match(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:

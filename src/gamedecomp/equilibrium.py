@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import is_zero
+from .numeric import axis_contract, is_zero
 from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
 from .decomposition import extract_potential, is_gamma_potential, is_harmonic
 from .spaces import require_same_space
@@ -25,12 +25,7 @@ def _opponent_payoff_vector(g: Game, x: MixedProfile, player: int) -> list:
     for axis in range(g.space.n_players - 1, -1, -1):
         if axis == player:
             continue
-        probs = x.probs[axis].tolist()
-        acc = None
-        for k, p in enumerate(probs):
-            term = np.take(values, k, axis=axis) * p
-            acc = term if acc is None else acc + term
-        values = acc
+        values = axis_contract(values, x.probs[axis], axis)
     return list(np.atleast_1d(values).tolist())
 
 

@@ -32,7 +32,7 @@ from .decomposition import (
     is_nonstrategic,
 )
 from .equilibrium import best_response_epsilon, harmonic_equilibrium
-from .numeric import freeze
+from .numeric import axis_contract, freeze
 from .spaces import StrategySpace
 from .transforms import (
     DuplicationSpec,
@@ -258,10 +258,7 @@ def _check_redundant(g, mu, gamma, aux):
     # overwrite the removable slice with the alpha mixture, for all players
     payoffs = []
     for j in space.players:
-        mix = None
-        for a, k in zip(alpha, others):
-            term = np.take(g.payoffs[j], k, axis=player) * a
-            mix = term if mix is None else mix + term
+        mix = axis_contract(np.delete(g.payoffs[j], p0, axis=player), alpha, player)
         tensor = g.payoffs[j].copy()
         tensor.flags.writeable = True
         index = [slice(None)] * space.n_players

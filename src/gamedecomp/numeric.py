@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 FLOAT_ZERO_TOL = 1e-9
 
@@ -23,7 +23,7 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_scalar(text: str, exact: bool = True):
-    """Parse an integer or ``p/q`` literal. Float mode also accepts decimals."""
+    """Parse an integer or ``p/q`` literal. Float mode also accepts finite decimals."""
     text = text.strip()
     if exact:
         if not _SCALAR_RE.match(text):
@@ -33,9 +33,12 @@ def parse_scalar(text: str, exact: bool = True):
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {text!r}") from None
     try:
-        return float(Fraction(text)) if _SCALAR_RE.match(text) else float(text)
-    except ValueError:
-        raise ParseError(f"not a number: {text!r}") from None
+        value = float(Fraction(text)) if _SCALAR_RE.match(text) else float(text)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ParseError(f"not a finite number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {text!r}")
+    return value
 
 
 def format_scalar(value) -> str:
@@ -57,6 +60,8 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
         arr[:] = [v if isinstance(v, Fraction) else Fraction(v) for v in flat]
     else:
         arr = np.asarray([float(v) for v in flat], dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValidationError("float scalars must be finite (no nan or inf)")
     arr = arr.reshape(shape)
     arr.flags.writeable = False
     return arr
@@ -64,6 +69,19 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
 
 def zeros_array(shape, exact: bool = True) -> np.ndarray:
     return scalar_array([Fraction(0)] * int(np.prod(shape)), shape, exact)
+
+
+def axis_contract(values: np.ndarray, weights, axis: int) -> np.ndarray:
+    """sum_k weights[k] * values[..., k, ...] along ``axis``, with that axis removed.
+
+    ``weights`` is any 1-D sequence as long as that axis.  Terms are added in
+    index order, so float rounding is the same for every caller.
+    """
+    acc = None
+    for k, w in enumerate(np.asarray(weights).tolist()):
+        term = np.take(values, k, axis=axis) * w
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

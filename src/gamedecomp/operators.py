@@ -1,35 +1,27 @@
-"""Projection, flow, divergence, and Laplacian operators on the game graph.
+"""Projection, divergence, and Laplacian operators on the game graph.
 
-The Laplacian here is L = sum_i mu^i(S^i) Pi^i, a sum of commuting orthogonal
-projections (each Pi^i removes the own-coordinate weighted average along one
-tensor axis).  That structure gives an exact closed form for the minimal-norm
-Poisson solve, so no elimination is needed on the hot path; a fraction-free
-Bareiss solver is kept as an independent cross-check.
+The Laplacian here is L = sum_i mu^i(S^i) (I - Lambda^i), a sum of commuting
+projections: Lambda^i replaces each entry by the mu^i-weighted average along
+tensor axis i.  Along each axis the basis {1, e_k/mu^i_k - e_0/mu^i_0 : k >= 1}
+turns every Lambda^i into diag(1, 0, ..., 0) at once, so L is diagonal in the
+tensor-product basis and the minimal-norm Poisson solve is a per-axis change
+of basis, one division, and the change back.  Exact (``Fraction``) and float
+arrays run the same code.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
-from .errors import SolveError, ValidationError
-from .numeric import freeze, is_zero, rational_sqrt, zeros_array
+from .errors import SolveError
+from .numeric import axis_contract, freeze
 from .games import Game, MeasureVector, CoMeasureVector, ScalarField
 from .spaces import require_same_space
 
 
 def _axis_average(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Weighted average along one axis, broadcast back to the full shape."""
-    total = weights.sum()
-    acc = None
-    for k, w in enumerate(weights.tolist()):
-        term = np.take(values, k, axis=axis) * w
-        acc = term if acc is None else acc + term
-    avg = acc / total
+    avg = axis_contract(values, weights, axis) / weights.sum()
     return np.broadcast_to(np.expand_dims(avg, axis), values.shape)
 
 
@@ -46,103 +38,6 @@ def lambda_project(g: Game, mu: MeasureVector) -> Game:
 def pi_project(g: Game, mu: MeasureVector) -> Game:
     """g minus its own-coordinate average; the mu-normalized part."""
     return g - lambda_project(g, mu)
-
-
-@dataclass(frozen=True)
-class Flow:
-    """Antisymmetric edge values on the comparable-profile graph.
-
-    One value per unordered comparable pair, stored under the orientation
-    (lower profile index -> higher); the reverse value is implied negative.
-
-    ``weighting`` records how the W^i = 1/sqrt(mu^{-i}) edge factor was
-    absorbed: "sqrt" means values carry W^i itself (possible exactly only when
-    every mu^{-i} is a perfect rational square; always used in float mode),
-    "squared" means values carry W^i**2 instead.
-    """
-
-    space: object
-    values: dict
-    weighting: str
-    exact: bool = True
-
-    def value(self, s: tuple[int, ...], t: tuple[int, ...]):
-        key = (self.space.index(s), self.space.index(t))
-        if key in self.values:
-            return self.values[key]
-        rev = (key[1], key[0])
-        if rev in self.values:
-            return -self.values[rev]
-        return Fraction(0) if self.exact else 0.0
-
-    def is_zero(self) -> bool:
-        return all(is_zero(v, self.exact) for v in self.values.values())
-
-
-def _edge_weight_sqrt(mu_opp_value, exact: bool):
-    """W^i(s,t) = 1/sqrt(mu^{-i}(s^{-i})), or None when irrational in exact mode."""
-    if exact:
-        root = rational_sqrt(mu_opp_value)
-        if root is None:
-            return None
-        return 1 / root
-    return 1.0 / math.sqrt(mu_opp_value)
-
-
-def build_flow(g: Game, gamma: CoMeasureVector, mu: MeasureVector) -> Flow:
-    """Embed a game as the flow D(g) = sum_i delta^i(gamma^i g^i)."""
-    space = require_same_space(g, gamma, mu)
-    exact = g.exact
-
-    weighting = "sqrt"
-    if exact:
-        for i in space.players:
-            if any(
-                rational_sqrt(v) is None
-                for v in mu.opp_product_array(i).reshape(-1).tolist()
-            ):
-                weighting = "squared"
-                break
-
-    values = {}
-    for i in space.players:
-        opp_mu = mu.opp_product_array(i)
-        gam = gamma.tensors[i]
-        for opp in space.opp_profiles(i):
-            if weighting == "sqrt":
-                w = _edge_weight_sqrt(opp_mu[opp], exact)
-            else:
-                w = 1 / opp_mu[opp]
-            for a, b in itertools.combinations(range(space.sizes[i]), 2):
-                s = space.merge_opp(i, a, opp)
-                t = space.merge_opp(i, b, opp)
-                diff = g.payoffs[i][t] - g.payoffs[i][s]
-                values[(space.index(s), space.index(t))] = w * gam[opp] * diff
-    return Flow(space, values, weighting, exact)
-
-
-def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
-    """delta* X, with delta^{i*}X(s) = -sum_t mu(t) W^i(s,t) X(s,t)."""
-    space = flow.space
-    if mu.space != space:
-        raise ValidationError("flow and measure live on different spaces")
-    prod = mu.product_array()
-    out = zeros_array(space.sizes, flow.exact).copy()
-    out.flags.writeable = True
-    for (si, ti), value in flow.values.items():
-        s, t = space.profile(si), space.profile(ti)
-        i = next(j for j in space.players if s[j] != t[j])
-        if flow.weighting == "sqrt":
-            opp = tuple(k for j, k in enumerate(s) if j != i)
-            w = _edge_weight_sqrt(mu.opp_product_array(i)[opp], flow.exact)
-            if w is None:
-                raise SolveError("sqrt-weighted flow on a non-square measure")
-        else:
-            # values already carry W^2; mu(t) * W * (W * raw) = mu(t) * value
-            w = Fraction(1) if flow.exact else 1.0
-        out[s] = out[s] - prod[t] * w * value
-        out[t] = out[t] + prod[s] * w * value
-    return ScalarField(space, freeze(out))
 
 
 def deviation_divergence(
@@ -192,133 +87,49 @@ def _check_consistent(h: ScalarField, mu: MeasureVector):
 def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     """Minimal-norm solution of L phi = h with sum_s mu(s) phi(s) = 0.
 
-    Exact mode expands h in the joint eigenspaces of the commuting projections
-    Lambda^i and divides by the eigenvalue sum_{i not averaged} mu^i(S^i);
-    float mode solves the mean-zero-bordered system by least squares.
+    Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0}:
+    coefficient 0 is the mu^i-weighted mean m, coefficient k >= 1 is
+    mu^i_k (x_k - m).  L is diagonal there, with eigenvalue
+    sum_{i: k_i != 0} mu^i(S^i) at coefficient index (k_1, ..., k_n); each
+    coefficient is divided by it, and the all-zero-index coefficient (the
+    mu-mean, spanning Ker L) is set to 0, which is the mu-mean-zero pin.  The
+    inverse transform then gives phi.  Both scalar modes share this path; it
+    costs O(|S| n) scalar operations and O(|S|) memory.
     """
     require_same_space(h, mu)
     _check_consistent(h, mu)
-    if not h.exact:
-        return _solve_poisson_float(h, mu)
-
     space = h.space
     n = space.n_players
-    totals = [mu.total(i) for i in space.players]
-
-    # averaged[U] = (prod_{i in U} Lambda^i) h, built by successive averaging
-    averaged = {(): h.values}
-    for subset in _subsets_in_order(n):
-        if not subset:
-            continue
-        prev, last = subset[:-1], subset[-1]
-        averaged[subset] = _axis_average(averaged[prev], mu.weights[last], last)
-
-    phi = None
-    for kept in _subsets_in_order(n):  # kept = players NOT averaged by P_T
-        t_set = tuple(i for i in range(n) if i not in kept)
-        if not kept:
-            continue  # P_N projects onto constants: the kernel of L
-        eigenvalue = sum(totals[i] for i in kept)
-        # inclusion-exclusion: P_T h = sum_{V subset kept} (-1)^{|V|} A_{T u V}
-        proj = None
-        for extra in itertools.chain.from_iterable(
-            itertools.combinations(kept, r) for r in range(len(kept) + 1)
-        ):
-            term = averaged[tuple(sorted(t_set + extra))]
-            signed = -term if len(extra) % 2 else term
-            proj = signed if proj is None else proj + signed
-        phi = proj / eigenvalue if phi is None else phi + proj / eigenvalue
-    return ScalarField(space, freeze(phi.copy()))
-
-
-def _subsets_in_order(n: int):
-    players = range(n)
-    return [
-        subset
-        for r in range(n + 1)
-        for subset in itertools.combinations(players, r)
-    ]
-
-
-def laplacian_matrix(mu: MeasureVector) -> list[list[Fraction]]:
-    """Dense |S| x |S| matrix of L in the standard basis (exact entries)."""
-    space = mu.space
-    size = space.num_profiles
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    coeffs = h.values
+    eigen = 0
     for i in space.players:
-        total = mu.total(i)
-        w = mu.weights[i].tolist()
-        for s in space.profiles():
-            si = space.index(s)
-            mat[si][si] += total
-            for k in range(space.sizes[i]):
-                t = space.merge_opp(i, k, tuple(x for j, x in enumerate(s) if j != i))
-                mat[si][space.index(t)] -= w[k]
-    return mat
+        coeffs = _to_axis_basis(coeffs, mu.weights[i], i)
+        axis_shape = [1] * n
+        axis_shape[i] = space.sizes[i]
+        per_axis = [0] + [mu.total(i)] * (space.sizes[i] - 1)
+        eigen = eigen + np.array(per_axis).reshape(axis_shape)
+    origin = (0,) * n
+    coeffs[origin] = coeffs[origin] - coeffs[origin]  # the pin: a zero of h's scalar type
+    eigen[origin] = 1
+    phi = coeffs / eigen
+    for i in reversed(space.players):
+        phi = _from_axis_basis(phi, mu.weights[i], i)
+    return ScalarField(space, freeze(phi))
 
 
-def solve_poisson_dense(h: ScalarField, mu: MeasureVector) -> ScalarField:
-    """Same solution as solve_poisson via fraction-free Gaussian elimination.
-
-    Solves (L + 1 mu^T) phi = h, which is nonsingular because Ker L is the
-    constants and Im L is their <.,.>_0-orthogonal complement; the rank-one
-    term pins sum_s mu(s) phi(s) = 0.  Exists as an independent oracle.
-    """
-    require_same_space(h, mu)
-    _check_consistent(h, mu)
-    space = h.space
-    size = space.num_profiles
-    mat = laplacian_matrix(mu)
-    mu_flat = mu.product_array().reshape(-1).tolist()
-    rhs = h.values.reshape(-1).tolist()
-    for r in range(size):
-        for c in range(size):
-            mat[r][c] += mu_flat[c]
-    solution = _bareiss_solve(mat, rhs)
-    return ScalarField.from_values(space, solution, exact=True)
+def _to_axis_basis(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Coefficients along ``axis``: the weighted mean m, then w_k (x_k - m)."""
+    mean = axis_contract(x, weights, axis) / weights.sum()
+    x = np.moveaxis(x, axis, 0)
+    w = weights[1:].reshape((-1,) + (1,) * (x.ndim - 1))
+    out = np.concatenate([mean[np.newaxis], (x[1:] - mean) * w])
+    return np.moveaxis(out, 0, axis)
 
 
-def _bareiss_solve(mat: list[list[Fraction]], rhs: list) -> list[Fraction]:
-    """Fraction-free Bareiss elimination for a nonsingular rational system."""
-    size = len(mat)
-    aug = []
-    for row, b in zip(mat, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        scale = math.lcm(*(e.denominator for e in entries))
-        aug.append([int(e * scale) for e in entries])
-
-    prev_pivot = 1
-    for col in range(size):
-        pivot_row = next(
-            (r for r in range(col, size) if aug[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise SolveError("singular system in dense Poisson solve")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, size):
-            factor = aug[r][col]
-            for c in range(col, size + 1):
-                aug[r][c] = (pivot * aug[r][c] - factor * aug[col][c]) // prev_pivot
-        prev_pivot = pivot
-
-    solution = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        acc = Fraction(aug[r][size])
-        for c in range(r + 1, size):
-            acc -= aug[r][c] * solution[c]
-        solution[r] = acc / aug[r][r]
-    return solution
-
-
-def _solve_poisson_float(h: ScalarField, mu: MeasureVector) -> ScalarField:
-    space = h.space
-    size = space.num_profiles
-    lap = np.array(
-        [[float(x) for x in row] for row in laplacian_matrix(mu)], dtype=float
-    )
-    bordered = np.vstack([lap, mu.product_array().reshape(1, -1).astype(float)])
-    rhs = np.concatenate([h.values.reshape(-1).astype(float), [0.0]])
-    phi, *_ = np.linalg.lstsq(bordered, rhs, rcond=1e-12)
-    return ScalarField.from_values(space, phi.reshape(space.sizes), exact=False)
+def _from_axis_basis(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of _to_axis_basis: x_0 = c_0 - sum_k c_k / w_0, x_k = c_0 + c_k / w_k."""
+    c = np.moveaxis(c, axis, 0)
+    w = weights[1:].reshape((-1,) + (1,) * (c.ndim - 1))
+    first = c[0] - c[1:].sum(axis=0) / weights[0]
+    out = np.concatenate([first[np.newaxis], c[0] + c[1:] / w])
+    return np.moveaxis(out, 0, axis)

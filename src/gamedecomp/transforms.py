@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import freeze
+from .numeric import axis_contract, freeze
 from .games import CoMeasureVector, Game, MeasureVector
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace, require_same_space
@@ -342,11 +342,9 @@ def reduce_redundant(
         if not gamma.is_player_constant(j):
             raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
 
+    kept = tuple(freeze(np.delete(g.payoffs[j], p0, axis=i)) for j in space.players)
     for j in space.players:
-        mix = None
-        for a, k in zip(spec.alpha, others):
-            term = np.take(g.payoffs[j], k, axis=i) * a
-            mix = term if mix is None else mix + term
+        mix = axis_contract(kept[j], spec.alpha, i)
         actual = np.take(g.payoffs[j], p0, axis=i)
         bad = (
             np.argwhere(actual != mix)
@@ -361,10 +359,7 @@ def reduce_redundant(
             )
 
     new_space = space.delete_strategy(i, p0)
-    payoffs = tuple(
-        freeze(np.delete(g.payoffs[j], p0, axis=i)) for j in space.players
-    )
-    new_game = Game(new_space, payoffs)
+    new_game = Game(new_space, kept)
 
     w = mu.weights[i].tolist()
     removed = w[p0]

@@ -1,16 +1,29 @@
-"""Independent floating-point oracles used to cross-check the exact paths.
+"""Independent oracles used to cross-check the library's solvers.
 
-The least-squares oracle materializes the gradient operator over the flow
-space C1 as a dense matrix in orthonormal coordinates for the weighted inner
-products, so numpy's Euclidean pseudo-inverse computes exactly the
-minimal-norm phi the library derives through the Laplacian normal equations.
+- The least-squares oracle materializes the gradient operator over the flow
+  space C1 as a dense matrix in orthonormal coordinates for the weighted inner
+  products, so numpy's Euclidean pseudo-inverse computes exactly the
+  minimal-norm phi the library derives through the Laplacian.
+- The dense oracle builds the |S| x |S| Laplacian with exact entries and
+  solves the mean-pinned system by fraction-free Bareiss elimination.
+- The flow oracle embeds a game as antisymmetric edge values, weighted by
+  W^i = 1/sqrt(mu^{-i}), and takes their divergence edge by edge.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
+
+from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField
+from gamedecomp.errors import SolveError, ValidationError
+from gamedecomp.numeric import freeze, is_zero, rational_sqrt, zeros_array
+from gamedecomp.operators import _check_consistent
+from gamedecomp.spaces import require_same_space
 
 
 def orthonormal_delta_matrix(space, mu):
@@ -56,3 +69,172 @@ def least_squares_phi(game, mu, gamma) -> np.ndarray:
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     mu_flat = np.array([float(x) for x in mu.product_array().reshape(-1).tolist()])
     return solution / np.sqrt(mu_flat)
+
+
+def laplacian_matrix(mu: MeasureVector) -> list[list[Fraction]]:
+    """Dense |S| x |S| matrix of L in the standard basis (exact entries)."""
+    space = mu.space
+    size = space.num_profiles
+    mat = [[Fraction(0)] * size for _ in range(size)]
+    for i in space.players:
+        total = mu.total(i)
+        w = mu.weights[i].tolist()
+        for s in space.profiles():
+            si = space.index(s)
+            mat[si][si] += total
+            for k in range(space.sizes[i]):
+                t = space.merge_opp(i, k, tuple(x for j, x in enumerate(s) if j != i))
+                mat[si][space.index(t)] -= w[k]
+    return mat
+
+
+def solve_poisson_dense(h: ScalarField, mu: MeasureVector) -> ScalarField:
+    """Same solution as solve_poisson via fraction-free Gaussian elimination.
+
+    Solves (L + 1 mu^T) phi = h, which is nonsingular because Ker L is the
+    constants and Im L is their <.,.>_0-orthogonal complement; the rank-one
+    term pins sum_s mu(s) phi(s) = 0.  Exists as an independent oracle.
+    """
+    require_same_space(h, mu)
+    _check_consistent(h, mu)
+    space = h.space
+    size = space.num_profiles
+    mat = laplacian_matrix(mu)
+    mu_flat = mu.product_array().reshape(-1).tolist()
+    rhs = h.values.reshape(-1).tolist()
+    for r in range(size):
+        for c in range(size):
+            mat[r][c] += mu_flat[c]
+    solution = _bareiss_solve(mat, rhs)
+    return ScalarField.from_values(space, solution, exact=True)
+
+
+def _bareiss_solve(mat: list[list[Fraction]], rhs: list) -> list[Fraction]:
+    """Fraction-free Bareiss elimination for a nonsingular rational system."""
+    size = len(mat)
+    aug = []
+    for row, b in zip(mat, rhs):
+        entries = [Fraction(x) for x in row] + [Fraction(b)]
+        scale = math.lcm(*(e.denominator for e in entries))
+        aug.append([int(e * scale) for e in entries])
+
+    prev_pivot = 1
+    for col in range(size):
+        pivot_row = next(
+            (r for r in range(col, size) if aug[r][col] != 0), None
+        )
+        if pivot_row is None:
+            raise SolveError("singular system in dense Poisson solve")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, size):
+            factor = aug[r][col]
+            for c in range(col, size + 1):
+                aug[r][c] = (pivot * aug[r][c] - factor * aug[col][c]) // prev_pivot
+        prev_pivot = pivot
+
+    solution = [Fraction(0)] * size
+    for r in range(size - 1, -1, -1):
+        acc = Fraction(aug[r][size])
+        for c in range(r + 1, size):
+            acc -= aug[r][c] * solution[c]
+        solution[r] = acc / aug[r][r]
+    return solution
+
+
+@dataclass(frozen=True)
+class Flow:
+    """Antisymmetric edge values on the comparable-profile graph.
+
+    One value per unordered comparable pair, stored under the orientation
+    (lower profile index -> higher); the reverse value is implied negative.
+
+    ``weighting`` records how the W^i = 1/sqrt(mu^{-i}) edge factor was
+    absorbed: "sqrt" means values carry W^i itself (possible exactly only when
+    every mu^{-i} is a perfect rational square; always used in float mode),
+    "squared" means values carry W^i**2 instead.
+    """
+
+    space: object
+    values: dict
+    weighting: str
+    exact: bool = True
+
+    def value(self, s: tuple[int, ...], t: tuple[int, ...]):
+        key = (self.space.index(s), self.space.index(t))
+        if key in self.values:
+            return self.values[key]
+        rev = (key[1], key[0])
+        if rev in self.values:
+            return -self.values[rev]
+        return Fraction(0) if self.exact else 0.0
+
+    def is_zero(self) -> bool:
+        return all(is_zero(v, self.exact) for v in self.values.values())
+
+
+def _edge_weight_sqrt(mu_opp_value, exact: bool):
+    """W^i(s,t) = 1/sqrt(mu^{-i}(s^{-i})), or None when irrational in exact mode."""
+    if exact:
+        root = rational_sqrt(mu_opp_value)
+        if root is None:
+            return None
+        return 1 / root
+    return 1.0 / math.sqrt(mu_opp_value)
+
+
+def build_flow(g: Game, gamma: CoMeasureVector, mu: MeasureVector) -> Flow:
+    """Embed a game as the flow D(g) = sum_i delta^i(gamma^i g^i)."""
+    space = require_same_space(g, gamma, mu)
+    exact = g.exact
+
+    weighting = "sqrt"
+    if exact:
+        for i in space.players:
+            if any(
+                rational_sqrt(v) is None
+                for v in mu.opp_product_array(i).reshape(-1).tolist()
+            ):
+                weighting = "squared"
+                break
+
+    values = {}
+    for i in space.players:
+        opp_mu = mu.opp_product_array(i)
+        gam = gamma.tensors[i]
+        for opp in space.opp_profiles(i):
+            if weighting == "sqrt":
+                w = _edge_weight_sqrt(opp_mu[opp], exact)
+            else:
+                w = 1 / opp_mu[opp]
+            for a, b in itertools.combinations(range(space.sizes[i]), 2):
+                s = space.merge_opp(i, a, opp)
+                t = space.merge_opp(i, b, opp)
+                diff = g.payoffs[i][t] - g.payoffs[i][s]
+                values[(space.index(s), space.index(t))] = w * gam[opp] * diff
+    return Flow(space, values, weighting, exact)
+
+
+def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
+    """delta* X, with delta^{i*}X(s) = -sum_t mu(t) W^i(s,t) X(s,t)."""
+    space = flow.space
+    if mu.space != space:
+        raise ValidationError("flow and measure live on different spaces")
+    prod = mu.product_array()
+    out = zeros_array(space.sizes, flow.exact).copy()
+    out.flags.writeable = True
+    for (si, ti), value in flow.values.items():
+        s, t = space.profile(si), space.profile(ti)
+        i = next(j for j in space.players if s[j] != t[j])
+        if flow.weighting == "sqrt":
+            opp = tuple(k for j, k in enumerate(s) if j != i)
+            w = _edge_weight_sqrt(mu.opp_product_array(i)[opp], flow.exact)
+            if w is None:
+                raise SolveError("sqrt-weighted flow on a non-square measure")
+        else:
+            # values already carry W^2; mu(t) * W * (W * raw) = mu(t) * value
+            w = Fraction(1) if flow.exact else 1.0
+        out[s] = out[s] - prod[t] * w * value
+        out[t] = out[t] + prod[s] * w * value
+    return ScalarField(space, freeze(out))

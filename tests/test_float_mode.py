@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from gamedecomp import (
     CoMeasureVector,
@@ -68,13 +69,34 @@ def test_cli_float_flag(capsys):
     assert "(mu,gamma)-harmonic (HG): yes" in out
 
 
-def test_epsilon_bound_mode_dependent_shape():
+def test_epsilon_bound_is_squared_in_both_modes():
     from gamedecomp import epsilon_bound, parse_game
 
     text = (FIXTURES / "mp.game").read_text()
     exact_doc = parse_game(text)
     float_doc = parse_game(text, exact=False)
     bound_sq = epsilon_bound(exact_doc.game, exact_doc.mu, exact_doc.gamma)
-    bound = epsilon_bound(float_doc.game, float_doc.mu, float_doc.gamma)
+    float_bound_sq = epsilon_bound(float_doc.game, float_doc.mu, float_doc.gamma)
     assert bound_sq == 32  # exact mode: squared, rational
-    assert abs(bound - float(bound_sq) ** 0.5) <= 1e-12  # float mode: the root
+    assert abs(float_bound_sq - float(bound_sq)) <= 1e-12  # float mode: squared too
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("payoffs 2: -1 1 1 -1", "payoffs 2: -1 1 1 -1\nmu 1: nan 1"),
+        ("payoffs 1: 1 -1 -1 1", "payoffs 1: 1 -1 inf 1"),
+    ],
+)
+def test_cli_float_rejects_non_finite(tmp_path, capsys, command, old, new):
+    text = (FIXTURES / "mp.game").read_text()
+    assert old in text
+    path = tmp_path / "bad.game"
+    path.write_text(text.replace(old, new))
+    code = main(["--float", command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -11,20 +11,17 @@ from gamedecomp import (
     ScalarField,
     SolveError,
     StrategySpace,
-    build_flow,
     deviation_divergence,
-    flow_divergence,
     inner_product_c0,
     inner_product_game,
     lambda_project,
     laplacian_apply,
     pi_project,
     solve_poisson,
-    solve_poisson_dense,
 )
 from gamedecomp.decomposition import is_mu_normalized, is_nonstrategic
 from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
-from oracles import least_squares_phi
+from oracles import build_flow, flow_divergence, least_squares_phi, solve_poisson_dense
 
 SPACE = StrategySpace((("s", "t"), ("s", "t")))
 MP = Game.from_payoffs(SPACE, [[1, -1, -1, 1], [-1, 1, 1, -1]])
@@ -204,6 +201,49 @@ def test_solve_poisson_roundtrip_on_mean_zero_fields():
         assert solve_poisson(image, mu) == phi
         if any(v != raw[0] for v in raw):  # kernel of L is exactly the constants
             assert image != ScalarField.zeros(space)
+
+
+def counting_fraction():
+    """A Fraction subclass that counts its + - * / and keeps results counted.
+
+    Returns the class and a function reading the count.  Python tries a
+    subclass's reflected method first, so mixed operations with plain
+    Fractions or ints are counted too.
+    """
+    count = [0]
+
+    def counted(name):
+        base = getattr(Fraction, name)
+
+        def op(self, *other):
+            count[0] += 1
+            result = base(self, *other)
+            return Counted(result) if isinstance(result, Fraction) else result
+
+        return op
+
+    names = [
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__",
+    ]
+    Counted = type("Counted", (Fraction,), {name: counted(name) for name in names})
+    return Counted, lambda: count[0]
+
+
+def test_exact_solve_poisson_operation_count():
+    # the per-axis solve costs O(|S| sum_i m_i) scalar operations; the
+    # inclusion-exclusion form over all player subsets costs about 10x the cap
+    rng = random.Random(15)
+    for players, strategies in [((6, 6), (2, 2)), ((4, 4), (3, 3))]:
+        space = random_space(rng, players, strategies)
+        g = random_game(rng, space)
+        mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+        h = deviation_divergence(g, mu, gamma)
+        Counted, count = counting_fraction()
+        counted_h = ScalarField.from_values(space, [Counted(v) for v in h.flat()])
+        phi = solve_poisson(counted_h, mu)
+        assert phi == solve_poisson(h, mu)
+        assert 0 < count() <= 8 * space.num_profiles * sum(space.sizes)
 
 
 def test_solve_poisson_rejects_inconsistent_rhs():

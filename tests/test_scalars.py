@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gamedecomp.errors import ParseError
-from gamedecomp.numeric import format_scalar, parse_scalar, rational_sqrt
+from gamedecomp.errors import ParseError, ValidationError
+from gamedecomp.numeric import format_scalar, parse_scalar, rational_sqrt, scalar_array
 
 nonzero_rationals = st.fractions().filter(lambda f: f != 0)
 
@@ -34,6 +34,18 @@ def test_parse_rejects_non_rationals(bad):
 def test_float_mode_accepts_decimals():
     assert parse_scalar("1.5", exact=False) == 1.5
     assert parse_scalar("1/2", exact=False) == 0.5
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "1/0", "1" + "0" * 400])
+def test_float_mode_rejects_non_finite(bad):
+    with pytest.raises(ParseError):
+        parse_scalar(bad, exact=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_float_arrays_reject_non_finite(bad):
+    with pytest.raises(ValidationError):
+        scalar_array([1.0, bad], (2,), exact=False)
 
 
 @given(st.fractions(min_value=0, max_value=10**6))
