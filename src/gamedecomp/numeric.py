@@ -105,14 +105,3 @@ def arrays_equal(a: np.ndarray, b: np.ndarray, exact: bool = True) -> bool:
     if exact:
         return bool(np.all(a == b))
     return bool(np.all(np.abs(a - b) <= FLOAT_ZERO_TOL))
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

@@ -118,9 +118,16 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
 
 
 def _to_axis_basis(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Coefficients along ``axis``: the weighted mean m, then w_k (x_k - m)."""
-    mean = axis_contract(x, weights, axis) / weights.sum()
-    x = np.moveaxis(x, axis, 0)
+    """Coefficients along ``axis``: the weighted mean m, then w_k (x_k - m).
+
+    The axis is first rolled so the heaviest strategy is the reference e_0:
+    the inverse divides by w_0, so float rounding then grows with the number
+    of strategies, not with the spread of the weights.
+    """
+    shift = -int(np.argmax(weights))
+    x = np.moveaxis(np.roll(x, shift, axis), axis, 0)
+    weights = np.roll(weights, shift)
+    mean = axis_contract(x, weights, 0) / weights.sum()
     w = weights[1:].reshape((-1,) + (1,) * (x.ndim - 1))
     out = np.concatenate([mean[np.newaxis], (x[1:] - mean) * w])
     return np.moveaxis(out, 0, axis)
@@ -128,8 +135,10 @@ def _to_axis_basis(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
 
 def _from_axis_basis(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Inverse of _to_axis_basis: x_0 = c_0 - sum_k c_k / w_0, x_k = c_0 + c_k / w_k."""
+    shift = -int(np.argmax(weights))
     c = np.moveaxis(c, axis, 0)
+    weights = np.roll(weights, shift)
     w = weights[1:].reshape((-1,) + (1,) * (c.ndim - 1))
     first = c[0] - c[1:].sum(axis=0) / weights[0]
     out = np.concatenate([first[np.newaxis], c[0] + c[1:] / w])
-    return np.moveaxis(out, 0, axis)
+    return np.roll(np.moveaxis(out, 0, axis), -shift, axis)

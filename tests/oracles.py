@@ -21,7 +21,7 @@ import numpy as np
 
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField
 from gamedecomp.errors import SolveError, ValidationError
-from gamedecomp.numeric import freeze, is_zero, rational_sqrt, zeros_array
+from gamedecomp.numeric import freeze, is_zero, zeros_array
 from gamedecomp.operators import _check_consistent
 from gamedecomp.spaces import require_same_space
 
@@ -141,6 +141,17 @@ def _bareiss_solve(mat: list[list[Fraction]], rhs: list) -> list[Fraction]:
             acc -= aug[r][c] * solution[c]
         solution[r] = acc / aug[r][r]
     return solution
+
+
+def rational_sqrt(value: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    if value < 0:
+        return None
+    num, den = value.numerator, value.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ def test_float_decompose_tracks_exact():
                 want = np.array([float(v) for v in a.flat(i)])
                 got = np.array(b.flat(i))
                 assert np.max(np.abs(want - got)) <= 1e-9
+
+
+def test_float_poisson_accuracy_under_skewed_mu():
+    # weights 10^4 apart on one axis: the float solve keeps its accuracy only
+    # if each axis's basis is built around the heaviest strategy
+    rng = random.Random(57)
+    values = [Fraction(1, 100), Fraction(1), Fraction(100)]
+    for _ in range(10):
+        space = random_space(rng, (3, 3), (3, 3))
+        g, gamma = random_game(rng, space), random_gamma(rng, space)
+        mu = MeasureVector.from_weights(
+            space, [[rng.choice(values) for _ in range(m)] for m in space.sizes]
+        )
+        exact_phi = solve_poisson(deviation_divergence(g, mu, gamma), mu)
+        gf, mf, cf = to_float(g, mu, gamma)
+        float_phi = solve_poisson(deviation_divergence(gf, mf, cf), mf)
+        want = np.array([float(v) for v in exact_phi.flat()])
+        got = np.array(float_phi.flat())
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_float_solver_and_predicates():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gamedecomp.errors import ParseError, ValidationError
-from gamedecomp.numeric import format_scalar, parse_scalar, rational_sqrt, scalar_array
+from gamedecomp.numeric import format_scalar, parse_scalar, scalar_array
+from oracles import rational_sqrt
 
 nonzero_rationals = st.fractions().filter(lambda f: f != 0)
 
