@@ -2,11 +2,11 @@
 
 The Laplacian here is L = sum_i mu^i(S^i) (I - Lambda^i), a sum of commuting
 projections: Lambda^i replaces each entry by the mu^i-weighted average along
-tensor axis i.  Along each axis the basis {1, e_k/mu^i_k - e_0/mu^i_0 : k >= 1}
-turns every Lambda^i into diag(1, 0, ..., 0) at once, so L is diagonal in the
-tensor-product basis and the minimal-norm Poisson solve is a per-axis change
-of basis, one division, and the change back.  Exact (``Fraction``) and float
-arrays run the same code.
+tensor axis i.  Along each axis the basis {1, e_k/mu^i_k - e_0/mu^i_0 : k >= 1},
+for any reference strategy 0, turns every Lambda^i into diag(1, 0, ..., 0) at
+once, so L is diagonal in the tensor-product basis and the minimal-norm
+Poisson solve is a per-axis change of basis, one division, and the change
+back.  Exact (``Fraction``) and float arrays run the same code.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def _check_consistent(h: ScalarField, mu: MeasureVector):
 def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     """Minimal-norm solution of L phi = h with sum_s mu(s) phi(s) = 0.
 
-    Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0}:
-    coefficient 0 is the mu^i-weighted mean m, coefficient k >= 1 is
-    mu^i_k (x_k - m).  L is diagonal there, with eigenvalue
+    Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0},
+    with the heaviest strategy of the axis as reference 0: coefficient 0 is
+    the mu^i-weighted mean m, coefficient k >= 1 is mu^i_k (x_k - m).  L is diagonal there, with eigenvalue
     sum_{i: k_i != 0} mu^i(S^i) at coefficient index (k_1, ..., k_n); each
     coefficient is divided by it, and the all-zero-index coefficient (the
     mu-mean, spanning Ker L) is set to 0, which is the mu-mean-zero pin.  The

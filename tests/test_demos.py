@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_exist():
-    assert len(DEMOS) == 4
+    assert DEMOS, "no demos found; the parametrized smoke test would run nothing"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -231,8 +231,9 @@ def counting_fraction():
 
 
 def test_exact_solve_poisson_operation_count():
-    # the per-axis solve costs O(|S| sum_i m_i) scalar operations; the
-    # inclusion-exclusion form over all player subsets costs about 10x the cap
+    # the per-axis solve takes about 2.1k operations on both spaces; an
+    # inclusion-exclusion solve over all player subsets takes about 82k on
+    # 2^6 and 13k on 3^4, over the caps of 6144 and 7776
     rng = random.Random(15)
     for players, strategies in [((6, 6), (2, 2)), ((4, 4), (3, 3))]:
         space = random_space(rng, players, strategies)
