@@ -89,12 +89,13 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
 
     Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0},
     with the heaviest strategy of the axis as reference 0: coefficient 0 is
-    the mu^i-weighted mean m, coefficient k >= 1 is mu^i_k (x_k - m).  L is diagonal there, with eigenvalue
-    sum_{i: k_i != 0} mu^i(S^i) at coefficient index (k_1, ..., k_n); each
-    coefficient is divided by it, and the all-zero-index coefficient (the
-    mu-mean, spanning Ker L) is set to 0, which is the mu-mean-zero pin.  The
-    inverse transform then gives phi.  Both scalar modes share this path; it
-    costs O(|S| n) scalar operations and O(|S|) memory.
+    the mu^i-weighted mean m, coefficient k >= 1 is mu^i_k (x_k - m).  L is
+    diagonal there, with eigenvalue sum_{i: k_i != 0} mu^i(S^i) at
+    coefficient index (k_1, ..., k_n); each coefficient is divided by it, and
+    the all-zero-index coefficient (the mu-mean, spanning Ker L) is set to 0,
+    which is the mu-mean-zero pin.  The inverse transform then gives phi.
+    Both scalar modes share this path; it costs O(|S| n) scalar operations
+    and O(|S|) memory.
     """
     require_same_space(h, mu)
     _check_consistent(h, mu)
@@ -120,9 +121,10 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
 def _to_axis_basis(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
     """Coefficients along ``axis``: the weighted mean m, then w_k (x_k - m).
 
-    The axis is first rolled so the heaviest strategy is the reference e_0:
-    the inverse divides by w_0, so float rounding then grows with the number
-    of strategies, not with the spread of the weights.
+    The axis is first rolled so the heaviest strategy is the reference e_0,
+    and the coefficients stay in that order until _from_axis_basis rolls
+    back.  The inverse divides by w_0, so float rounding then grows with the
+    number of strategies, not with the spread of the weights.
     """
     shift = -int(np.argmax(weights))
     x = np.moveaxis(np.roll(x, shift, axis), axis, 0)
