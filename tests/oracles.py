@@ -8,6 +8,8 @@
   solves the mean-pinned system by fraction-free Bareiss elimination.
 - The flow oracle embeds a game as antisymmetric edge values, weighted by
   W^i = 1/sqrt(mu^{-i}), and takes their divergence edge by edge.
+- The decomposition oracle decides gamma-potential membership the long way:
+  a full decomposition under uniform mu, then a zero test on the harmonic part.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField
+from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.numeric import freeze, is_zero, zeros_array
 from gamedecomp.operators import _check_consistent
@@ -249,3 +251,9 @@ def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
         out[s] = out[s] - prod[t] * w * value
         out[t] = out[t] + prod[s] * w * value
     return ScalarField(space, freeze(out))
+
+
+def is_gamma_potential_by_decomposition(g: Game, gamma: CoMeasureVector) -> bool:
+    """gamma-potential iff the harmonic part vanishes; the class does not depend on mu."""
+    mu = MeasureVector.uniform(g.space, exact=g.exact)
+    return decompose(g, mu, gamma).harmonic.is_zero()

@@ -21,8 +21,15 @@ from gamedecomp import (
     is_mu_normalized,
     is_nonstrategic,
 )
-from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
+from gamedecomp.laws import (
+    random_game,
+    random_gamma,
+    random_mu,
+    random_nonstrategic,
+    random_space,
+)
 from conftest import load_fixture
+from oracles import is_gamma_potential_by_decomposition
 
 
 def cells(game, player):
@@ -150,6 +157,21 @@ def test_is_gamma_potential(matching_pennies, depend):
     assert is_harmonic(scale(parts.harmonic, beta), depend.mu, tilde)
 
 
+def test_is_gamma_potential_matches_decomposition_oracle():
+    rng = random.Random(31)
+    members = 0
+    for trial in range(240):
+        space = random_space(rng, (2, 3), (2, 3))
+        g = random_game(rng, space)
+        mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+        if trial % 2 == 0:
+            g = decompose(g, mu, gamma).potential + random_nonstrategic(rng, space)
+        expected = is_gamma_potential_by_decomposition(g, gamma)
+        assert is_gamma_potential(g, gamma) == expected
+        members += expected
+    assert members >= 120
+
+
 def test_is_harmonic_examples():
     multi = load_fixture("multi.game")
     assert is_harmonic(multi.game, multi.mu, multi.gamma)
@@ -197,6 +219,22 @@ def test_extract_potential_matches_phi_up_to_constant():
             psi.value(p) - parts.phi.value(p) for p in space.profiles()
         }
         assert len(diff) == 1
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3, 3), (2, 2, 2, 2, 2)])
+def test_extract_potential_matches_phi_on_deep_spaces(sizes):
+    rng = random.Random(22)
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+    g = random_game(rng, space)
+    mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+    parts = decompose(g, mu, gamma)
+    psi = extract_potential(parts.potential, gamma)
+    assert sum(psi.flat()) == 0  # uniform-mean-zero normalisation
+    offset = psi.flat()[0] - parts.phi.flat()[0]
+    assert all(a - b == offset for a, b in zip(psi.flat(), parts.phi.flat()))
+    assert is_gamma_potential(parts.potential, gamma)
+    assert not parts.harmonic.is_zero()
+    assert not is_gamma_potential(g, gamma)
 
 
 # -- closest potential game and the bound ------------------------------------------------
