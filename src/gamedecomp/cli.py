@@ -17,14 +17,12 @@ from .games import (
     CoMeasureVector,
     Game,
     MeasureVector,
-    game_norm_sq,
-    inner_product_game,
+    norm_weights,
+    weighted_inner_product,
 )
 from .gamedoc import GameDocument, parse_game, serialize_game
 from .decomposition import (
-    closest_potential,
     decompose,
-    epsilon_bound,
     is_gamma_potential,
     is_harmonic,
     is_mu_normalized,
@@ -179,13 +177,14 @@ def _cmd_decompose(args) -> int:
         "harmonic": parts.harmonic,
     }
 
+    weights = norm_weights(doc.mu, doc.gamma)
     report = ["decomposition report"]
     for name, component in named.items():
-        norm = game_norm_sq(component, doc.mu, doc.gamma)
+        norm = weighted_inner_product(component, component, weights)
         report.append(f"norm2 {name}: {format_scalar(norm)}")
     pairs = [("nonstrategic", "potential"), ("nonstrategic", "harmonic"), ("potential", "harmonic")]
     for a, b in pairs:
-        residual = inner_product_game(named[a], named[b], doc.mu, doc.gamma)
+        residual = weighted_inner_product(named[a], named[b], weights)
         report.append(f"orthogonality {a}/{b}: {format_scalar(residual)}")
     reconstructed = parts.total() == doc.game
     report.append(f"reconstruction exact: {reconstructed}")
@@ -302,8 +301,9 @@ def _cmd_check_eq(args) -> int:
 
 def _cmd_closest(args) -> int:
     doc = _load(args)
-    closest, dist_sq = closest_potential(doc.game, doc.mu, doc.gamma)
-    bound_sq = epsilon_bound(doc.game, doc.mu, doc.gamma)
+    parts = decompose(doc.game, doc.mu, doc.gamma)
+    closest, dist_sq = parts.closest_potential()
+    bound_sq = parts.epsilon_bound()
     text = serialize_game(
         GameDocument(closest, doc.mu, doc.gamma),
         comment=f"closest potential game to {args.game.name}",

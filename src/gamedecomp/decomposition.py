@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import axis_contract, freeze, is_zero
+from .numeric import arrays_equal, axis_contract, freeze, is_zero, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
     MeasureVector,
     ScalarField,
-    game_norm_sq,
+    norm_weights,
+    require_same_mode,
+    validate_co_measure,
     validate_parameters,
+    weighted_inner_product,
 )
 from .operators import (
     deviation_divergence,
@@ -47,6 +50,39 @@ class Decomposition:
     def total(self) -> Game:
         return self.nonstrategic + self.potential + self.harmonic
 
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, ...]:
+        return norm_weights(self.mu, self.gamma)
+
+    @cached_property
+    def distance_sq(self):
+        """||harmonic||^2_{mu,gamma}: squared distance to the closest potential game."""
+        return weighted_inner_product(self.harmonic, self.harmonic, self._weights)
+
+    def closest_potential(self) -> tuple[Game, object]:
+        """The nearest gamma-potential game and the squared distance to it.
+
+        Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}).
+        """
+        return self.nonstrategic + self.potential, self.distance_sq
+
+    def epsilon_bound(self):
+        """Squared bound B^2 with eps^2 <= B^2 for every equilibrium of the
+        closest potential game, taken as an approximate equilibrium of g.
+
+        B^2 = 4 d^2 max_{j, s} 1 / (gamma^j(s^{-j})^2 mu^j(S^j) mu(s)), where
+        d^2 is the squared distance to the closest potential game.  The mu(s)
+        factor keeps the single-entry norm estimate valid for arbitrary
+        strictly positive measures; when the product measure is identically 1
+        it reduces to 4 max d^2 / (gamma^2 mu^j(S^j)).  The denominators are
+        the norm weights, so d^2 and B^2 share one weight tensor.
+
+        Both scalar modes return the square, so comparisons eps^2 <= B^2 need
+        no root and stay rational in exact mode.
+        """
+        worst = 1 / min(w.min() for w in self._weights)
+        return 4 * self.distance_sq * worst
+
 
 def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:
     """Split g into nonstrategic, gamma-potential, and (mu,gamma)-harmonic parts.
@@ -57,6 +93,7 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     """
     space = require_same_space(g, mu, gamma)
     validate_parameters(space, mu, gamma)
+    require_same_mode(g, mu)
 
     h = deviation_divergence(g, mu, gamma)
     phi = solve_poisson(h, mu)
@@ -82,7 +119,7 @@ def is_nonstrategic(g: Game) -> bool:
     for i in g.space.players:
         first = np.take(g.payoffs[i], 0, axis=i)
         for k in range(1, g.space.sizes[i]):
-            if not _tensors_match(first, np.take(g.payoffs[i], k, axis=i), g.exact):
+            if not arrays_equal(first, np.take(g.payoffs[i], k, axis=i), g.exact):
                 return False
     return True
 
@@ -100,104 +137,82 @@ def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
 def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
     """True iff some potential function matches all rescaled payoff differences.
 
-    Decided through the decomposition with uniform mu: the class does not
-    depend on mu, and membership is exactly a vanishing harmonic component.
+    Decided without a decomposition: the rescaled differences
+    D_i(s) = gamma^i(s^{-i}) (g^i(s) - g^i(0_i, s^{-i})) are integrated axis by
+    axis into a candidate psi, and g is gamma-potential iff psi reproduces
+    every D_i (see _integrate).  Costs O(n |S|) array operations.
     """
-    mu = MeasureVector.uniform(g.space, exact=g.exact)
-    return decompose(g, mu, gamma).harmonic.is_zero()
+    return _integrate(g, gamma)[1] is None
 
 
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
+    validate_parameters(require_same_space(g, mu, gamma), mu, gamma)
     h = deviation_divergence(g, mu, gamma)
     return all(is_zero(v, g.exact) for v in h.flat())
 
 
 def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
-    """Recover a potential function by spanning-tree integration.
+    """Recover a potential function by axis-by-axis integration.
 
-    Walks a BFS tree over the comparable-profile graph, integrates
-    gamma^i-rescaled payoff differences, then validates every remaining edge;
-    inconsistent cycles mean the game is not gamma-potential.  The result is
-    normalized to mean zero under the uniform measure.
+    psi(s) sums the rescaled differences D_i along the path that moves the
+    players' coordinates from 0 to s one axis at a time (see _integrate); the
+    checks psi(s) - psi(0_i, s^{-i}) == D_i(s) then cover every edge, and a
+    failure means the game is not gamma-potential.  The result is normalized
+    to mean zero under the uniform measure.
+    """
+    psi, bad = _integrate(g, gamma)
+    if bad is not None:
+        source, target = bad
+        raise PreconditionError(
+            "not gamma-potential: inconsistent cycle at profiles "
+            f"{g.space.profile_labels(source)} -> {g.space.profile_labels(target)}"
+        )
+    return ScalarField(g.space, freeze(psi - psi.sum() / g.space.num_profiles))
+
+
+def _integrate(g: Game, gamma: CoMeasureVector):
+    """Integrate the gamma-rescaled payoff differences of g; find a bad edge.
+
+    With D_i(s) = gamma^i(s^{-i}) (g^i(s) - g^i(0_i, s^{-i})), psi(s) is the
+    sum over i of D_i evaluated with the axes before i pinned at 0, so
+    psi(0) = 0 and psi telescopes along the path 0 -> s.  psi is a potential
+    iff psi(s) - psi(0_i, s^{-i}) == D_i(s) for every i and s; every edge
+    (s, t) of player i is the difference of two such checks.  For the first
+    player the check holds by construction, since the later terms pin its axis.
+
+    Returns (psi, None) when all checks pass, else (psi, (source, target)) for
+    the first failing edge: the lowest player, then the first profile in
+    row-major order.  Validates gamma (strictly positive, same scalar mode).
     """
     space = require_same_space(g, gamma)
-    zero = Fraction(0) if g.exact else 0.0
-    psi = {0: zero}
-    frontier = [0]
-    while frontier:
-        s_idx = frontier.pop()
-        s = space.profile(s_idx)
-        for i in space.players:
-            opp = tuple(x for j, x in enumerate(s) if j != i)
-            gam = gamma.tensors[i][opp]
-            for k in range(space.sizes[i]):
-                t = space.merge_opp(i, k, opp)
-                t_idx = space.index(t)
-                if t_idx in psi:
-                    continue
-                diff = gam * (g.payoffs[i][t] - g.payoffs[i][s])
-                psi[t_idx] = psi[s_idx] + diff
-                frontier.append(t_idx)
-
-    for i, s, t in space.edges():
-        opp = tuple(x for j, x in enumerate(s) if j != i)
-        expected = gamma.tensors[i][opp] * (g.payoffs[i][t] - g.payoffs[i][s])
-        actual = psi[space.index(t)] - psi[space.index(s)]
-        if not is_zero(actual - expected, g.exact):
-            raise PreconditionError(
-                "not gamma-potential: inconsistent cycle at profiles "
-                f"{space.profile_labels(s)} -> {space.profile_labels(t)}"
-            )
-
-    values = [psi[idx] for idx in range(space.num_profiles)]
-    mean = sum(values) / space.num_profiles
-    return ScalarField.from_values(
-        space, [v - mean for v in values], exact=g.exact
-    )
+    require_same_mode(g, gamma)
+    validate_co_measure(space, gamma)
+    diffs = []
+    psi = None
+    for i in space.players:
+        payoff = g.payoffs[i]
+        d = gamma.expanded(i) * (payoff - np.take(payoff, [0], axis=i))
+        diffs.append(d)
+        pinned = d[(slice(0, 1),) * i]
+        psi = pinned if psi is None else psi + pinned
+    for i in space.players[1:]:
+        mismatch = unequal_mask(psi - np.take(psi, [0], axis=i), diffs[i], g.exact)
+        if mismatch.any():
+            target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
+            target = tuple(int(k) for k in target)
+            source = target[:i] + (0,) + target[i + 1:]
+            return psi, (source, target)
+    return psi, None
 
 
 def closest_potential(
     g: Game, mu: MeasureVector, gamma: CoMeasureVector
 ) -> tuple[Game, object]:
-    """The nearest gamma-potential game and the squared distance to it.
-
-    Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}).
-    """
-    parts = decompose(g, mu, gamma)
-    closest = parts.nonstrategic + parts.potential
-    dist_sq = game_norm_sq(parts.harmonic, mu, gamma)
-    return closest, dist_sq
+    """The nearest gamma-potential game and ||harmonic||^2; see Decomposition."""
+    return decompose(g, mu, gamma).closest_potential()
 
 
 def epsilon_bound(g: Game, mu: MeasureVector, gamma: CoMeasureVector):
-    """Squared bound B^2 with eps^2 <= B^2 for every equilibrium of the closest
-    potential game, taken as an approximate equilibrium of g.
-
-    B^2 = 4 d^2 max_{j, s} 1 / (gamma^j(s^{-j})^2 mu^j(S^j) mu(s)), where d^2
-    is the squared distance to the closest potential game.  The mu(s) factor
-    keeps the single-entry norm estimate valid for arbitrary strictly positive
-    measures; when the product measure is identically 1 it reduces to
-    4 max d^2 / (gamma^2 mu^j(S^j)).
-
-    Both scalar modes return the square, so comparisons eps^2 <= B^2 need no
-    root and stay rational in exact mode.
-    """
-    _, dist_sq = closest_potential(g, mu, gamma)
-    prod = mu.product_array()
-    worst = None
-    for j in g.space.players:
-        total = mu.total(j)
-        gam_sq = gamma.expanded(j) ** 2
-        denom = (gam_sq * prod * total).reshape(-1).tolist()
-        for value in denom:
-            factor = 1 / value
-            if worst is None or factor > worst:
-                worst = factor
-    return 4 * dist_sq * worst
-
-
-def _tensors_match(a: np.ndarray, b: np.ndarray, exact: bool) -> bool:
-    if exact:
-        return bool(np.all(a == b))
-    return bool(np.all(np.abs(a - b) <= 1e-9))
+    """Squared bound B^2 on eps^2; see Decomposition.epsilon_bound."""
+    return decompose(g, mu, gamma).epsilon_bound()

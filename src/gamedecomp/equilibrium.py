@@ -14,7 +14,7 @@ import numpy as np
 from .errors import PreconditionError
 from .numeric import axis_contract, is_zero
 from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
-from .decomposition import extract_potential, is_gamma_potential, is_harmonic
+from .decomposition import extract_potential, is_harmonic
 from .spaces import require_same_space
 
 
@@ -60,7 +60,8 @@ def harmonic_equilibrium(
     """The completely mixed equilibrium normalized(mu^i c^i) of a harmonic game.
 
     Requires gamma to be a product co-measure with stored generator c, or
-    constant per player (then c = 1 and the profile is normalized mu).
+    constant per player (then c = 1 and the profile is normalized mu).  The
+    harmonic check first validates mu and gamma.
     """
     space = require_same_space(g, mu, gamma)
     if not is_harmonic(g, mu, gamma):
@@ -107,11 +108,9 @@ def pure_equilibrium_from_potential(
 ) -> list[tuple[int, ...]]:
     """All global argmax profiles of the potential function, in canonical order.
 
-    Every returned profile is a pure Nash equilibrium of g.
+    Every returned profile is a pure Nash equilibrium of g.  One axis-by-axis
+    integration both decides membership and yields the potential.
     """
-    require_same_space(g, gamma)
-    if not is_gamma_potential(g, gamma):
-        raise PreconditionError("not gamma-potential")
     psi = extract_potential(g, gamma)
     flat = psi.flat()
     best = max(flat)

@@ -22,6 +22,12 @@ from .numeric import (
 from .spaces import StrategySpace, require_same_space
 
 
+def require_same_mode(*objects) -> None:
+    """Raise unless every operand has the same scalar mode (exact or float)."""
+    if len({obj.exact for obj in objects}) > 1:
+        raise ValidationError("operands mix exact and float scalars")
+
+
 def _coerce_tensor(space: StrategySpace, data, shape, exact: bool) -> np.ndarray:
     arr = np.asarray(data)
     if arr.shape == shape:
@@ -75,6 +81,7 @@ class Game:
 
     def __add__(self, other: "Game") -> "Game":
         require_same_space(self, other)
+        require_same_mode(self, other)
         return Game(
             self.space,
             tuple(freeze(a + b) for a, b in zip(self.payoffs, other.payoffs)),
@@ -82,6 +89,7 @@ class Game:
 
     def __sub__(self, other: "Game") -> "Game":
         require_same_space(self, other)
+        require_same_mode(self, other)
         return Game(
             self.space,
             tuple(freeze(a - b) for a, b in zip(self.payoffs, other.payoffs)),
@@ -90,6 +98,7 @@ class Game:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Game):
             return NotImplemented
+        require_same_mode(self, other)
         return self.space == other.space and all(
             arrays_equal(a, b, self.exact)
             for a, b in zip(self.payoffs, other.payoffs)
@@ -131,15 +140,18 @@ class ScalarField:
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         require_same_space(self, other)
+        require_same_mode(self, other)
         return ScalarField(self.space, freeze(self.values + other.values))
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         require_same_space(self, other)
+        require_same_mode(self, other)
         return ScalarField(self.space, freeze(self.values - other.values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScalarField):
             return NotImplemented
+        require_same_mode(self, other)
         return self.space == other.space and arrays_equal(
             self.values, other.values, self.exact
         )
@@ -380,9 +392,11 @@ class MixedProfile:
 def validate_parameters(
     space: StrategySpace, mu: MeasureVector, gamma: CoMeasureVector
 ) -> None:
-    """Check strict positivity and shapes; report the first offending entry."""
+    """Check spaces, a shared scalar mode and strict positivity; report the
+    first offending entry."""
     if mu.space != space or gamma.space != space:
         raise ValidationError("parameters live on a different strategy space")
+    require_same_mode(mu, gamma)
     for i in space.players:
         for k, w in enumerate(mu.weights[i].reshape(-1).tolist()):
             if w <= 0:
@@ -390,6 +404,13 @@ def validate_parameters(
                 raise ValidationError(
                     f"nonpositive measure: mu^{i + 1}({label}) = {w}"
                 )
+    validate_co_measure(space, gamma)
+
+
+def validate_co_measure(space: StrategySpace, gamma: CoMeasureVector) -> None:
+    """Check that gamma lives on ``space`` and is strictly positive."""
+    if gamma.space != space:
+        raise ValidationError("parameters live on a different strategy space")
     for i in space.players:
         flat = gamma.tensors[i].reshape(-1).tolist()
         for k, w in enumerate(flat):
@@ -408,19 +429,31 @@ def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     return (mu.product_array() * h.values * f.values).sum()
 
 
+def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[np.ndarray, ...]:
+    """Per-player weights w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2 of the game
+    inner product, as full-profile tensors; build once, reuse for every pair."""
+    require_same_space(mu, gamma)
+    prod = mu.product_array()
+    return tuple(
+        freeze(prod * (gamma.expanded(i) ** 2 * mu.total(i)))
+        for i in mu.space.players
+    )
+
+
+def weighted_inner_product(g1: Game, g2: Game, weights: tuple[np.ndarray, ...]):
+    """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights."""
+    require_same_space(g1, g2)
+    return sum(
+        (w * a * b).sum() for w, a, b in zip(weights, g1.payoffs, g2.payoffs)
+    )
+
+
 def inner_product_game(
     g1: Game, g2: Game, mu: MeasureVector, gamma: CoMeasureVector
 ):
     """<g1, g2>_{mu,gamma} = sum_i mu^i(S^i) <gamma^i g1^i, gamma^i g2^i>_0."""
     require_same_space(g1, g2, mu, gamma)
-    prod = mu.product_array()
-    total = 0
-    for i in g1.space.players:
-        gam = gamma.expanded(i)
-        total = total + mu.total(i) * (
-            prod * gam * gam * g1.payoffs[i] * g2.payoffs[i]
-        ).sum()
-    return total
+    return weighted_inner_product(g1, g2, norm_weights(mu, gamma))
 
 
 def game_norm_sq(g: Game, mu: MeasureVector, gamma: CoMeasureVector):

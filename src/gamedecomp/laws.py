@@ -19,13 +19,12 @@ from .games import (
     Game,
     MeasureVector,
     MixedProfile,
-    inner_product_game,
+    norm_weights,
+    weighted_inner_product,
 )
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
-    closest_potential,
     decompose,
-    epsilon_bound,
     is_gamma_potential,
     is_harmonic,
     is_mu_normalized,
@@ -119,13 +118,14 @@ def random_nonstrategic(rng: random.Random, space: StrategySpace) -> Game:
 
 def _check_orthogonality(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
+    weights = norm_weights(mu, gamma)
     pairs = [
         ("nonstrategic", "potential", parts.nonstrategic, parts.potential),
         ("nonstrategic", "harmonic", parts.nonstrategic, parts.harmonic),
         ("potential", "harmonic", parts.potential, parts.harmonic),
     ]
     for name_a, name_b, a, b in pairs:
-        ip = inner_product_game(a, b, mu, gamma)
+        ip = weighted_inner_product(a, b, weights)
         if ip != 0:
             return f"<{name_a}, {name_b}>_(mu,gamma) = {ip}, expected 0"
     return None
@@ -308,8 +308,9 @@ def _check_harmonic_eq(g, mu, gamma, aux):
 
 
 def _check_epsilon_bound(g, mu, gamma, aux):
-    closest, _ = closest_potential(g, mu, gamma)
-    bound_sq = epsilon_bound(g, mu, gamma)
+    parts = decompose(g, mu, gamma)
+    closest, _ = parts.closest_potential()
+    bound_sq = parts.epsilon_bound()
     for profile in g.space.profiles():
         candidate = MixedProfile.pure(g.space, profile)
         if best_response_epsilon(closest, candidate) != 0:

@@ -99,9 +99,12 @@ def is_zero(value, exact: bool = True) -> bool:
     return abs(value) <= FLOAT_ZERO_TOL
 
 
-def arrays_equal(a: np.ndarray, b: np.ndarray, exact: bool = True) -> bool:
-    if a.shape != b.shape:
-        return False
+def unequal_mask(a: np.ndarray, b: np.ndarray, exact: bool = True) -> np.ndarray:
+    """Elementwise a != b as a bool array; float mode allows FLOAT_ZERO_TOL."""
     if exact:
-        return bool(np.all(a == b))
-    return bool(np.all(np.abs(a - b) <= FLOAT_ZERO_TOL))
+        return np.asarray(a != b, dtype=bool)
+    return ~(np.abs(a - b) <= FLOAT_ZERO_TOL)  # nan counts as unequal
+
+
+def arrays_equal(a: np.ndarray, b: np.ndarray, exact: bool = True) -> bool:
+    return a.shape == b.shape and not unequal_mask(a, b, exact).any()

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
-from gamedecomp import parse_game
+import pytest
+
+from gamedecomp import decomposition, parse_game
 from gamedecomp.cli import main
 from conftest import FIXTURES
 
@@ -97,6 +99,23 @@ def test_closest_potential(capsys):
     assert "d^2: 16" in out
     assert "B^2: 32" in out
     assert "payoffs 1: 0 0 0 0" in out
+
+
+@pytest.mark.parametrize(
+    "command, solves", [("classify", 0), ("closest-potential", 1), ("decompose", 1)]
+)
+def test_poisson_solves_per_command(monkeypatch, capsys, command, solves):
+    original = decomposition.solve_poisson
+    calls = []
+
+    def counting(h, mu):
+        calls.append(h)
+        return original(h, mu)
+
+    monkeypatch.setattr(decomposition, "solve_poisson", counting)
+    code, _, _ = run(capsys, command, FIXTURES / "depend.game")
+    assert code == 0
+    assert len(calls) == solves
 
 
 def test_transform_scale_and_permute(tmp_path, capsys):
