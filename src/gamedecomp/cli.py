@@ -234,12 +234,15 @@ def _cmd_transform(args) -> int:
     doc = _load(args)
     exact = not args.float_mode
     game, mu, gamma = doc.game, doc.mu, doc.gamma
+    n = game.space.n_players
+    if args.player is not None:
+        _require(1 <= args.player <= n, f"--player must be in 1..{n}, got {args.player}")
+        player = args.player - 1
 
     if args.op == "permute":
         _require(args.player is not None and args.sigma, "--op permute needs --player and --sigma")
-        spec = PermutationSpec(
-            args.player - 1, tuple(int(x) for x in args.sigma.split(","))
-        )
+        sigma = tuple(_literal(int, x, "--sigma") for x in args.sigma.split(","))
+        spec = PermutationSpec(player, sigma)
         game = permute(game, spec)
         mu, gamma = permute_params(mu, gamma, spec)
     elif args.op == "translate":
@@ -257,7 +260,7 @@ def _cmd_transform(args) -> int:
             "--op extend needs --player, --source, --label",
         )
         spec = DuplicationSpec(
-            args.player - 1, args.source, args.label, Fraction(args.lam)
+            player, args.source, args.label, _literal(Fraction, args.lam, "--lam")
         )
         game, mu, gamma = extend_duplicate(game, mu, gamma, spec)
     elif args.op == "reduce":
@@ -265,16 +268,14 @@ def _cmd_transform(args) -> int:
             args.player is not None and args.s0 and args.s1,
             "--op reduce needs --player, --s0, --s1",
         )
-        game, mu, gamma = reduce_duplicate(
-            game, mu, gamma, args.player - 1, args.s0, args.s1
-        )
+        game, mu, gamma = reduce_duplicate(game, mu, gamma, player, args.s0, args.s1)
     elif args.op == "reduce-redundant":
         _require(
             args.player is not None and args.s0 and args.alpha,
             "--op reduce-redundant needs --player, --s0, --alpha",
         )
-        alpha = tuple(Fraction(x) for x in args.alpha.split(","))
-        spec = RedundancySpec(args.player - 1, args.s0, alpha)
+        alpha = tuple(_literal(Fraction, x, "--alpha") for x in args.alpha.split(","))
+        spec = RedundancySpec(player, args.s0, alpha)
         game, mu, gamma = reduce_redundant(game, mu, gamma, spec)
 
     text = serialize_game(
@@ -339,6 +340,14 @@ def _cmd_verify(args) -> int:
 def _require(condition, message: str) -> None:
     if not condition:
         raise GameDecompError(message)
+
+
+def _literal(kind, text: str, flag: str):
+    """kind(text), with a bad literal reported as a GameDecompError naming the flag."""
+    try:
+        return kind(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise GameDecompError(f"{flag}: not a valid number: {text!r}") from None
 
 
 if __name__ == "__main__":

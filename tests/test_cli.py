@@ -186,6 +186,26 @@ def test_transform_error_exit_code(capsys):
     assert "not a duplicate" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--op", "extend", "--player", "5", "--source", "s", "--label", "t1"],
+        ["--op", "extend", "--player", "0", "--source", "s", "--label", "t1"],
+        ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "abc"],
+        ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "1/0"],
+        ["--op", "permute", "--player", "1", "--sigma", "a,b"],
+        ["--op", "permute", "--player", "0", "--sigma", "1,0"],
+        ["--op", "reduce-redundant", "--player", "1", "--s0", "s", "--alpha", "x"],
+    ],
+)
+def test_transform_bad_arguments_fail_cleanly(capsys, argv):
+    code, out, err = run(capsys, "transform", FIXTURES / "mp.game", *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "scale", "--trials", "5", "--seed", "3")
     assert code == 0
