@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolveError
-from .numeric import axis_contract, freeze
+from .numeric import FLOAT_ZERO_TOL, axis_contract, freeze
 from .games import Game, MeasureVector, CoMeasureVector, ScalarField
 from .spaces import require_same_space
 
@@ -70,18 +70,22 @@ def laplacian_apply(phi: ScalarField, mu: MeasureVector) -> ScalarField:
 
 
 def _check_consistent(h: ScalarField, mu: MeasureVector):
-    residual = (mu.product_array() * h.values).sum()
+    """L phi = h is solvable iff sum_s mu(s) h(s) = 0.
+
+    Float mode allows FLOAT_ZERO_TOL relative to the size of the summed terms,
+    sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|).
+    """
+    terms = mu.product_array() * h.values
+    residual = terms.sum()
     if h.exact:
-        if residual != 0:
-            raise SolveError(
-                f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
-            )
+        consistent = residual == 0
     else:
-        scale = max(1.0, float(np.max(np.abs(h.values))))
-        if abs(residual) > 1e-9 * scale:
-            raise SolveError(
-                f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
-            )
+        scale = max(1.0, float(np.max(np.abs(h.values))), float(np.abs(terms).sum()))
+        consistent = abs(residual) <= FLOAT_ZERO_TOL * scale
+    if not consistent:
+        raise SolveError(
+            f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
+        )
 
 
 def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:

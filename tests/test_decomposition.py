@@ -10,6 +10,7 @@ from gamedecomp import (
     PreconditionError,
     ScalarField,
     StrategySpace,
+    ValidationError,
     closest_potential,
     decompose,
     epsilon_bound,
@@ -170,6 +171,19 @@ def test_is_gamma_potential_matches_decomposition_oracle():
         assert is_gamma_potential(g, gamma) == expected
         members += expected
     assert members >= 120
+
+
+def test_predicates_validate_gamma(matching_pennies):
+    from gamedecomp import harmonic_equilibrium
+
+    doc = matching_pennies
+    zero = CoMeasureVector.from_tensors(doc.space, [[0, 0], [0, 0]])
+    with pytest.raises(ValidationError, match="nonpositive co-measure"):
+        is_gamma_potential(doc.game, zero)
+    with pytest.raises(ValidationError, match="nonpositive co-measure"):
+        is_harmonic(doc.game, doc.mu, zero)
+    with pytest.raises(ValidationError, match="nonpositive co-measure"):
+        harmonic_equilibrium(doc.game, doc.mu, zero)
 
 
 def test_is_harmonic_examples():

@@ -8,6 +8,9 @@ from gamedecomp import (
     CoMeasureVector,
     Game,
     MeasureVector,
+    ScalarField,
+    StrategySpace,
+    ValidationError,
     decompose,
     deviation_divergence,
     is_harmonic,
@@ -67,6 +70,49 @@ def test_float_poisson_accuracy_under_skewed_mu():
         want = np.array([float(v) for v in exact_phi.flat()])
         got = np.array(float_phi.flat())
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_float_decompose_under_wide_mu_weights():
+    # weights 10^6 apart: mu(s) reaches 10^9, so the consistency residual is
+    # a sum of terms far larger than max|h|; the tolerance must follow them
+    rng = random.Random(2)
+    values = [Fraction(1, 1000), Fraction(1), Fraction(1000)]
+    space = StrategySpace((("a", "b", "c"),) * 3)
+    for _ in range(10):
+        g, gamma = random_game(rng, space), random_gamma(rng, space)
+        mu = MeasureVector.from_weights(
+            space, [[rng.choice(values) for _ in range(m)] for m in space.sizes]
+        )
+        exact_parts = decompose(g, mu, gamma)
+        float_parts = decompose(*to_float(g, mu, gamma))
+        want_phi = np.array([float(v) for v in exact_parts.phi.flat()])
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(want_phi))))
+        assert np.max(np.abs(want_phi - np.array(float_parts.phi.flat()))) <= tol
+        for a, b in zip(exact_parts.components(), float_parts.components()):
+            for i in space.players:
+                want = np.array([float(v) for v in a.flat(i)])
+                assert np.max(np.abs(want - np.array(b.flat(i)))) <= tol
+
+
+def test_scalar_modes_never_mix():
+    rng = random.Random(58)
+    space = random_space(rng, (2, 2), (2, 3))
+    g = random_game(rng, space)
+    mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+    gf, mf, cf = to_float(g, mu, gamma)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        g + gf
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        gf - g
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        g == gf
+    phi = ScalarField.zeros(space)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        phi + ScalarField.zeros(space, exact=False)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        decompose(gf, mu, gamma)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        decompose(g, mu, cf)
 
 
 def test_float_solver_and_predicates():
