@@ -15,7 +15,6 @@ from .errors import GameDecompError
 from .numeric import format_scalar, parse_scalar
 from .games import (
     CoMeasureVector,
-    Game,
     MeasureVector,
     norm_weights,
     weighted_inner_product,
