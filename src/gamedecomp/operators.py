@@ -73,7 +73,8 @@ def _check_consistent(h: ScalarField, mu: MeasureVector):
     """L phi = h is solvable iff sum_s mu(s) h(s) = 0.
 
     Float mode allows FLOAT_ZERO_TOL relative to the size of the summed terms,
-    sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|).
+    sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|): the
+    h of a harmonic game is pure rounding noise, which that floor absorbs.
     """
     terms = mu.product_array() * h.values
     residual = terms.sum()
