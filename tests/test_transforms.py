@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from gamedecomp import (
     CoMeasureVector,
     DuplicationSpec,
     Game,
+    GameDocument,
     MeasureVector,
     PermutationSpec,
     PreconditionError,
@@ -23,9 +26,20 @@ from gamedecomp import (
     reduce_duplicate,
     reduce_redundant,
     scale,
+    serialize_game,
     translate_nonstrategic,
 )
-from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
+from gamedecomp.laws import (
+    PARAM_VALUES,
+    SPLIT_VALUES,
+    random_game,
+    random_gamma,
+    random_mu,
+    random_nonstrategic,
+    random_product_gamma,
+    random_space,
+)
+from gamedecomp.numeric import axis_contract
 from conftest import load_fixture
 
 
@@ -288,3 +302,113 @@ def test_two_transformations_example(depend):
     assert parts.potential.flat(1) == [F(1), F(-1), F(1), F(-1), F(-6), F(6)]
     assert parts.harmonic.flat(0) == [F(4), F(-2), F(4), F(-2), F(-4), F(2)]
     assert parts.harmonic.flat(1) == [F(-2), F(2), F(-2), F(2), F(6), F(-6)]
+
+
+# -- golden digest of every transform's output -----------------------------------------------
+
+GOLDEN_COUNT = 3122
+GOLDEN_DIGEST = "8a968551d552f0e0821588aa6ec05f48d47b977e67e987ea7e5b3d3c0b6f0c29"
+
+
+def _as_mode(g, mu, gamma, exact):
+    """The same instance in the requested scalar mode; a generator stays a generator."""
+    space = g.space
+    game = Game.from_payoffs(space, [g.flat(i) for i in space.players], exact=exact)
+    weights = MeasureVector.from_weights(space, [w.tolist() for w in mu.weights], exact=exact)
+    if gamma.generator is not None:
+        co = CoMeasureVector.from_generator(
+            space, [c.tolist() for c in gamma.generator], exact=exact
+        )
+    else:
+        co = CoMeasureVector.from_tensors(
+            space, [t.reshape(-1).tolist() for t in gamma.tensors], exact=exact
+        )
+    return game, weights, co
+
+
+def _redundant_instance(rng, g, exact):
+    """g with one strategy overwritten by an alpha-mixture of the others, a
+    uniform gamma (with or without a generator), and the matching spec."""
+    space = g.space
+    player = rng.choice([i for i in space.players if space.sizes[i] >= 3])
+    p0 = rng.randrange(space.sizes[player])
+    raw = [rng.choice(PARAM_VALUES) for _ in range(space.sizes[player] - 1)]
+    alpha = tuple(a / sum(raw, F(0)) for a in raw)
+    payoffs = []
+    for j in space.players:
+        kept = np.delete(g.payoffs[j], p0, axis=player)
+        tensor = g.payoffs[j].copy()
+        index = [slice(None)] * space.n_players
+        index[player] = p0
+        tensor[tuple(index)] = axis_contract(kept, alpha, player)
+        payoffs.append(tensor.reshape(-1).tolist())
+    game = Game.from_payoffs(space, payoffs, exact=exact)
+    constants = [rng.choice(PARAM_VALUES) for _ in space.players]
+    if rng.random() < 0.5:
+        gamma = CoMeasureVector.from_generator(
+            space, [[c] * m for c, m in zip(constants, space.sizes)], exact=exact
+        )
+    else:
+        gamma = CoMeasureVector.from_tensors(
+            space, [[c] * space.num_opp_profiles(j) for j, c in enumerate(constants)],
+            exact=exact,
+        )
+    return game, gamma, RedundancySpec(player, space.labels[player][p0], alpha)
+
+
+def _fingerprint(game, mu, gamma) -> bytes:
+    arrays = [*game.payoffs, *mu.weights, *gamma.tensors, *(gamma.generator or ())]
+    text = serialize_game(GameDocument(game, mu, gamma))
+    text += repr([(a.dtype.str, a.shape, a.tolist()) for a in arrays])
+    text += repr(gamma.generator is None)
+    return text.encode()
+
+
+def _transform_outputs(seed):
+    """Every transform applied to one seeded instance; both scalar modes,
+    gamma with a generator on odd seeds."""
+    rng = random.Random(f"golden:{seed}")
+    exact = seed % 4 < 2
+    space = random_space(rng, (2, 3), (2, 3))
+    g, mu = random_game(rng, space), random_mu(rng, space)
+    gamma = random_product_gamma(rng, space) if seed % 2 else random_gamma(rng, space)
+    g, mu, gamma = _as_mode(g, mu, gamma, exact)
+
+    player = rng.randrange(space.n_players)
+    sigma = list(range(space.sizes[player]))
+    rng.shuffle(sigma)
+    perm = PermutationSpec(player, tuple(sigma))
+    yield (permute(g, perm), *permute_params(mu, gamma, perm))
+
+    ns, _, _ = _as_mode(random_nonstrategic(rng, space), mu, gamma, exact)
+    yield translate_nonstrategic(g, ns), mu, gamma
+
+    maker = random_product_gamma if rng.random() < 0.5 else random_gamma
+    _, _, beta = _as_mode(g, mu, maker(rng, space), exact)
+    yield scale(g, beta), mu, co_measure_quotient(gamma, beta)
+    yield g, mu, co_measure_inverse(beta)
+
+    player = rng.randrange(space.n_players)
+    dup = DuplicationSpec(player, rng.choice(space.labels[player]), "x0",
+                          lam=rng.choice(SPLIT_VALUES))
+    extended = extend_duplicate(g, mu, gamma, dup)
+    yield extended
+    yield reduce_duplicate(*extended, player, "x0", dup.source)
+    yield reduce_duplicate(*extended, player, dup.source, "x0")
+
+    if max(space.sizes) >= 3:
+        game_r, gamma_r, red = _redundant_instance(rng, g, exact)
+        yield reduce_redundant(game_r, mu, gamma_r, red)
+
+
+def test_transform_outputs_match_golden_digest():
+    # Pins every transform's output, bit for bit, over 400 seeded instances;
+    # a refactor of the transforms must leave this digest unchanged.
+    digest = hashlib.sha256()
+    count = 0
+    for seed in range(400):
+        for output in _transform_outputs(seed):
+            digest.update(_fingerprint(*output))
+            count += 1
+    assert count == GOLDEN_COUNT
+    assert digest.hexdigest() == GOLDEN_DIGEST
