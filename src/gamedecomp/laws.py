@@ -37,6 +37,8 @@ from .transforms import (
     DuplicationSpec,
     PermutationSpec,
     RedundancySpec,
+    _take_game,
+    _take_params,
     co_measure_quotient,
     extend_duplicate,
     permute,
@@ -116,6 +118,18 @@ def random_nonstrategic(rng: random.Random, space: StrategySpace) -> Game:
 # Random seeded per trial, so re-running a check replays its extra draws.
 
 
+def _commutes(source, target, carry, message):
+    """None if carry(part of decompose(*source)) == the same part of
+    decompose(*target) for every component, else ``message`` formatted with
+    the first component's name."""
+    names = ("nonstrategic", "potential", "harmonic")
+    pairs = zip(decompose(*source).components(), decompose(*target).components())
+    for name, (a, b) in zip(names, pairs):
+        if carry(a) != b:
+            return message.format(name)
+    return None
+
+
 def _check_orthogonality(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
     weights = norm_weights(mu, gamma)
@@ -151,14 +165,10 @@ def _check_reconstruction(g, mu, gamma, aux):
 def _check_param_equivalence(g, mu, gamma, aux):
     eta = aux.choice(PARAM_VALUES)
     theta = aux.choice(PARAM_VALUES)
-    base = decompose(g, mu, gamma)
-    scaled = decompose(g, mu.scaled(eta), gamma.scaled(theta))
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), base.components(), scaled.components()
-    ):
-        if a != b:
-            return f"{name} component changed under (eta mu, theta gamma)"
-    return None
+    return _commutes(
+        (g, mu, gamma), (g, mu.scaled(eta), gamma.scaled(theta)), lambda c: c,
+        "{} component changed under (eta mu, theta gamma)",
+    )
 
 
 def _check_permute(g, mu, gamma, aux):
@@ -166,15 +176,11 @@ def _check_permute(g, mu, gamma, aux):
     sigma = list(range(g.space.sizes[player]))
     aux.shuffle(sigma)
     spec = PermutationSpec(player, tuple(sigma))
-    mu_s, gamma_s = permute_params(mu, gamma, spec)
-    direct = decompose(permute(g, spec), mu_s, gamma_s)
-    base = decompose(g, mu, gamma)
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), direct.components(), base.components()
-    ):
-        if a != permute(b, spec):
-            return f"permutation does not commute on the {name} component"
-    return None
+    return _commutes(
+        (g, mu, gamma), (permute(g, spec), *permute_params(mu, gamma, spec)),
+        lambda c: permute(c, spec),
+        "permutation does not commute on the {} component",
+    )
 
 
 def _check_translate(g, mu, gamma, aux):
@@ -192,14 +198,11 @@ def _check_translate(g, mu, gamma, aux):
 
 def _check_scale(g, mu, gamma, aux):
     beta = random_gamma(aux, g.space)
-    base = decompose(g, mu, gamma)
-    direct = decompose(scale(g, beta), mu, co_measure_quotient(gamma, beta))
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), direct.components(), base.components()
-    ):
-        if a != scale(b, beta):
-            return f"scaling does not commute on the {name} component"
-    return None
+    return _commutes(
+        (g, mu, gamma), (scale(g, beta), mu, co_measure_quotient(gamma, beta)),
+        lambda c: scale(c, beta),
+        "scaling does not commute on the {} component",
+    )
 
 
 def _duplication_spec(aux, space) -> DuplicationSpec:
@@ -210,37 +213,27 @@ def _duplication_spec(aux, space) -> DuplicationSpec:
 
 def _check_extend(g, mu, gamma, aux):
     spec = _duplication_spec(aux, g.space)
-    extended, mu_e, gamma_e = extend_duplicate(g, mu, gamma, spec)
-    direct = decompose(extended, mu_e, gamma_e)
-    base = decompose(g, mu, gamma)
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), direct.components(), base.components()
-    ):
-        expected, _, _ = extend_duplicate(b, mu, gamma, spec)
-        if a != expected:
-            return f"duplication does not commute on the {name} component"
-    return None
+    return _commutes(
+        (g, mu, gamma), extend_duplicate(g, mu, gamma, spec),
+        lambda c: extend_duplicate(c, mu, gamma, spec)[0],
+        "duplication does not commute on the {} component",
+    )
 
 
 def _check_reduce(g, mu, gamma, aux):
     spec = _duplication_spec(aux, g.space)
     extended, mu_e, gamma_e = extend_duplicate(g, mu, gamma, spec)
-    reduced, mu_r, gamma_r = reduce_duplicate(
-        extended, mu_e, gamma_e, spec.player, spec.new_label, spec.source
-    )
+
+    def shrink(game):
+        return reduce_duplicate(game, mu_e, gamma_e, spec.player, spec.new_label, spec.source)
+
+    reduced, mu_r, gamma_r = shrink(extended)
     if reduced != g or mu_r != mu or gamma_r != gamma:
         return "reduce is not the right-inverse of extend"
-    parts = decompose(extended, mu_e, gamma_e)
-    base = decompose(g, mu, gamma)
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), parts.components(), base.components()
-    ):
-        shrunk, _, _ = reduce_duplicate(
-            a, mu_e, gamma_e, spec.player, spec.new_label, spec.source
-        )
-        if shrunk != b:
-            return f"reduction does not commute on the {name} component"
-    return None
+    return _commutes(
+        (extended, mu_e, gamma_e), (g, mu, gamma), lambda c: shrink(c)[0],
+        "reduction does not commute on the {} component",
+    )
 
 
 def _check_redundant(g, mu, gamma, aux):
@@ -250,21 +243,16 @@ def _check_redundant(g, mu, gamma, aux):
         return None  # nothing to remove on a 2x...x2 space
     player = aux.choice(candidates)
     p0 = aux.randrange(space.sizes[player])
-    others = [k for k in range(space.sizes[player]) if k != p0]
-    raw = [aux.choice(PARAM_VALUES) for _ in others]
+    raw = [aux.choice(PARAM_VALUES) for _ in range(space.sizes[player] - 1)]
     total = sum(raw, Fraction(0))
     alpha = tuple(a / total for a in raw)
 
-    # overwrite the removable slice with the alpha mixture, for all players
+    # replace the removable slice by the alpha mixture, for all players
     payoffs = []
     for j in space.players:
-        mix = axis_contract(np.delete(g.payoffs[j], p0, axis=player), alpha, player)
-        tensor = g.payoffs[j].copy()
-        tensor.flags.writeable = True
-        index = [slice(None)] * space.n_players
-        index[player] = p0
-        tensor[tuple(index)] = mix
-        payoffs.append(freeze(tensor))
+        kept = np.delete(g.payoffs[j], p0, axis=player)
+        mix = axis_contract(kept, alpha, player)
+        payoffs.append(freeze(np.insert(kept, p0, mix, axis=player)))
     redundant_game = Game(space, tuple(payoffs))
 
     # uniform in each player's gamma; constants may differ across players
@@ -277,16 +265,11 @@ def _check_redundant(g, mu, gamma, aux):
     )
     spec = RedundancySpec(player, space.labels[player][p0], alpha)
 
-    reduced, mu_r, gamma_r = reduce_redundant(redundant_game, mu, gamma_u, spec)
-    parts = decompose(redundant_game, mu, gamma_u)
-    base = decompose(reduced, mu_r, gamma_r)
-    for name, a, b in zip(
-        ("nonstrategic", "potential", "harmonic"), parts.components(), base.components()
-    ):
-        shrunk, _, _ = reduce_redundant(a, mu, gamma_u, spec)
-        if shrunk != b:
-            return f"redundancy reduction does not commute on the {name} component"
-    return None
+    return _commutes(
+        (redundant_game, mu, gamma_u), reduce_redundant(redundant_game, mu, gamma_u, spec),
+        lambda c: reduce_redundant(c, mu, gamma_u, spec)[0],
+        "redundancy reduction does not commute on the {} component",
+    )
 
 
 def _check_harmonic_eq(g, mu, gamma, aux):
@@ -407,7 +390,7 @@ def _minimize(check, g, mu, gamma, aux_seed):
                 continue
             for pos in range(game.space.sizes[i]):
                 candidate = _delete_strategy(game, mv, cv, i, pos)
-                if candidate is not None and still_fails(candidate):
+                if still_fails(candidate):
                     current = candidate
                     game, mv, cv = current
                     changed = True
@@ -416,29 +399,10 @@ def _minimize(check, g, mu, gamma, aux_seed):
 
 
 def _delete_strategy(game, mu, gamma, player, pos):
-    try:
-        space = game.space.delete_strategy(player, pos)
-        payoffs = [
-            np.delete(game.payoffs[j], pos, axis=player).reshape(-1).tolist()
-            for j in game.space.players
-        ]
-        weights = [
-            np.delete(mu.weights[j], pos).tolist() if j == player else mu.weights[j].tolist()
-            for j in game.space.players
-        ]
-        tensors = []
-        for j in game.space.players:
-            if j == player:
-                tensors.append(gamma.tensors[j].reshape(-1).tolist())
-            else:
-                axis = game.space.axis_in_opp(j, player)
-                tensors.append(
-                    np.delete(gamma.tensors[j], pos, axis=axis).reshape(-1).tolist()
-                )
-        return (
-            Game.from_payoffs(space, payoffs),
-            MeasureVector.from_weights(space, weights),
-            CoMeasureVector.from_tensors(space, tensors),
-        )
-    except Exception:  # noqa: BLE001
-        return None
+    space = game.space.delete_strategy(player, pos)
+    idx = [k for k in range(game.space.sizes[player]) if k != pos]
+    weights = np.take(mu.weights[player], idx)
+    return (
+        _take_game(game, space, player, idx),
+        *_take_params(mu, gamma, space, player, idx, weights),
+    )

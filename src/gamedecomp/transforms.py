@@ -1,10 +1,13 @@
 """Strategic game transformations and their induced parameter updates.
 
 Each transformation comes with the parameter transformation that makes it
-commute with the decomposition map: permutations permute mu and the player-i
-coordinate inside every other gamma; scalings divide gamma by the scaling
-co-measure; duplication splits the duplicated mu weight and replicates gamma
-slices; reductions merge them back.
+commute with the decomposition map.  Permutations, duplications and
+reductions all edit one player's strategy axis, and they share one rule
+(``_take_game`` and ``_take_params``): new strategy k of player i is old
+strategy idx[k], taken along axis i of every payoff tensor, along i's axis
+inside every other gamma^j, and from the generator's entry for i.  Only the
+new mu^i differs between them: permuted, split by lam, merged into s1, or
+given alpha-shares.  Scalings divide gamma by the scaling co-measure.
 """
 
 from __future__ import annotations
@@ -15,10 +18,49 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import axis_contract, freeze
-from .games import CoMeasureVector, Game, MeasureVector
+from .numeric import axis_contract, freeze, scalar_array, unequal_mask
+from .games import CoMeasureVector, Game, MeasureVector, require_same_mode
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace, require_same_space
+
+
+# -- the strategy-axis re-indexing rule --------------------------------------------
+
+
+def _take_game(g: Game, space: StrategySpace, player: int, idx) -> Game:
+    """g on ``space``, where strategy k of ``player`` is old strategy idx[k]."""
+    return Game(
+        space, tuple(freeze(np.take(p, idx, axis=player)) for p in g.payoffs)
+    )
+
+
+def _take_params(
+    mu: MeasureVector,
+    gamma: CoMeasureVector,
+    space: StrategySpace,
+    player: int,
+    idx,
+    weights,
+) -> tuple[MeasureVector, CoMeasureVector]:
+    """mu and gamma on ``space`` under the re-indexing of _take_game.
+
+    mu^player becomes ``weights``; every gamma^j with j != player, and the
+    generator's entry for player, take idx along player's axis.  gamma^player
+    and the other weights do not see player's strategy and stay as they are.
+    """
+    mu_weights = list(mu.weights)
+    mu_weights[player] = scalar_array(weights, (len(idx),), mu.exact)
+    tensors = tuple(
+        t if j == player else freeze(np.take(t, idx, axis=space.axis_in_opp(j, player)))
+        for j, t in enumerate(gamma.tensors)
+    )
+    generator = gamma.generator
+    if generator is not None:
+        generator = tuple(
+            freeze(np.take(c, idx)) if j == player else c
+            for j, c in enumerate(generator)
+        )
+    return MeasureVector(space, tuple(mu_weights)), CoMeasureVector(space, tensors, generator)
 
 
 # -- permutations ---------------------------------------------------------------
@@ -42,12 +84,7 @@ class PermutationSpec:
 def permute(g: Game, spec: PermutationSpec) -> Game:
     """(T g)^j(s^i, s^{-i}) = g^j(sigma(s^i), s^{-i}) for every player j."""
     spec.validate(g.space)
-    idx = list(spec.sigma)
-    payoffs = tuple(
-        freeze(np.take(g.payoffs[j], idx, axis=spec.player))
-        for j in g.space.players
-    )
-    return Game(g.space, payoffs)
+    return _take_game(g, g.space, spec.player, list(spec.sigma))
 
 
 def permute_params(
@@ -55,26 +92,11 @@ def permute_params(
 ) -> tuple[MeasureVector, CoMeasureVector]:
     """mu_sigma^i = mu^i o sigma; other gammas permute their player-i axis."""
     space = require_same_space(mu, gamma)
+    require_same_mode(mu, gamma)
     spec.validate(space)
-    i, idx = spec.player, list(spec.sigma)
-
-    weights = list(mu.weights)
-    weights[i] = freeze(np.take(mu.weights[i], idx, axis=0))
-    new_mu = MeasureVector(space, tuple(weights))
-
-    tensors = []
-    for j in space.players:
-        if j == i:
-            tensors.append(gamma.tensors[j])
-        else:
-            axis = space.axis_in_opp(j, i)
-            tensors.append(freeze(np.take(gamma.tensors[j], idx, axis=axis)))
-    generator = None
-    if gamma.generator is not None:
-        generator = list(gamma.generator)
-        generator[i] = freeze(np.take(gamma.generator[i], idx, axis=0))
-        generator = tuple(generator)
-    return new_mu, CoMeasureVector(space, tuple(tensors), generator)
+    idx = list(spec.sigma)
+    weights = np.take(mu.weights[spec.player], idx)
+    return _take_params(mu, gamma, space, spec.player, idx, weights)
 
 
 # -- pseudo-translations ----------------------------------------------------------
@@ -94,6 +116,7 @@ def translate_nonstrategic(g: Game, ns: Game) -> Game:
 def scale(g: Game, beta: CoMeasureVector) -> Game:
     """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s)."""
     require_same_space(g, beta)
+    require_same_mode(g, beta)
     payoffs = tuple(
         freeze(g.payoffs[i] * beta.expanded(i)) for i in g.space.players
     )
@@ -105,6 +128,7 @@ def co_measure_quotient(
 ) -> CoMeasureVector:
     """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure."""
     space = require_same_space(gamma, beta)
+    require_same_mode(gamma, beta)
     tensors = tuple(
         freeze(gamma.tensors[i] / beta.tensors[i]) for i in space.players
     )
@@ -156,58 +180,19 @@ def extend_duplicate(
 ) -> tuple[Game, MeasureVector, CoMeasureVector]:
     """Insert a duplicate strategy right after its source and split parameters."""
     space = require_same_space(g, mu, gamma)
+    require_same_mode(g, mu, gamma)
     spec.validate()
     i = spec.player
     src = space.strategy_index(i, spec.source)
     pos = src + 1  # deterministic insertion point, directly after the source
     new_space = space.insert_strategy(i, pos, spec.new_label)
-
-    payoffs = tuple(
-        freeze(_insert_slice(g.payoffs[j], i, pos, src)) for j in space.players
+    idx = [*range(pos), src, *range(pos, space.sizes[i])]
+    w = mu.weights[i]
+    weights = [*w[:src], (1 - spec.lam) * w[src], spec.lam * w[src], *w[pos:]]
+    return (
+        _take_game(g, new_space, i, idx),
+        *_take_params(mu, gamma, new_space, i, idx, weights),
     )
-    new_game = Game(new_space, payoffs)
-
-    weights = list(mu.weights)
-    w = weights[i].tolist()
-    moved = w[src]
-    w[src] = (1 - spec.lam) * moved
-    w.insert(pos, spec.lam * moved)
-    new_mu = MeasureVector.from_weights(
-        new_space,
-        [w if j == i else weights[j].tolist() for j in space.players],
-        exact=g.exact,
-    )
-
-    tensors = []
-    for j in space.players:
-        if j == i:
-            tensors.append(gamma.tensors[j])
-        else:
-            axis = space.axis_in_opp(j, i)
-            tensors.append(_insert_slice(gamma.tensors[j], axis, pos, src))
-    generator = None
-    if gamma.generator is not None:
-        gen = list(gamma.generator)
-        c = gen[i].tolist()
-        c.insert(pos, c[src])
-        generator = [
-            c if j == i else gen[j].tolist() for j in space.players
-        ]
-    new_gamma = (
-        CoMeasureVector.from_generator(new_space, generator, exact=g.exact)
-        if generator is not None
-        else CoMeasureVector.from_tensors(
-            new_space, [t.tolist() for t in tensors], exact=g.exact
-        )
-    )
-    return new_game, new_mu, new_gamma
-
-
-def _insert_slice(arr: np.ndarray, axis: int, pos: int, src: int) -> np.ndarray:
-    copied = np.expand_dims(np.take(arr, src, axis=axis), axis)
-    left = np.take(arr, range(pos), axis=axis)
-    right = np.take(arr, range(pos, arr.shape[axis]), axis=axis)
-    return np.concatenate([left, copied, right], axis=axis)
 
 
 # -- reduction of duplicates --------------------------------------------------------
@@ -228,6 +213,7 @@ def reduce_duplicate(
     gamma keeps the common slice value.
     """
     space = require_same_space(g, mu, gamma)
+    require_same_mode(g, mu, gamma)
     i = player
     p0 = space.strategy_index(i, s0)
     p1 = space.strategy_index(i, s1)
@@ -237,7 +223,7 @@ def reduce_duplicate(
     for j in space.players:
         a = np.take(g.payoffs[j], p0, axis=i)
         b = np.take(g.payoffs[j], p1, axis=i)
-        diffs = np.argwhere(a != b) if g.exact else np.argwhere(np.abs(a - b) > 1e-9)
+        diffs = np.argwhere(unequal_mask(a, b, g.exact))
         if diffs.size:
             where = tuple(int(x) for x in diffs[0])
             raise PreconditionError(
@@ -250,46 +236,20 @@ def reduce_duplicate(
         axis = space.axis_in_opp(j, i)
         a = np.take(gamma.tensors[j], p0, axis=axis)
         b = np.take(gamma.tensors[j], p1, axis=axis)
-        same = bool(np.all(a == b)) if g.exact else bool(np.all(np.abs(a - b) <= 1e-9))
-        if not same:
+        if unequal_mask(a, b, g.exact).any():
             raise PreconditionError(
                 f"gamma not coherent: gamma^{j + 1} differs between "
                 f"{s0!r} and {s1!r} slices"
             )
 
     new_space = space.delete_strategy(i, p0)
-    payoffs = tuple(
-        freeze(np.delete(g.payoffs[j], p0, axis=i)) for j in space.players
+    others = [k for k in range(space.sizes[i]) if k != p0]
+    w = mu.weights[i]
+    weights = [w[k] + w[p0] if k == p1 else w[k] for k in others]
+    return (
+        _take_game(g, new_space, i, others),
+        *_take_params(mu, gamma, new_space, i, others, weights),
     )
-    new_game = Game(new_space, payoffs)
-
-    w = mu.weights[i].tolist()
-    w[p1] = w[p1] + w[p0]
-    del w[p0]
-    new_mu = MeasureVector.from_weights(
-        new_space,
-        [w if j == i else mu.weights[j].tolist() for j in space.players],
-        exact=g.exact,
-    )
-
-    tensors = []
-    for j in space.players:
-        if j == i:
-            tensors.append(gamma.tensors[j].tolist())
-        else:
-            axis = space.axis_in_opp(j, i)
-            tensors.append(np.delete(gamma.tensors[j], p0, axis=axis).tolist())
-    generator = None
-    if gamma.generator is not None:
-        gen = [c.tolist() for c in gamma.generator]
-        del gen[i][p0]
-        generator = gen
-    new_gamma = (
-        CoMeasureVector.from_generator(new_space, generator, exact=g.exact)
-        if generator is not None
-        else CoMeasureVector.from_tensors(new_space, tensors, exact=g.exact)
-    )
-    return new_game, new_mu, new_gamma
 
 
 # -- reduction of redundant strategies -----------------------------------------------
@@ -330,9 +290,10 @@ def reduce_redundant(
 
     Requires a uniform co-measure vector (each gamma^j constant over the
     opponent subprofiles; the constants may differ across players), restricted
-    unchanged to the smaller space.
+    unchanged to the smaller space and returned without a generator.
     """
     space = require_same_space(g, mu, gamma)
+    require_same_mode(g, mu, gamma)
     spec.validate(space)
     i = spec.player
     p0 = space.strategy_index(i, spec.s0)
@@ -342,15 +303,12 @@ def reduce_redundant(
         if not gamma.is_player_constant(j):
             raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
 
-    kept = tuple(freeze(np.delete(g.payoffs[j], p0, axis=i)) for j in space.players)
+    new_space = space.delete_strategy(i, p0)
+    reduced = _take_game(g, new_space, i, others)
     for j in space.players:
-        mix = axis_contract(kept[j], spec.alpha, i)
+        mix = axis_contract(reduced.payoffs[j], spec.alpha, i)
         actual = np.take(g.payoffs[j], p0, axis=i)
-        bad = (
-            np.argwhere(actual != mix)
-            if g.exact
-            else np.argwhere(np.abs(actual - mix) > 1e-9)
-        )
+        bad = np.argwhere(unequal_mask(actual, mix, g.exact))
         if bad.size:
             where = tuple(int(x) for x in bad[0])
             raise PreconditionError(
@@ -358,24 +316,7 @@ def reduce_redundant(
                 f"subprofile {where} misses the alpha mixture"
             )
 
-    new_space = space.delete_strategy(i, p0)
-    new_game = Game(new_space, kept)
-
-    w = mu.weights[i].tolist()
-    removed = w[p0]
-    new_w = [w[k] + a * removed for a, k in zip(spec.alpha, others)]
-    new_mu = MeasureVector.from_weights(
-        new_space,
-        [new_w if j == i else mu.weights[j].tolist() for j in space.players],
-        exact=g.exact,
-    )
-
-    new_gamma = CoMeasureVector.from_tensors(
-        new_space,
-        [
-            [gamma.tensors[j].reshape(-1)[0]] * new_space.num_opp_profiles(j)
-            for j in space.players
-        ],
-        exact=g.exact,
-    )
-    return new_game, new_mu, new_gamma
+    w = mu.weights[i]
+    weights = [w[k] + a * w[p0] for a, k in zip(spec.alpha, others)]
+    new_mu, new_gamma = _take_params(mu, gamma, new_space, i, others, weights)
+    return reduced, new_mu, CoMeasureVector(new_space, new_gamma.tensors)

@@ -304,6 +304,30 @@ def test_two_transformations_example(depend):
     assert parts.harmonic.flat(1) == [F(-2), F(2), F(-2), F(2), F(6), F(-6)]
 
 
+def test_transforms_refuse_mixed_scalar_modes():
+    rng = random.Random(33)
+    space = random_space(rng, (2, 2), (3, 3))
+    g, mu, gamma = random_game(rng, space), random_mu(rng, space), random_gamma(rng, space)
+    gf, mf, cf = _as_mode(g, mu, gamma, exact=False)
+    beta = random_gamma(rng, space)
+    _, _, beta_f = _as_mode(g, mu, beta, exact=False)
+    extended, mu_e, gamma_e = extend_duplicate(g, mu, gamma, DuplicationSpec(0, "a", "x"))
+    _, mu_ef, _ = _as_mode(extended, mu_e, gamma_e, exact=False)
+    redundant, gamma_u, red = _redundant_instance(rng, g, exact=True)
+    _, _, gamma_uf = _as_mode(redundant, mu, gamma_u, exact=False)
+    calls = [
+        lambda: permute_params(mf, gamma, PermutationSpec(0, (1, 0, 2))),
+        lambda: scale(g, beta_f),
+        lambda: co_measure_quotient(gamma, beta_f),
+        lambda: extend_duplicate(gf, mu, gamma, DuplicationSpec(0, "a", "x")),
+        lambda: reduce_duplicate(extended, mu_ef, gamma_e, 0, "x", "a"),
+        lambda: reduce_redundant(redundant, mu, gamma_uf, red),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="mix exact and float"):
+            call()
+
+
 # -- golden digest of every transform's output -----------------------------------------------
 
 GOLDEN_COUNT = 3122
