@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import arrays_equal, axis_contract, freeze, is_zero, unequal_mask
+from .numeric import axis_contract, freeze, is_zero, magnitude, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
@@ -116,12 +116,10 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
 
 def is_nonstrategic(g: Game) -> bool:
     """True iff every player's payoff ignores her own coordinate."""
-    for i in g.space.players:
-        first = np.take(g.payoffs[i], 0, axis=i)
-        for k in range(1, g.space.sizes[i]):
-            if not arrays_equal(first, np.take(g.payoffs[i], k, axis=i), g.exact):
-                return False
-    return True
+    return not any(
+        unequal_mask(p, np.take(p, [0], axis=i), g.exact).any()
+        for i, p in enumerate(g.payoffs)
+    )
 
 
 def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
@@ -129,7 +127,8 @@ def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     require_same_space(g, mu)
     for i in g.space.players:
         acc = axis_contract(g.payoffs[i], mu.weights[i], i)
-        if not all(is_zero(v, g.exact) for v in acc.reshape(-1).tolist()):
+        scale = 1.0 if g.exact else magnitude(g.payoffs[i]) * mu.total(i)
+        if not is_zero(acc, g.exact, scale):
             return False
     return True
 
@@ -149,7 +148,11 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
     validate_parameters(require_same_space(g, mu, gamma), mu, gamma)
     h = deviation_divergence(g, mu, gamma)
-    return all(is_zero(v, g.exact) for v in h.flat())
+    scale = 1.0 if g.exact else sum(
+        magnitude(g.payoffs[i]) * magnitude(gamma.tensors[i]) * mu.total(i)
+        for i in g.space.players
+    )
+    return is_zero(h.values, g.exact, scale)
 
 
 def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
@@ -177,9 +180,10 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     With D_i(s) = gamma^i(s^{-i}) (g^i(s) - g^i(0_i, s^{-i})), psi(s) is the
     sum over i of D_i evaluated with the axes before i pinned at 0, so
     psi(0) = 0 and psi telescopes along the path 0 -> s.  psi is a potential
-    iff psi(s) - psi(0_i, s^{-i}) == D_i(s) for every i and s; every edge
+    iff psi(s) == psi(0_i, s^{-i}) + D_i(s) for every i and s; every edge
     (s, t) of player i is the difference of two such checks.  For the first
     player the check holds by construction, since the later terms pin its axis.
+    Both sides are of the size of psi, so the float tolerance follows psi.
 
     Returns (psi, None) when all checks pass, else (psi, (source, target)) for
     the first failing edge: the lowest player, then the first profile in
@@ -197,7 +201,7 @@ def _integrate(g: Game, gamma: CoMeasureVector):
         pinned = d[(slice(0, 1),) * i]
         psi = pinned if psi is None else psi + pinned
     for i in space.players[1:]:
-        mismatch = unequal_mask(psi - np.take(psi, [0], axis=i), diffs[i], g.exact)
+        mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
         if mismatch.any():
             target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
             target = tuple(int(k) for k in target)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import axis_contract, is_zero
+from .numeric import axis_contract, is_zero, magnitude
 from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
 from .decomposition import extract_potential, is_harmonic
 from .spaces import require_same_space
@@ -77,7 +77,7 @@ def harmonic_equilibrium(
         raise PreconditionError("gamma not product: no generator stored")
     profile = MixedProfile.from_positive_weights(space, weights, exact=g.exact)
     eps = best_response_epsilon(g, profile)
-    if not is_zero(eps, g.exact):
+    if not is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*g.payoffs)):
         raise PreconditionError(
             f"constructed profile fails the equilibrium check (eps = {eps})"
         )

@@ -17,6 +17,7 @@ from .numeric import (
     array_is_exact,
     freeze,
     scalar_array,
+    unequal_mask,
     zeros_array,
 )
 from .spaces import StrategySpace, require_same_space
@@ -335,8 +336,7 @@ class MixedProfile:
             if any(x < 0 for x in p.reshape(-1).tolist()):
                 raise ValidationError(f"negative probability for player {i + 1}")
             total = p.sum()
-            bad = total != 1 if exact else abs(total - 1) > 1e-9
-            if bad:
+            if unequal_mask(total, 1, exact):
                 raise ValidationError(
                     f"probabilities of player {i + 1} sum to {total}, not 1"
                 )

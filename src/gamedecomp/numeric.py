@@ -93,17 +93,31 @@ def array_is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
-def is_zero(value, exact: bool = True) -> bool:
+def tolerance(scale) -> float:
+    """Float-mode tolerance: FLOAT_ZERO_TOL relative to ``scale``, the
+    magnitude of the data compared, and never tighter than FLOAT_ZERO_TOL."""
+    return FLOAT_ZERO_TOL * (scale if 1.0 < scale < math.inf else 1.0)
+
+
+def magnitude(*arrays) -> float:
+    """Largest absolute entry over ``arrays`` (arrays or scalars)."""
+    return max(float(np.max(np.abs(a))) for a in arrays)
+
+
+def is_zero(values, exact: bool = True, scale=1.0) -> bool:
+    """True iff every entry of ``values`` is 0; float mode allows
+    tolerance(scale), where ``scale`` bounds the terms summed into values."""
     if exact:
-        return value == 0
-    return abs(value) <= FLOAT_ZERO_TOL
+        return not np.any(values != 0)
+    return bool(np.all(np.abs(values) <= tolerance(scale)))
 
 
 def unequal_mask(a: np.ndarray, b: np.ndarray, exact: bool = True) -> np.ndarray:
-    """Elementwise a != b as a bool array; float mode allows FLOAT_ZERO_TOL."""
+    """Elementwise a != b as a bool array; float mode allows
+    tolerance(magnitude(a, b))."""
     if exact:
         return np.asarray(a != b, dtype=bool)
-    return ~(np.abs(a - b) <= FLOAT_ZERO_TOL)  # nan counts as unequal
+    return ~(np.abs(a - b) <= tolerance(magnitude(a, b)))  # nan counts as unequal
 
 
 def arrays_equal(a: np.ndarray, b: np.ndarray, exact: bool = True) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolveError
-from .numeric import FLOAT_ZERO_TOL, axis_contract, freeze
+from .numeric import axis_contract, freeze, is_zero, magnitude
 from .games import Game, MeasureVector, CoMeasureVector, ScalarField
 from .spaces import require_same_space
 
@@ -78,12 +78,8 @@ def _check_consistent(h: ScalarField, mu: MeasureVector):
     """
     terms = mu.product_array() * h.values
     residual = terms.sum()
-    if h.exact:
-        consistent = residual == 0
-    else:
-        scale = max(1.0, float(np.max(np.abs(h.values))), float(np.abs(terms).sum()))
-        consistent = abs(residual) <= FLOAT_ZERO_TOL * scale
-    if not consistent:
+    scale = 1.0 if h.exact else max(magnitude(h.values), float(np.abs(terms).sum()))
+    if not is_zero(residual, h.exact, scale):
         raise SolveError(
             f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
         )

@@ -13,11 +13,21 @@ from gamedecomp import (
     ValidationError,
     decompose,
     deviation_divergence,
+    harmonic_equilibrium,
+    is_gamma_potential,
     is_harmonic,
+    is_mu_normalized,
+    is_nonstrategic,
     solve_poisson,
 )
 from gamedecomp.cli import main
-from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
+from gamedecomp.laws import (
+    random_game,
+    random_gamma,
+    random_mu,
+    random_product_gamma,
+    random_space,
+)
 from conftest import FIXTURES
 
 
@@ -166,3 +176,35 @@ def test_cli_float_rejects_non_finite(tmp_path, capsys, command, old, new):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _scaled(game, factor, bump=0.0):
+    """factor * game, with ``bump`` added to player 1's payoff at profile 1...1."""
+    payoffs = [p * factor for p in game.payoffs]
+    payoffs[0][(1,) * game.space.n_players] += bump
+    return Game(game.space, tuple(payoffs))
+
+
+def test_float_predicates_scale_with_the_data():
+    # components of float decompositions carry rounding relative to their
+    # size; at 1e6 an absolute 1e-9 tolerance rejected every one of them
+    rng = random.Random(59)
+    space = StrategySpace((("a", "b", "c"),) * 3)
+    for _ in range(20):
+        g, mu = random_game(rng, space), random_mu(rng, space)
+        gamma = random_product_gamma(rng, space)
+        gf, mf, cf = to_float(g, mu, gamma)
+        cf = CoMeasureVector.from_generator(
+            space, [[float(v) for v in c.tolist()] for c in gamma.generator], exact=False
+        )
+        parts = decompose(gf, mf, cf)
+        factor = 1e6
+        for bump in (0.0, 1e-3 * factor):
+            ns, pot, har = (_scaled(c, factor, bump) for c in parts.components())
+            want = bump == 0.0
+            assert is_nonstrategic(ns) == want
+            assert is_mu_normalized(pot, mf) == want
+            assert is_mu_normalized(har, mf) == want
+            assert is_gamma_potential(pot, cf) == want
+            assert is_harmonic(har, mf, cf) == want
+        harmonic_equilibrium(_scaled(parts.harmonic, factor), mf, cf)
