@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -337,3 +338,45 @@ def test_normalized_harmonic_characterization():
             term = gamma.expanded(i) * harmonic.payoffs[i] * mu.total(i)
             acc = term if acc is None else acc + term
         assert all(v == 0 for v in acc.reshape(-1).tolist())
+
+
+# -- golden digest of seeded decompositions ----------------------------------------------
+
+GOLDEN_SHAPES = [(3, 3, 3), (8, 8, 8), (2,) * 6, (2,) * 8, (3,) * 6, (16, 16)]
+GOLDEN_DECOMPOSITION_DIGEST = "e7e954fcb1bc9641844c689979740f6cbf2833e3821025b399756272153e0e7f"
+
+
+def _golden_instance(sizes, seed):
+    """A seeded game on ``sizes`` with non-unit mu and gamma, in both scalar modes."""
+    rng = random.Random(f"decompose-golden:{sizes}:{seed}")
+    space = StrategySpace(tuple(tuple(f"s{k}" for k in range(m)) for m in sizes))
+    g, mu, gamma = random_game(rng, space), random_mu(rng, space), random_gamma(rng, space)
+    as_float = (
+        Game.from_payoffs(space, [g.flat(i) for i in space.players], exact=False),
+        MeasureVector.from_weights(space, [w.tolist() for w in mu.weights], exact=False),
+        CoMeasureVector.from_tensors(
+            space, [t.reshape(-1).tolist() for t in gamma.tensors], exact=False
+        ),
+    )
+    return (g, mu, gamma), as_float
+
+
+def _arrays_fingerprint(arrays) -> bytes:
+    return repr([(a.dtype.str, a.shape, a.tolist()) for a in arrays]).encode()
+
+
+def test_decompositions_match_golden_digest():
+    # Pins exact phi and all three exact components, and the float phi and
+    # float nonstrategic part, bit for bit.  Float potential and harmonic are
+    # checked against exact mode within tolerance elsewhere (test_float_mode).
+    digest = hashlib.sha256()
+    for sizes in GOLDEN_SHAPES:
+        for seed in range(3):
+            exact_args, float_args = _golden_instance(sizes, seed)
+            parts = decompose(*exact_args)
+            digest.update(_arrays_fingerprint(
+                [parts.phi.values, *(p for c in parts.components() for p in c.payoffs)]
+            ))
+            parts = decompose(*float_args)
+            digest.update(_arrays_fingerprint([parts.phi.values, *parts.nonstrategic.payoffs]))
+    assert digest.hexdigest() == GOLDEN_DECOMPOSITION_DIGEST
