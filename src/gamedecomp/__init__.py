@@ -28,7 +28,6 @@ from .games import (
 from .operators import (
     deviation_divergence,
     lambda_project,
-    laplacian_apply,
     pi_project,
     solve_poisson,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "is_mu_normalized",
     "is_nonstrategic",
     "lambda_project",
-    "laplacian_apply",
     "map_equilibrium_under_scaling",
     "parse_game",
     "permute",

@@ -21,9 +21,10 @@ from .games import (
     weighted_inner_product,
 )
 from .operators import (
+    _axis_average,
+    _divergence,
     deviation_divergence,
     lambda_project,
-    pi_project,
     solve_poisson,
 )
 from .spaces import require_same_space
@@ -87,24 +88,32 @@ class Decomposition:
 def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:
     """Split g into nonstrategic, gamma-potential, and (mu,gamma)-harmonic parts.
 
-    Pipeline: h = deviation divergence of g; phi = minimal-norm solution of
-    L phi = h; f^i = phi / gamma^i; then potential = Pi(f),
-    harmonic = Pi(g - f), nonstrategic = Lambda(g).
+    Pipeline, with one round of own-axis averages of g:
+    nonstrategic = Lambda g; Pi g = g - Lambda g; the deviation divergence
+    h = sum_i gamma^i mu^i(S^i) (Pi g)^i; phi = minimal-norm solution of
+    L phi = h.  gamma^i is constant along axis i, so the potential part
+    Pi(phi / gamma^i) is (phi - Lambda^i phi) / gamma^i, and
+    harmonic = Pi g - potential.
     """
     space = require_same_space(g, mu, gamma)
     validate_parameters(space, mu, gamma)
     require_same_mode(g, mu)
 
-    h = deviation_divergence(g, mu, gamma)
-    phi = solve_poisson(h, mu)
-    f = Game(
+    nonstrategic = lambda_project(g, mu)
+    normalized = g - nonstrategic
+    phi = solve_poisson(_divergence(normalized, mu, gamma), mu)
+    potential = Game(
         space,
-        tuple(freeze(phi.values / gamma.expanded(i)) for i in space.players),
+        tuple(
+            freeze((phi.values - _axis_average(phi.values, mu.weights[i], i))
+                   / gamma.expanded(i))
+            for i in space.players
+        ),
     )
     return Decomposition(
-        nonstrategic=lambda_project(g, mu),
-        potential=pi_project(f, mu),
-        harmonic=pi_project(g - f, mu),
+        nonstrategic=nonstrategic,
+        potential=potential,
+        harmonic=normalized - potential,
         phi=phi,
         mu=mu,
         gamma=gamma,

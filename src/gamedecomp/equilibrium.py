@@ -7,6 +7,7 @@ through product scalings, and searches potential-function argmaxes.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,19 @@ def best_response_epsilon(g: Game, x: MixedProfile):
         if gain > worst:
             worst = gain
     return worst
+
+
+def pure_regret(g: Game) -> np.ndarray:
+    """r(s) = max_i (max_t g^i(t, s^{-i}) - g^i(s)) at every pure profile s.
+
+    Equals best_response_epsilon at each pure profile, as one tensor: a max
+    along each player's own axis, one subtraction, and an elementwise max over
+    players, O(n |S|) scalar operations in all.
+    """
+    gains = (
+        np.max(p, axis=i, keepdims=True) - p for i, p in enumerate(g.payoffs)
+    )
+    return functools.reduce(np.maximum, gains)
 
 
 def harmonic_equilibrium(

@@ -30,7 +30,7 @@ from .decomposition import (
     is_mu_normalized,
     is_nonstrategic,
 )
-from .equilibrium import best_response_epsilon, harmonic_equilibrium
+from .equilibrium import best_response_epsilon, harmonic_equilibrium, pure_regret
 from .numeric import axis_contract, freeze
 from .spaces import StrategySpace
 from .transforms import (
@@ -294,17 +294,16 @@ def _check_epsilon_bound(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
     closest, _ = parts.closest_potential()
     bound_sq = parts.epsilon_bound()
-    for profile in g.space.profiles():
-        candidate = MixedProfile.pure(g.space, profile)
-        if best_response_epsilon(closest, candidate) != 0:
-            continue
-        eps = best_response_epsilon(g, candidate)
-        if eps * eps > bound_sq:
-            return (
-                f"pure equilibrium {g.space.profile_labels(profile)} of the closest "
-                f"potential game has eps^2 = {eps * eps} > B^2 = {bound_sq}"
-            )
-    return None
+    regret = pure_regret(g)
+    failing = (pure_regret(closest) == 0) & (regret * regret > bound_sq)
+    if not failing.any():
+        return None
+    profile = g.space.profile(int(np.argmax(failing)))
+    eps = regret[profile]
+    return (
+        f"pure equilibrium {g.space.profile_labels(profile)} of the closest "
+        f"potential game has eps^2 = {eps * eps} > B^2 = {bound_sq}"
+    )
 
 
 LAWS = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,11 @@ def parse_scalar(text: str, exact: bool = True):
             return Fraction(text)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {text!r}") from None
+        except ValueError:  # an integer part over sys.get_int_max_str_digits()
+            raise ParseError(
+                f"number too long: {len(text)} characters, over the limit of "
+                f"{sys.get_int_max_str_digits()} digits per integer"
+            ) from None
     try:
         value = float(Fraction(text)) if _SCALAR_RE.match(text) else float(text)
     except (ValueError, OverflowError, ZeroDivisionError):

@@ -1,5 +1,9 @@
 """Projection, divergence, and Laplacian operators on the game graph.
 
+``decompose`` runs them as one pipeline with a single round of own-axis
+averages of g: Lambda g, then Pi g = g - Lambda g, whose rescaled sum is the
+deviation divergence h (_divergence), then the Poisson solve L phi = h.
+
 The Laplacian here is L = sum_i mu^i(S^i) (I - Lambda^i), a sum of commuting
 projections: Lambda^i replaces each entry by the mu^i-weighted average along
 tensor axis i.  Along each axis the basis {1, e_k/mu^i_k - e_0/mu^i_0 : k >= 1},
@@ -48,25 +52,20 @@ def deviation_divergence(
     Square-root free; equals delta* D(g) under the adopted sign convention,
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
-    space = require_same_space(g, mu, gamma)
-    acc = None
-    for i in space.players:
-        total = mu.total(i)
-        avg = _axis_average(g.payoffs[i], mu.weights[i], i)
-        term = gamma.expanded(i) * ((g.payoffs[i] - avg) * total)
-        acc = term if acc is None else acc + term
-    return ScalarField(space, freeze(acc))
+    require_same_space(g, mu, gamma)
+    return _divergence(pi_project(g, mu), mu, gamma)
 
 
-def laplacian_apply(phi: ScalarField, mu: MeasureVector) -> ScalarField:
-    """(L phi)(s) = sum_i mu^i(S^i) (phi(s) - weighted own-axis average)."""
-    require_same_space(phi, mu)
+def _divergence(
+    normalized: Game, mu: MeasureVector, gamma: CoMeasureVector
+) -> ScalarField:
+    """The deviation divergence from Pi g: h = sum_i gamma^i mu^i(S^i) (Pi g)^i,
+    since sum_{t^i} mu^i(t^i) (g^i(s) - g^i(t^i, s^{-i})) = mu^i(S^i) (Pi g)^i(s)."""
     acc = None
-    for i in phi.space.players:
-        avg = _axis_average(phi.values, mu.weights[i], i)
-        term = (phi.values - avg) * mu.total(i)
+    for i in normalized.space.players:
+        term = gamma.expanded(i) * (normalized.payoffs[i] * mu.total(i))
         acc = term if acc is None else acc + term
-    return ScalarField(phi.space, freeze(acc))
+    return ScalarField(normalized.space, freeze(acc))
 
 
 def _check_consistent(h: ScalarField, mu: MeasureVector):

@@ -4,6 +4,8 @@
   space C1 as a dense matrix in orthonormal coordinates for the weighted inner
   products, so numpy's Euclidean pseudo-inverse computes exactly the
   minimal-norm phi the library derives through the Laplacian.
+- The Laplacian oracle applies L = sum_i mu^i(S^i) (I - Lambda^i) directly,
+  to check the solver's output against the equation it solves.
 - The dense oracle builds the |S| x |S| Laplacian with exact entries and
   solves the mean-pinned system by fraction-free Bareiss elimination.
 - The flow oracle embeds a game as antisymmetric edge values, weighted by
@@ -24,7 +26,7 @@ import numpy as np
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.numeric import freeze, is_zero, zeros_array
-from gamedecomp.operators import _check_consistent
+from gamedecomp.operators import _axis_average, _check_consistent
 from gamedecomp.spaces import require_same_space
 
 
@@ -71,6 +73,17 @@ def least_squares_phi(game, mu, gamma) -> np.ndarray:
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     mu_flat = np.array([float(x) for x in mu.product_array().reshape(-1).tolist()])
     return solution / np.sqrt(mu_flat)
+
+
+def laplacian_apply(phi: ScalarField, mu: MeasureVector) -> ScalarField:
+    """(L phi)(s) = sum_i mu^i(S^i) (phi(s) - weighted own-axis average)."""
+    require_same_space(phi, mu)
+    acc = None
+    for i in phi.space.players:
+        avg = _axis_average(phi.values, mu.weights[i], i)
+        term = (phi.values - avg) * mu.total(i)
+        acc = term if acc is None else acc + term
+    return ScalarField(phi.space, freeze(acc))
 
 
 def laplacian_matrix(mu: MeasureVector) -> list[list[Fraction]]:

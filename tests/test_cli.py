@@ -206,6 +206,18 @@ def test_transform_bad_arguments_fail_cleanly(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("mode", [[], ["--float"]])
+def test_huge_literal_fails_cleanly(tmp_path, capsys, mode):
+    text = (FIXTURES / "mp.game").read_text()
+    path = tmp_path / "huge.game"
+    path.write_text(text.replace("payoffs 1: 1 ", "payoffs 1: " + "7" * 5000 + " ", 1))
+    code, out, err = run(capsys, *mode, "classify", path)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "scale", "--trials", "5", "--seed", "3")
     assert code == 0

@@ -27,6 +27,7 @@ from gamedecomp.laws import (
     random_product_gamma,
     random_space,
 )
+from gamedecomp.equilibrium import pure_regret
 from conftest import load_fixture
 
 
@@ -181,3 +182,23 @@ def test_epsilon_bound_end_to_end_random():
             if best_response_epsilon(closest, candidate) == 0:
                 eps = best_response_epsilon(g, candidate)
                 assert eps * eps <= bound_sq
+
+
+def test_pure_regret_matches_best_response_epsilon():
+    # the vectorised regret against the per-profile reference loop, in both
+    # scalar modes; small integer payoffs give ties, the fractions do not
+    rng = random.Random(44)
+    spaces = [random_space(rng, (2, 3), (2, 4)) for _ in range(16)]
+    spaces += [StrategySpace((("a", "b", "c", "d"),) * 3), StrategySpace((("a", "b"),) * 5)]
+    for space in spaces:
+        for exact in (True, False):
+            payoffs = [
+                [F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(space.num_profiles)]
+                for _ in space.players
+            ]
+            g = Game.from_payoffs(space, payoffs, exact=exact)
+            regret = pure_regret(g)
+            assert regret.shape == space.sizes
+            for profile in space.profiles():
+                candidate = MixedProfile.pure(space, profile, exact=exact)
+                assert regret[profile] == best_response_epsilon(g, candidate)

@@ -11,17 +11,23 @@ from gamedecomp import (
     ScalarField,
     SolveError,
     StrategySpace,
+    decompose,
     deviation_divergence,
     inner_product_c0,
     inner_product_game,
     lambda_project,
-    laplacian_apply,
     pi_project,
     solve_poisson,
 )
 from gamedecomp.decomposition import is_mu_normalized, is_nonstrategic
 from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
-from oracles import build_flow, flow_divergence, least_squares_phi, solve_poisson_dense
+from oracles import (
+    build_flow,
+    flow_divergence,
+    laplacian_apply,
+    least_squares_phi,
+    solve_poisson_dense,
+)
 
 SPACE = StrategySpace((("s", "t"), ("s", "t")))
 MP = Game.from_payoffs(SPACE, [[1, -1, -1, 1], [-1, 1, 1, -1]])
@@ -245,6 +251,26 @@ def test_exact_solve_poisson_operation_count():
         phi = solve_poisson(counted_h, mu)
         assert phi == solve_poisson(h, mu)
         assert 0 < count() <= 8 * space.num_profiles * sum(space.sizes)
+
+
+def test_exact_decompose_operation_count():
+    # one round of own-axis averages of g, and one of phi for the potential
+    # part, takes 6272 operations on 2^6 and 5562 on 3^4 (8.2 and 5.7 per
+    # profile and strategy); averaging g, f = phi / gamma and g - f
+    # separately takes 8192 on 2^6, over the cap of 6912
+    rng = random.Random(16)
+    for players, strategies in [((6, 6), (2, 2)), ((4, 4), (3, 3))]:
+        space = random_space(rng, players, strategies)
+        g = random_game(rng, space)
+        mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+        Counted, count = counting_fraction()
+        counted_g = Game.from_payoffs(
+            space, [[Counted(v) for v in g.flat(i)] for i in space.players]
+        )
+        parts = decompose(counted_g, mu, gamma)
+        plain = decompose(g, mu, gamma)
+        assert parts.components() == plain.components() and parts.phi == plain.phi
+        assert 0 < count() <= 9 * space.num_profiles * sum(space.sizes)
 
 
 def test_solve_poisson_rejects_inconsistent_rhs():
