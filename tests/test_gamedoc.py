@@ -1,8 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gamedecomp import ParseError, parse_game, serialize_game
+from gamedecomp import (
+    CoMeasureVector,
+    Game,
+    GameDocument,
+    MeasureVector,
+    MixedProfile,
+    ParseError,
+    StrategySpace,
+    parse_game,
+    serialize_game,
+)
 from conftest import FIXTURES, load_fixture
 
 MINIMAL = """\
@@ -83,3 +94,68 @@ def test_float_mode_parses_decimals():
     assert not doc.game.exact
     with pytest.raises(ParseError):
         parse_game(text)  # exact mode rejects decimals
+
+
+# -- round-trip property over random documents ----------------------------------
+
+_EXACT_VALUES = st.builds(F, st.integers(-99, 99), st.integers(1, 12))
+_EXACT_POSITIVE = st.builds(F, st.integers(1, 99), st.integers(1, 12))
+_FLOAT_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_FLOAT_POSITIVE = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+_TOKENS = st.from_regex(r"[a-z][a-z0-9_-]{0,5}", fullmatch=True)
+
+
+@st.composite
+def documents(draw, exact):
+    values = _EXACT_VALUES if exact else _FLOAT_VALUES
+    positive = _EXACT_POSITIVE if exact else _FLOAT_POSITIVE
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    labels = tuple(
+        tuple(draw(st.lists(_TOKENS, min_size=m, max_size=m, unique=True)))
+        for m in sizes
+    )
+    space = StrategySpace(labels)
+
+    def vectors(lengths, elements):
+        return [draw(st.lists(elements, min_size=k, max_size=k)) for k in lengths]
+
+    game = Game.from_payoffs(space, vectors([space.num_profiles] * len(sizes), values), exact)
+    mu = MeasureVector.from_weights(space, vectors(sizes, positive), exact)
+    kind = draw(st.sampled_from(["tensors", "uniform", "generator"]))
+    if kind == "uniform":
+        gamma = CoMeasureVector.uniform(space, exact=exact)
+    elif kind == "generator":
+        gamma = CoMeasureVector.from_generator(space, vectors(sizes, positive), exact)
+    else:
+        opp = [space.num_opp_profiles(i) for i in space.players]
+        gamma = CoMeasureVector.from_tensors(space, vectors(opp, positive), exact)
+    names = draw(st.lists(_TOKENS, max_size=3, unique=True))
+    weights = st.integers(1, 9).map(F)
+    profiles = {
+        name: MixedProfile.from_positive_weights(space, vectors(sizes, weights), exact)
+        for name in names
+    }
+    return GameDocument(game, mu, gamma, profiles)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_roundtrip_property(exact):
+    @settings(max_examples=60, deadline=None)
+    @given(documents(exact), st.none() | st.text("ab #\n", max_size=8))
+    def check(doc, comment):
+        text = serialize_game(doc, comment=comment)
+        again = parse_game(text, exact=exact)
+        assert again.game.exact == exact
+        assert again.game == doc.game
+        assert again.mu == doc.mu
+        assert again.gamma == doc.gamma
+        if doc.gamma.generator is not None:
+            assert all(
+                (a == b).all() for a, b in zip(again.gamma.generator, doc.gamma.generator)
+            )
+        assert list(again.profiles) == list(doc.profiles)
+        for name, profile in doc.profiles.items():
+            assert again.profiles[name] == profile
+        assert serialize_game(again, comment=comment) == text
+
+    check()
