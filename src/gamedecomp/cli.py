@@ -13,12 +13,7 @@ from pathlib import Path
 
 from .errors import GameDecompError
 from .numeric import format_scalar, parse_scalar
-from .games import (
-    CoMeasureVector,
-    MeasureVector,
-    norm_weights,
-    weighted_inner_product,
-)
+from .games import CoMeasureVector, MeasureVector
 from .gamedoc import GameDocument, parse_game, serialize_game
 from .decomposition import (
     decompose,
@@ -71,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use floating-point scalars instead of exact rationals",
     )
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write the three components plus phi")
@@ -120,9 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized law suite")
     p.add_argument("law", choices=sorted(LAWS) + ["all"])
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument(
-        "--seed", dest="seed_override", type=int, help="seed for this suite"
-    )
+    p.add_argument("--seed", type=int, default=0, help="seed for this suite")
     p.add_argument("--players", type=int, default=3, help="max player count")
     p.add_argument("--strategies", type=int, default=4, help="max strategies per player")
     p.set_defaults(handler=_cmd_verify)
@@ -164,7 +156,11 @@ def _parse_gamma(text: str, space, exact: bool) -> CoMeasureVector:
 
 
 def _sqrt_note(value) -> str:
-    return f"{format_scalar(value)} (sqrt ~ {math.sqrt(float(value)):.12g})"
+    try:
+        root = math.sqrt(float(value))
+    except OverflowError:
+        raise GameDecompError("result too large for a float square root") from None
+    return f"{format_scalar(value)} (sqrt ~ {root:.12g})"
 
 
 def _cmd_decompose(args) -> int:
@@ -176,14 +172,13 @@ def _cmd_decompose(args) -> int:
         "harmonic": parts.harmonic,
     }
 
-    weights = norm_weights(doc.mu, doc.gamma)
     report = ["decomposition report"]
     for name, component in named.items():
-        norm = weighted_inner_product(component, component, weights)
+        norm = parts.inner_product(component, component)
         report.append(f"norm2 {name}: {format_scalar(norm)}")
     pairs = [("nonstrategic", "potential"), ("nonstrategic", "harmonic"), ("potential", "harmonic")]
     for a, b in pairs:
-        residual = weighted_inner_product(named[a], named[b], weights)
+        residual = parts.inner_product(named[a], named[b])
         report.append(f"orthogonality {a}/{b}: {format_scalar(residual)}")
     reconstructed = parts.total() == doc.game
     report.append(f"reconstruction exact: {reconstructed}")
@@ -196,20 +191,25 @@ def _cmd_decompose(args) -> int:
         for profile in doc.space.profiles()
     ]
     phi_text = "\n".join(phi_lines) + "\n"
+    # every text is built before any is written, so an error leaves no partial output
+    source = f" of {args.game.name}" if args.out else ""
+    texts = {
+        name: serialize_game(
+            GameDocument(component, doc.mu, doc.gamma), comment=f"{name} component{source}"
+        )
+        for name, component in named.items()
+    }
 
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        for name, component in named.items():
-            out_doc = GameDocument(component, doc.mu, doc.gamma)
-            (args.out / f"{name}.game").write_text(
-                serialize_game(out_doc, comment=f"{name} component of {args.game.name}")
-            )
+        for name, text in texts.items():
+            (args.out / f"{name}.game").write_text(text)
         (args.out / "phi.txt").write_text(phi_text)
         (args.out / "report.txt").write_text(report_text)
         print(f"wrote {', '.join(sorted(n + '.game' for n in named))}, phi.txt, report.txt to {args.out}")
     else:
-        for name, component in named.items():
-            print(serialize_game(GameDocument(component, doc.mu, doc.gamma), comment=f"{name} component"))
+        for text in texts.values():
+            print(text)
         print("phi:")
         sys.stdout.write(phi_text)
     sys.stdout.write(report_text)
@@ -303,7 +303,7 @@ def _cmd_closest(args) -> int:
     doc = _load(args)
     parts = decompose(doc.game, doc.mu, doc.gamma)
     closest, dist_sq = parts.closest_potential()
-    bound_sq = parts.epsilon_bound()
+    notes = f"d^2: {_sqrt_note(dist_sq)}\nB^2: {_sqrt_note(parts.epsilon_bound())}"
     text = serialize_game(
         GameDocument(closest, doc.mu, doc.gamma),
         comment=f"closest potential game to {args.game.name}",
@@ -313,8 +313,7 @@ def _cmd_closest(args) -> int:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    print(f"d^2: {_sqrt_note(dist_sq)}")
-    print(f"B^2: {_sqrt_note(bound_sq)}")
+    print(notes)
     return 0
 
 
@@ -322,10 +321,9 @@ def _cmd_verify(args) -> int:
     laws = sorted(LAWS) if args.law == "all" else [args.law]
     players = (2, max(2, args.players))
     strategies = (2, max(2, args.strategies))
-    seed = args.seed if args.seed_override is None else args.seed_override
     failed = False
     for law in laws:
-        report = run_law(law, args.trials, seed, players, strategies)
+        report = run_law(law, args.trials, args.seed, players, strategies)
         if report.ok:
             print(f"{law}: pass ({report.trials} trials, seed {report.seed})")
         else:

@@ -55,10 +55,14 @@ class Decomposition:
     def _weights(self) -> tuple[np.ndarray, ...]:
         return norm_weights(self.mu, self.gamma)
 
+    def inner_product(self, a: Game, b: Game):
+        """<a, b>_{mu,gamma} on this decomposition's cached norm weights."""
+        return weighted_inner_product(a, b, self._weights)
+
     @cached_property
     def distance_sq(self):
         """||harmonic||^2_{mu,gamma}: squared distance to the closest potential game."""
-        return weighted_inner_product(self.harmonic, self.harmonic, self._weights)
+        return self.inner_product(self.harmonic, self.harmonic)
 
     def closest_potential(self) -> tuple[Game, object]:
         """The nearest gamma-potential game and the squared distance to it.

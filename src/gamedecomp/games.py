@@ -2,12 +2,24 @@
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no locking.
+
+The five types share one private base, ``_Tensors``: a strategy space plus
+one scalar tensor per player (a single tensor for ``ScalarField``).  It holds
+the ``exact`` property, ``==`` (which refuses mixed scalar modes), the shape
+check against each class's ``_shapes``, the count-checked coercion behind
+every ``from_*`` constructor, and the ``+``/``-`` of ``Game`` and
+``ScalarField``.  ``Game`` still binds ``__add__``, ``__sub__`` and ``__eq__``
+in its own class body: the layer tracer in ``perfbench/spans.py`` wraps them
+by reading ``Game.__dict__``, where an inherited method is not found.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -29,50 +41,113 @@ def require_same_mode(*objects) -> None:
         raise ValidationError("operands mix exact and float scalars")
 
 
-def _coerce_tensor(space: StrategySpace, data, shape, exact: bool) -> np.ndarray:
+def _coerce_tensor(data, shape, exact: bool) -> np.ndarray:
     arr = np.asarray(data)
-    if arr.shape == shape:
-        flat = arr.reshape(-1)
-    elif arr.shape == (int(np.prod(shape)),):
-        flat = arr
-    else:
+    size = math.prod(shape)
+    if arr.shape not in (shape, (size,)):
         raise ValidationError(
-            f"shape mismatch: expected {shape} (or flat length {int(np.prod(shape))}), "
-            f"got {arr.shape}"
+            f"shape mismatch: expected {shape} (or flat length {size}), got {arr.shape}"
         )
-    return scalar_array(flat.tolist(), shape, exact)
+    return scalar_array(arr.reshape(-1).tolist(), shape, exact)
+
+
+def _check_shapes(what: str, arrays, shapes) -> None:
+    got = tuple(arr.shape for arr in arrays)
+    if got != shapes:
+        raise ValidationError(f"{what} shapes {got} do not match the space: expected {shapes}")
+
+
+def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
+    """One vector per player over that player's own strategies."""
+    return tuple((m,) for m in space.sizes)
+
+
+def _outer(vectors) -> np.ndarray:
+    """The outer product v_1 x v_2 x ... as a tensor, first vector slowest."""
+    return reduce(np.multiply.outer, vectors)
+
+
+class _Tensors:
+    """A strategy space plus the tuple of scalar tensors named by ``_field``,
+    shaped as ``_shapes(space)`` says; see the module docstring."""
+
+    _field = ""  # the dataclass field holding the tensors
+    _noun = ""  # what one tensor is, for error messages
+
+    @staticmethod
+    def _shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
+        raise NotImplementedError
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return getattr(self, self._field)
+
+    @classmethod
+    def _build(cls, space: StrategySpace, arrays: tuple[np.ndarray, ...]):
+        return cls(space, arrays)
+
+    @classmethod
+    def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None):
+        """One immutable tensor per item of ``data``, after checking the count."""
+        shapes = cls._shapes(space) if shapes is None else shapes
+        data = list(data)
+        if len(data) != len(shapes):
+            raise ValidationError(
+                f"need one {cls._noun} per player ({len(shapes)}), got {len(data)}"
+            )
+        return tuple(_coerce_tensor(d, shape, exact) for d, shape in zip(data, shapes))
+
+    def __post_init__(self):
+        _check_shapes(self._noun, self._arrays, self._shapes(self.space))
+
+    @property
+    def exact(self) -> bool:
+        return array_is_exact(self._arrays[0])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        require_same_mode(self, other)
+        return self.space == other.space and all(
+            arrays_equal(a, b, self.exact) for a, b in zip(self._arrays, other._arrays)
+        )
+
+    def _combine(self, other, op):
+        require_same_space(self, other)
+        require_same_mode(self, other)
+        return self._build(
+            self.space,
+            tuple(freeze(op(a, b)) for a, b in zip(self._arrays, other._arrays)),
+        )
+
+    def _add(self, other):
+        return self._combine(other, operator.add)
+
+    def _sub(self, other):
+        return self._combine(other, operator.sub)
 
 
 @dataclass(frozen=True, eq=False)
-class Game:
+class Game(_Tensors):
     """Per-player payoff tensors over one shared profile space."""
 
     space: StrategySpace
     payoffs: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if len(self.payoffs) != self.space.n_players:
-            raise ValidationError("need one payoff tensor per player")
-        for arr in self.payoffs:
-            if arr.shape != self.space.sizes:
-                raise ValidationError(
-                    f"payoff tensor shape {arr.shape} != {self.space.sizes}"
-                )
+    _field = "payoffs"
+    _noun = "payoff tensor"
+
+    @staticmethod
+    def _shapes(space):
+        return tuple(space.sizes for _ in space.players)
 
     @classmethod
     def from_payoffs(cls, space: StrategySpace, payoffs, exact: bool = True) -> "Game":
-        tensors = tuple(
-            _coerce_tensor(space, p, space.sizes, exact) for p in payoffs
-        )
-        return cls(space, tensors)
+        return cls(space, cls._coerce(space, payoffs, exact))
 
     @classmethod
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "Game":
         return cls(space, tuple(zeros_array(space.sizes, exact) for _ in space.players))
-
-    @property
-    def exact(self) -> bool:
-        return array_is_exact(self.payoffs[0])
 
     def payoff(self, player: int, profile: tuple[int, ...]):
         return self.payoffs[player][profile]
@@ -80,58 +155,42 @@ class Game:
     def flat(self, player: int) -> list:
         return self.payoffs[player].reshape(-1).tolist()
 
-    def __add__(self, other: "Game") -> "Game":
-        require_same_space(self, other)
-        require_same_mode(self, other)
-        return Game(
-            self.space,
-            tuple(freeze(a + b) for a, b in zip(self.payoffs, other.payoffs)),
-        )
-
-    def __sub__(self, other: "Game") -> "Game":
-        require_same_space(self, other)
-        require_same_mode(self, other)
-        return Game(
-            self.space,
-            tuple(freeze(a - b) for a, b in zip(self.payoffs, other.payoffs)),
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Game):
-            return NotImplemented
-        require_same_mode(self, other)
-        return self.space == other.space and all(
-            arrays_equal(a, b, self.exact)
-            for a, b in zip(self.payoffs, other.payoffs)
-        )
+    __add__ = _Tensors._add
+    __sub__ = _Tensors._sub
+    __eq__ = _Tensors.__eq__
 
     def is_zero(self) -> bool:
-        zero = Game.zeros(self.space, self.exact)
-        return self == zero
+        return self == Game.zeros(self.space, self.exact)
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class ScalarField(_Tensors):
     """An element of C0: one scalar per strategy profile."""
 
     space: StrategySpace
     values: np.ndarray
 
-    def __post_init__(self):
-        if self.values.shape != self.space.sizes:
-            raise ValidationError("field shape does not match the strategy space")
+    _noun = "field"
+
+    @staticmethod
+    def _shapes(space):
+        return (space.sizes,)
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.values,)
+
+    @classmethod
+    def _build(cls, space, arrays):
+        return cls(space, arrays[0])
 
     @classmethod
     def from_values(cls, space: StrategySpace, data, exact: bool = True) -> "ScalarField":
-        return cls(space, _coerce_tensor(space, data, space.sizes, exact))
+        return cls(space, cls._coerce(space, [data], exact)[0])
 
     @classmethod
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "ScalarField":
         return cls(space, zeros_array(space.sizes, exact))
-
-    @property
-    def exact(self) -> bool:
-        return array_is_exact(self.values)
 
     def value(self, profile: tuple[int, ...]):
         return self.values[profile]
@@ -139,58 +198,28 @@ class ScalarField:
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        require_same_space(self, other)
-        require_same_mode(self, other)
-        return ScalarField(self.space, freeze(self.values + other.values))
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        require_same_space(self, other)
-        require_same_mode(self, other)
-        return ScalarField(self.space, freeze(self.values - other.values))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarField):
-            return NotImplemented
-        require_same_mode(self, other)
-        return self.space == other.space and arrays_equal(
-            self.values, other.values, self.exact
-        )
+    __add__ = _Tensors._add
+    __sub__ = _Tensors._sub
 
 
 @dataclass(frozen=True, eq=False)
-class MeasureVector:
+class MeasureVector(_Tensors):
     """Strictly positive weights on each player's own strategies."""
 
     space: StrategySpace
     weights: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        if len(self.weights) != self.space.n_players:
-            raise ValidationError("need one weight vector per player")
-        for i, w in enumerate(self.weights):
-            if w.shape != (self.space.sizes[i],):
-                raise ValidationError(
-                    f"mu^{i + 1} has {w.shape[0]} entries, expected {self.space.sizes[i]}"
-                )
+    _field = "weights"
+    _noun = "weight vector"
+    _shapes = staticmethod(_own_shapes)
 
     @classmethod
     def from_weights(cls, space: StrategySpace, weights, exact: bool = True):
-        tensors = tuple(
-            _coerce_tensor(space, w, (space.sizes[i],), exact)
-            for i, w in enumerate(weights)
-        )
-        return cls(space, tensors)
+        return cls(space, cls._coerce(space, weights, exact))
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
-        return cls.from_weights(
-            space, [[value] * m for m in space.sizes], exact
-        )
-
-    @property
-    def exact(self) -> bool:
-        return array_is_exact(self.weights[0])
+        return cls.from_weights(space, [[value] * m for m in space.sizes], exact)
 
     def total(self, player: int):
         return self.weights[player].sum()
@@ -201,34 +230,18 @@ class MeasureVector:
 
     def product_array(self) -> np.ndarray:
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
-        out = self.weights[0]
-        for w in self.weights[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        return _outer(self.weights)
 
     def opp_product_array(self, player: int) -> np.ndarray:
         """mu^{-i}(s^{-i}) as a tensor over S^{-i}."""
-        rest = [w for j, w in enumerate(self.weights) if j != player]
-        out = rest[0]
-        for w in rest[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+        return _outer(w for j, w in enumerate(self.weights) if j != player)
 
     def scaled(self, factor) -> "MeasureVector":
-        return MeasureVector(
-            self.space, tuple(freeze(w * factor) for w in self.weights)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MeasureVector):
-            return NotImplemented
-        return self.space == other.space and all(
-            arrays_equal(a, b, self.exact) for a, b in zip(self.weights, other.weights)
-        )
+        return MeasureVector(self.space, tuple(freeze(w * factor) for w in self.weights))
 
 
 @dataclass(frozen=True, eq=False)
-class CoMeasureVector:
+class CoMeasureVector(_Tensors):
     """Strictly positive weights gamma^i on each opponent subprofile space.
 
     ``generator`` is set when the vector is known to be a product co-measure
@@ -240,58 +253,38 @@ class CoMeasureVector:
     tensors: tuple[np.ndarray, ...]
     generator: tuple[np.ndarray, ...] | None = None
 
+    _field = "tensors"
+    _noun = "co-measure tensor"
+
+    @staticmethod
+    def _shapes(space):
+        return tuple(space.opp_sizes(i) for i in space.players)
+
     def __post_init__(self):
-        if len(self.tensors) != self.space.n_players:
-            raise ValidationError("need one co-measure tensor per player")
-        for i, t in enumerate(self.tensors):
-            if t.shape != self.space.opp_sizes(i):
-                raise ValidationError(
-                    f"gamma^{i + 1} shape {t.shape} != {self.space.opp_sizes(i)}"
-                )
+        super().__post_init__()
         if self.generator is not None:
-            for i, c in enumerate(self.generator):
-                if c.shape != (self.space.sizes[i],):
-                    raise ValidationError("generator shape mismatch")
+            _check_shapes("generator", self.generator, _own_shapes(self.space))
 
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
-        arrays = tuple(
-            _coerce_tensor(space, t, space.opp_sizes(i), exact)
-            for i, t in enumerate(tensors)
-        )
-        return cls(space, arrays)
+        return cls(space, cls._coerce(space, tensors, exact))
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
         if value == 1:
             # the unit co-measure is the product co-measure generated by ones
-            return cls.from_generator(
-                space, [[value] * m for m in space.sizes], exact
-            )
+            return cls.from_generator(space, [[value] * m for m in space.sizes], exact)
         return cls.from_tensors(
-            space,
-            [[value] * space.num_opp_profiles(i) for i in space.players],
-            exact,
+            space, [[value] * space.num_opp_profiles(i) for i in space.players], exact
         )
 
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
-        gen = tuple(
-            _coerce_tensor(space, c, (space.sizes[i],), exact)
-            for i, c in enumerate(generator)
+        gen = cls._coerce(space, generator, exact, _own_shapes(space))
+        tensors = tuple(
+            freeze(_outer(c for j, c in enumerate(gen) if j != i)) for i in space.players
         )
-        tensors = []
-        for i in space.players:
-            rest = [c for j, c in enumerate(gen) if j != i]
-            out = rest[0]
-            for c in rest[1:]:
-                out = np.multiply.outer(out, c)
-            tensors.append(freeze(out))
-        return cls(space, tuple(tensors), generator=gen)
-
-    @property
-    def exact(self) -> bool:
-        return array_is_exact(self.tensors[0])
+        return cls(space, tensors, generator=gen)
 
     def expanded(self, player: int) -> np.ndarray:
         """gamma^i broadcast over the full profile space (own axis inserted)."""
@@ -311,58 +304,41 @@ class CoMeasureVector:
             self.space, tuple(freeze(t * factor) for t in self.tensors), None
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoMeasureVector):
-            return NotImplemented
-        return self.space == other.space and all(
-            arrays_equal(a, b, self.exact) for a, b in zip(self.tensors, other.tensors)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class MixedProfile:
+class MixedProfile(_Tensors):
     """Per-player probability vectors; entries nonnegative, each sums to 1."""
 
     space: StrategySpace
     probs: tuple[np.ndarray, ...]
 
+    _field = "probs"
+    _noun = "probability vector"
+    _shapes = staticmethod(_own_shapes)
+
     def __post_init__(self):
-        if len(self.probs) != self.space.n_players:
-            raise ValidationError("need one probability vector per player")
-        exact = array_is_exact(self.probs[0])
+        super().__post_init__()
         for i, p in enumerate(self.probs):
-            if p.shape != (self.space.sizes[i],):
-                raise ValidationError(f"profile vector {i + 1} has wrong length")
-            if any(x < 0 for x in p.reshape(-1).tolist()):
+            if (p < 0).any():
                 raise ValidationError(f"negative probability for player {i + 1}")
             total = p.sum()
-            if unequal_mask(total, 1, exact):
+            if unequal_mask(total, 1, self.exact):
                 raise ValidationError(
                     f"probabilities of player {i + 1} sum to {total}, not 1"
                 )
 
     @classmethod
     def from_probs(cls, space: StrategySpace, probs, exact: bool = True):
-        arrays = tuple(
-            _coerce_tensor(space, p, (space.sizes[i],), exact)
-            for i, p in enumerate(probs)
-        )
-        return cls(space, arrays)
+        return cls(space, cls._coerce(space, probs, exact))
 
     @classmethod
     def uniform(cls, space: StrategySpace, exact: bool = True):
-        return cls.from_probs(
-            space, [[Fraction(1, m)] * m for m in space.sizes], exact
-        )
+        return cls.from_probs(space, [[Fraction(1, m)] * m for m in space.sizes], exact)
 
     @classmethod
     def pure(cls, space: StrategySpace, profile: tuple[int, ...], exact: bool = True):
-        probs = []
-        for i, k in enumerate(profile):
-            row = [Fraction(0)] * space.sizes[i]
-            row[k] = Fraction(1)
-            probs.append(row)
-        return cls.from_probs(space, probs, exact)
+        rows = [[int(j == k) for j in range(space.sizes[i])] for i, k in enumerate(profile)]
+        return cls.from_probs(space, rows, exact)
 
     @classmethod
     def from_positive_weights(cls, space: StrategySpace, weights, exact: bool = True):
@@ -373,17 +349,6 @@ class MixedProfile:
             total = sum(vec)
             probs.append([x / total for x in vec])
         return cls.from_probs(space, probs, exact)
-
-    @property
-    def exact(self) -> bool:
-        return array_is_exact(self.probs[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MixedProfile):
-            return NotImplemented
-        return self.space == other.space and all(
-            arrays_equal(a, b, self.exact) for a, b in zip(self.probs, other.probs)
-        )
 
 
 # -- parameter validation ----------------------------------------------------
@@ -397,13 +362,10 @@ def validate_parameters(
     if mu.space != space or gamma.space != space:
         raise ValidationError("parameters live on a different strategy space")
     require_same_mode(mu, gamma)
-    for i in space.players:
-        for k, w in enumerate(mu.weights[i].reshape(-1).tolist()):
-            if w <= 0:
-                label = space.labels[i][k]
-                raise ValidationError(
-                    f"nonpositive measure: mu^{i + 1}({label}) = {w}"
-                )
+    _require_positive(
+        mu.weights,
+        lambda i, k, w: f"nonpositive measure: mu^{i + 1}({space.labels[i][k]}) = {w}",
+    )
     validate_co_measure(space, gamma)
 
 
@@ -411,13 +373,21 @@ def validate_co_measure(space: StrategySpace, gamma: CoMeasureVector) -> None:
     """Check that gamma lives on ``space`` and is strictly positive."""
     if gamma.space != space:
         raise ValidationError("parameters live on a different strategy space")
-    for i in space.players:
-        flat = gamma.tensors[i].reshape(-1).tolist()
-        for k, w in enumerate(flat):
-            if w <= 0:
-                raise ValidationError(
-                    f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}"
-                )
+    _require_positive(
+        gamma.tensors,
+        lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",
+    )
+
+
+def _require_positive(arrays, message) -> None:
+    """Raise message(i, k, value) for the first entry k <= 0 in row-major
+    order of the first array i that has one."""
+    for i, arr in enumerate(arrays):
+        flat = arr.reshape(-1)
+        bad = flat <= 0
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(message(i, k, flat[k]))
 
 
 # -- inner products ------------------------------------------------------------

@@ -14,14 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import (
-    CoMeasureVector,
-    Game,
-    MeasureVector,
-    MixedProfile,
-    norm_weights,
-    weighted_inner_product,
-)
+from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
     decompose,
@@ -132,14 +125,13 @@ def _commutes(source, target, carry, message):
 
 def _check_orthogonality(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
-    weights = norm_weights(mu, gamma)
     pairs = [
         ("nonstrategic", "potential", parts.nonstrategic, parts.potential),
         ("nonstrategic", "harmonic", parts.nonstrategic, parts.harmonic),
         ("potential", "harmonic", parts.potential, parts.harmonic),
     ]
     for name_a, name_b, a, b in pairs:
-        ip = weighted_inner_product(a, b, weights)
+        ip = parts.inner_product(a, b)
         if ip != 0:
             return f"<{name_a}, {name_b}>_(mu,gamma) = {ip}, expected 0"
     return None

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import GameDecompError, ParseError, ValidationError
 
 FLOAT_ZERO_TOL = 1e-9
 
@@ -48,10 +48,14 @@ def parse_scalar(text: str, exact: bool = True):
 
 
 def format_scalar(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (Fraction, int)):
+        try:
+            return str(value)
+        except ValueError:  # an integer over sys.get_int_max_str_digits()
+            raise GameDecompError(
+                "result too long to print: an integer in it has over "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     return repr(float(value))
 
 

@@ -9,7 +9,10 @@ well.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -32,10 +35,7 @@ class StrategySpace:
                 raise ValidationError(f"player {i + 1} has duplicate strategy labels")
         sizes = tuple(len(p) for p in labels)
         object.__setattr__(self, "sizes", sizes)
-        n = 1
-        for m in sizes:
-            n *= m
-        object.__setattr__(self, "num_profiles", n)
+        object.__setattr__(self, "num_profiles", math.prod(sizes))
 
     @property
     def n_players(self) -> int:
@@ -47,25 +47,11 @@ class StrategySpace:
 
     # -- profile indexing ---------------------------------------------------
 
-    def strides(self) -> tuple[int, ...]:
-        out, acc = [], 1
-        for m in reversed(self.sizes):
-            out.append(acc)
-            acc *= m
-        return tuple(reversed(out))
-
     def index(self, profile: tuple[int, ...]) -> int:
-        idx = 0
-        for pos, stride in zip(profile, self.strides()):
-            idx += pos * stride
-        return idx
+        return int(np.ravel_multi_index(profile, self.sizes))
 
     def profile(self, index: int) -> tuple[int, ...]:
-        out = []
-        for stride in self.strides():
-            out.append(index // stride)
-            index %= stride
-        return tuple(out)
+        return tuple(int(k) for k in np.unravel_index(index, self.sizes))
 
     def profiles(self):
         return itertools.product(*(range(m) for m in self.sizes))
@@ -87,23 +73,15 @@ class StrategySpace:
         return tuple(m for j, m in enumerate(self.sizes) if j != player)
 
     def num_opp_profiles(self, player: int) -> int:
-        n = 1
-        for m in self.opp_sizes(player):
-            n *= m
-        return n
+        return math.prod(self.opp_sizes(player))
 
     def opp_profiles(self, player: int):
         return itertools.product(*(range(m) for m in self.opp_sizes(player)))
 
     def opp_index(self, player: int, profile: tuple[int, ...]) -> int:
         """Index into the row-major S^{-i} space of a full profile's remainder."""
-        idx, acc = 0, 1
-        for j in range(self.n_players - 1, -1, -1):
-            if j == player:
-                continue
-            idx += profile[j] * acc
-            acc *= self.sizes[j]
-        return idx
+        opp = profile[:player] + profile[player + 1:]
+        return int(np.ravel_multi_index(opp, self.opp_sizes(player)))
 
     def merge_opp(self, player: int, own: int, opp: tuple[int, ...]) -> tuple[int, ...]:
         """Full profile from player's own strategy plus an opponent subprofile."""

@@ -218,6 +218,55 @@ def test_huge_literal_fails_cleanly(tmp_path, capsys, mode):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", FIXTURES / "mp.game", "--mu", "1,1;1,1;1,1"],
+        ["classify", FIXTURES / "mp.game", "--gamma", "gen:1,1;1,1;1,1"],
+        ["classify", FIXTURES / "mp.game", "--gamma", "1,1;1,1;1,1"],
+        ["classify", FIXTURES / "mp.game", "--mu", "1,1"],
+        ["transform", FIXTURES / "mp.game", "--op", "scale", "--beta", "gen:1,1;1,1;1,1"],
+        ["transform", FIXTURES / "mp.game", "--op", "scale", "--beta", "1,1;1,1;1,1"],
+    ],
+)
+def test_wrong_number_of_value_groups_fails_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _mp_with_payoffs(tmp_path, row):
+    """fixtures/mp.game with player 1's payoffs replaced by ``row``."""
+    text = (FIXTURES / "mp.game").read_text()
+    path = tmp_path / "big.game"
+    path.write_text(text.replace("payoffs 1: 1 -1 -1 1", f"payoffs 1: {row}"))
+    return path
+
+
+@pytest.mark.parametrize("command", ["decompose", "closest-potential"])
+def test_result_too_long_to_print_fails_cleanly(tmp_path, capsys, command):
+    big = "7" * 4000 + "/" + "3" * 4000
+    path = _mp_with_payoffs(tmp_path, f"{big} 1/{'9' * 3000} -1 1")
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_result_over_float_range_fails_cleanly(tmp_path, capsys):
+    path = _mp_with_payoffs(tmp_path, "1" + "0" * 400 + " -1 -1 1")
+    code, out, _ = run(capsys, "decompose", path)
+    assert code == 0 and "norm2 harmonic: " in out
+    code, out, err = run(capsys, "closest-potential", path)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_verify_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "scale", "--trials", "5", "--seed", "3")
     assert code == 0
@@ -225,8 +274,8 @@ def test_verify_pass_and_exit_codes(capsys):
 
 
 def test_verify_seed_reproducibility(capsys):
-    _, out1, _ = run(capsys, "--seed", "11", "verify", "reconstruction", "--trials", "4")
-    _, out2, _ = run(capsys, "--seed", "11", "verify", "reconstruction", "--trials", "4")
+    _, out1, _ = run(capsys, "verify", "reconstruction", "--trials", "4", "--seed", "11")
+    _, out2, _ = run(capsys, "verify", "reconstruction", "--trials", "4", "--seed", "11")
     assert out1 == out2
 
 

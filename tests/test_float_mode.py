@@ -8,6 +8,7 @@ from gamedecomp import (
     CoMeasureVector,
     Game,
     MeasureVector,
+    MixedProfile,
     ScalarField,
     StrategySpace,
     ValidationError,
@@ -119,6 +120,13 @@ def test_scalar_modes_never_mix():
     phi = ScalarField.zeros(space)
     with pytest.raises(ValidationError, match="mix exact and float"):
         phi + ScalarField.zeros(space, exact=False)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        phi == ScalarField.zeros(space, exact=False)
+    for kind in (MeasureVector, CoMeasureVector, MixedProfile):
+        with pytest.raises(ValidationError, match="mix exact and float"):
+            kind.uniform(space) == kind.uniform(space, exact=False)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        mu == mf
     with pytest.raises(ValidationError, match="mix exact and float"):
         decompose(gf, mu, gamma)
     with pytest.raises(ValidationError, match="mix exact and float"):

@@ -81,6 +81,24 @@ def test_validate_parameters_reports_offender():
         validate_parameters(SPACE, bad_mu := MU, bad_gamma)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_validate_parameters_names_first_offender(exact):
+    """The first nonpositive entry, in player then row-major order, is named."""
+    mu = MeasureVector.from_weights(SPACE, [[1, 1], [1, 0]], exact)
+    gamma = CoMeasureVector.from_tensors(SPACE, [[1, 1], [2, -3]], exact)
+    unit = CoMeasureVector.uniform(SPACE, exact=exact)
+    zero, minus3 = ("0", "-3") if exact else ("0.0", "-3.0")
+    with pytest.raises(ValidationError, match=rf"^nonpositive measure: mu\^2\(t\) = {zero}$"):
+        validate_parameters(SPACE, mu, unit)
+    with pytest.raises(
+        ValidationError, match=rf"^nonpositive co-measure: gamma\^2 entry 1 = {minus3}$"
+    ):
+        validate_parameters(SPACE, MeasureVector.uniform(SPACE, exact=exact), gamma)
+    mu = MeasureVector.from_weights(SPACE, [[-1, 0], [0, 1]], exact)
+    with pytest.raises(ValidationError, match=r"^nonpositive measure: mu\^1\(s\) = -1"):
+        validate_parameters(SPACE, mu, unit)
+
+
 def test_measure_product_arrays():
     mu = MeasureVector.from_weights(SPACE, [[1, 2], [3, 4]])
     assert mu.total(0) == 3 and mu.total(1) == 7
