@@ -22,6 +22,7 @@ from gamedecomp import (
     is_harmonic,
     is_mu_normalized,
     is_nonstrategic,
+    deviation_divergence,
 )
 from gamedecomp.laws import (
     random_game,
@@ -31,7 +32,11 @@ from gamedecomp.laws import (
     random_space,
 )
 from conftest import load_fixture
-from oracles import is_gamma_potential_by_decomposition
+from oracles import (
+    is_gamma_potential_by_decomposition,
+    laplacian_apply,
+    solve_poisson_dense,
+)
 
 
 def cells(game, player):
@@ -305,6 +310,38 @@ def test_decomposition_invariants_on_random_games():
                     assert inner_product_game(a, b, mu, gamma) == 0
         # phi is pinned to mu-mean zero
         assert (mu.product_array() * parts.phi.values).sum() == 0
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (2,) * 6, (3,) * 4])
+def test_decompose_with_wide_rational_parameters(sizes):
+    # mu and gamma with numerators and denominators up to 10^4 make the
+    # shared denominators of an exact decompose long.  phi must solve
+    # L phi = h with mu-mean zero, which fixes it; on (3,3,3) it must also be
+    # the dense oracle's (which takes 5 s on 2^6 and 10 s on 3^4 here).  The
+    # parts must add up to g and be orthogonal.
+    rng = random.Random(len(sizes))
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+
+    def wide():
+        return F(rng.randint(1, 10**4), rng.randint(1, 10**4))
+
+    g = random_game(rng, space)
+    mu = MeasureVector.from_weights(space, [[wide() for _ in range(m)] for m in sizes])
+    gamma = CoMeasureVector.from_tensors(
+        space,
+        [[wide() for _ in range(space.num_opp_profiles(i))] for i in space.players],
+    )
+    parts = decompose(g, mu, gamma)
+    h = deviation_divergence(g, mu, gamma)
+    assert laplacian_apply(parts.phi, mu) == h
+    assert (mu.product_array() * parts.phi.values).sum() == 0
+    if space.num_profiles <= 27:
+        assert parts.phi == solve_poisson_dense(h, mu)
+    assert parts.total() == g
+    a, b, c = parts.components()
+    assert parts.inner_product(a, b) == 0
+    assert parts.inner_product(a, c) == 0
+    assert parts.inner_product(b, c) == 0
 
 
 def test_class_idempotence():

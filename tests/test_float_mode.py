@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamedecomp import (
     CoMeasureVector,
@@ -62,6 +63,28 @@ def test_float_decompose_tracks_exact():
                 want = np.array([float(v) for v in a.flat(i)])
                 got = np.array(b.flat(i))
                 assert np.max(np.abs(want - got)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=4), st.integers(0, 2**32 - 1))
+def test_float_decompose_agrees_with_exact_property(sizes, seed):
+    # exact and float mode run different kernels; phi and every component
+    # must agree within the relative tolerance of the test above
+    rng = random.Random(seed)
+    space = StrategySpace(tuple(tuple("abcd"[:m]) for m in sizes))
+    g = random_game(rng, space)
+    mu, gamma = random_mu(rng, space), random_gamma(rng, space)
+    exact_parts = decompose(g, mu, gamma)
+    float_parts = decompose(*to_float(g, mu, gamma))
+    pairs = [(exact_parts.phi.flat(), float_parts.phi.flat())] + [
+        (a.flat(i), b.flat(i))
+        for a, b in zip(exact_parts.components(), float_parts.components())
+        for i in space.players
+    ]
+    for want, got in pairs:
+        want = np.array([float(v) for v in want])
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(want - np.array(got))) <= tol
 
 
 def test_float_poisson_accuracy_under_skewed_mu():
