@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import axis_contract, freeze, is_zero, magnitude, unequal_mask
+from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
@@ -23,6 +24,10 @@ from .games import (
 from .operators import (
     _axis_average,
     _divergence,
+    _divergence_ints,
+    _project_ints,
+    _solve_ints,
+    _sub_ints,
     deviation_divergence,
     lambda_project,
     solve_poisson,
@@ -98,10 +103,15 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     L phi = h.  gamma^i is constant along axis i, so the potential part
     Pi(phi / gamma^i) is (phi - Lambda^i phi) / gamma^i, and
     harmonic = Pi g - potential.
+
+    Exact mode runs the pipeline on integers (_decompose_exact); float mode
+    runs it on float64 arrays through the public operators.
     """
     space = require_same_space(g, mu, gamma)
     validate_parameters(space, mu, gamma)
     require_same_mode(g, mu)
+    if g.exact:
+        return _decompose_exact(g, mu, gamma)
 
     nonstrategic = lambda_project(g, mu)
     normalized = g - nonstrategic
@@ -119,6 +129,41 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
         potential=potential,
         harmonic=normalized - potential,
         phi=phi,
+        mu=mu,
+        gamma=gamma,
+    )
+
+
+def _decompose_exact(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:
+    """decompose's pipeline on integer numerators over one shared denominator
+    per tensor (see operators): g, mu and gamma are converted once on entry,
+    each result once on exit, so the gcds of ``Fraction`` arithmetic are paid
+    once per output entry instead of once per operation.
+    """
+    space = g.space
+    weights = [_Shared.of(w) for w in mu.weights]
+    averages, normalized = zip(*(
+        _project_ints(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
+    ))
+    phi = _solve_ints(_divergence_ints(normalized, mu, gamma), weights)
+    potential, harmonic = [], []
+    for i in space.players:
+        deviation = _project_ints(phi, weights[i], i)[1]  # phi - Lambda^i phi
+        inverse = _Shared.of(Fraction(1) / gamma.tensors[i])
+        part = _Shared(
+            deviation.num * np.expand_dims(inverse.num, i), deviation.den * inverse.den
+        )
+        potential.append(part.fractions())
+        harmonic.append(_sub_ints(normalized[i], part).fractions())
+    nonstrategic = tuple(
+        freeze(np.broadcast_to(np.expand_dims(avg.fractions(), i), space.sizes).copy())
+        for i, avg in enumerate(averages)
+    )
+    return Decomposition(
+        nonstrategic=Game(space, nonstrategic),
+        potential=Game(space, tuple(potential)),
+        harmonic=Game(space, tuple(harmonic)),
+        phi=ScalarField(space, phi.fractions()),
         mu=mu,
         gamma=gamma,
     )

@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,8 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
     if len(flat) != size:
         raise ValueError(f"expected {size} values, got {len(flat)}")
     if exact:
-        arr = np.empty(size, dtype=object)
-        arr[:] = [v if isinstance(v, Fraction) else Fraction(v) for v in flat]
+        flat = [v if isinstance(v, Fraction) else Fraction(v) for v in flat]
+        arr = _object_array(flat, size)
     else:
         arr = np.asarray([float(v) for v in flat], dtype=np.float64)
         if not np.isfinite(arr).all():
@@ -79,6 +80,42 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
 
 def zeros_array(shape, exact: bool = True) -> np.ndarray:
     return scalar_array([Fraction(0)] * int(np.prod(shape)), shape, exact)
+
+
+class _Shared(NamedTuple):
+    """An exact tensor as Python-int numerators over one shared positive
+    denominator: the entries are ``num / den``.
+
+    Integer arithmetic on ``num`` defers every gcd to ``fractions()``, the one
+    conversion back to ``Fraction``; exact ``decompose`` and the exact Poisson
+    solve run on this form (see ``operators``).
+    """
+
+    num: np.ndarray  # object dtype, Python ints
+    den: int
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Shared":
+        """Exact tensor -> numerators over the LCM of its denominators."""
+        flat = values.reshape(-1).tolist()
+        den = math.lcm(*(v.denominator for v in flat))
+        if den == 1:
+            nums = [v.numerator for v in flat]
+        else:
+            nums = [v.numerator * (den // v.denominator) for v in flat]
+        return cls(_object_array(nums, values.shape), den)
+
+    def fractions(self) -> np.ndarray:
+        """The immutable ``Fraction`` tensor num / den."""
+        den = self.den
+        flat = [Fraction(v, den) for v in self.num.reshape(-1).tolist()]
+        return freeze(_object_array(flat, self.num.shape))
+
+
+def _object_array(items: list, shape) -> np.ndarray:
+    arr = np.empty(len(items), dtype=object)
+    arr[:] = items
+    return arr.reshape(shape)
 
 
 def axis_contract(values: np.ndarray, weights, axis: int) -> np.ndarray:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gamedecomp import decomposition, parse_game
+from gamedecomp import decomposition, laws, parse_game
 from gamedecomp.cli import main
 from conftest import FIXTURES
 
@@ -105,14 +105,15 @@ def test_closest_potential(capsys):
     "command, solves", [("classify", 0), ("closest-potential", 1), ("decompose", 1)]
 )
 def test_poisson_solves_per_command(monkeypatch, capsys, command, solves):
-    original = decomposition.solve_poisson
+    # exact decompose solves on integers, through _solve_ints
+    original = decomposition._solve_ints
     calls = []
 
-    def counting(h, mu):
+    def counting(h, weights):
         calls.append(h)
-        return original(h, mu)
+        return original(h, weights)
 
-    monkeypatch.setattr(decomposition, "solve_poisson", counting)
+    monkeypatch.setattr(decomposition, "_solve_ints", counting)
     code, _, _ = run(capsys, command, FIXTURES / "depend.game")
     assert code == 0
     assert len(calls) == solves
@@ -277,6 +278,36 @@ def test_verify_seed_reproducibility(capsys):
     _, out1, _ = run(capsys, "verify", "reconstruction", "--trials", "4", "--seed", "11")
     _, out2, _ = run(capsys, "verify", "reconstruction", "--trials", "4", "--seed", "11")
     assert out1 == out2
+
+
+def test_verify_draws_up_to_the_requested_strategies(monkeypatch, capsys):
+    original = laws.random_space
+    sizes = []
+
+    def recording(rng, players, strategies):
+        space = original(rng, players, strategies)
+        sizes.extend(space.sizes)
+        return space
+
+    monkeypatch.setattr(laws, "random_space", recording)
+    code, out, _ = run(
+        capsys, "verify", "orthogonality", "--trials", "10", "--players", "2",
+        "--strategies", "6",
+    )
+    assert code == 0
+    assert out == "orthogonality: pass (10 trials, seed 0)\n"
+    assert max(sizes) == 6
+
+
+@pytest.mark.parametrize(
+    "argv", [["--trials", "-2"], ["--trials", "0"], ["--strategies", "27"]]
+)
+def test_verify_rejects_arguments_it_cannot_honour(capsys, argv):
+    code, out, err = run(capsys, "verify", "all", *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_missing_file_is_input_error(capsys):

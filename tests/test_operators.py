@@ -19,6 +19,7 @@ from gamedecomp import (
     pi_project,
     solve_poisson,
 )
+from gamedecomp import decomposition
 from gamedecomp.decomposition import is_mu_normalized, is_nonstrategic
 from gamedecomp.laws import random_game, random_gamma, random_mu, random_space
 from oracles import (
@@ -209,68 +210,107 @@ def test_solve_poisson_roundtrip_on_mean_zero_fields():
             assert image != ScalarField.zeros(space)
 
 
-def counting_fraction():
-    """A Fraction subclass that counts its + - * / and keeps results counted.
+def counting_ints():
+    """A Fraction subclass whose numerator reads as a counting int.
 
-    Returns the class and a function reading the count.  Python tries a
-    subclass's reflected method first, so mixed operations with plain
-    Fractions or ints are counted too.
+    Exact mode converts each tensor to integer numerators once, so tensors
+    built from these fractions carry the counting int into every kernel: it
+    counts its + - * // and unary -, and keeps results counted.  Python tries
+    a subclass's reflected method first, so mixed operations with plain ints
+    are counted too; the Fraction constructor reads ``numerator`` as a plain
+    int, so converting results back is not.  Returns the class and a
+    function reading the count.
     """
     count = [0]
 
     def counted(name):
-        base = getattr(Fraction, name)
+        base = getattr(int, name)
 
         def op(self, *other):
             count[0] += 1
             result = base(self, *other)
-            return Counted(result) if isinstance(result, Fraction) else result
+            return Counted(result) if type(result) is int else result
 
         return op
 
     names = [
         "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-        "__truediv__", "__rtruediv__", "__neg__",
+        "__floordiv__", "__rfloordiv__", "__neg__",
     ]
-    Counted = type("Counted", (Fraction,), {name: counted(name) for name in names})
-    return Counted, lambda: count[0]
+    Counted = type("Counted", (int,), {name: counted(name) for name in names})
+    Tracked = type(
+        "Tracked", (Fraction,), {"numerator": property(lambda f: Counted(f._numerator))}
+    )
+    return Tracked, lambda: count[0]
 
 
 def test_exact_solve_poisson_operation_count():
-    # the per-axis solve takes about 2.1k operations on both spaces; an
-    # inclusion-exclusion solve over all player subsets takes about 82k on
-    # 2^6 and 13k on 3^4, over the caps of 6144 and 7776
+    # the per-axis integer solve takes 2048 big-int operations on 2^6 and
+    # 2106 on 3^4; an inclusion-exclusion solve over all player subsets
+    # takes about 82k Fraction operations on 2^6 and 13k on 3^4, over the
+    # caps of 6144 and 7776
     rng = random.Random(15)
     for players, strategies in [((6, 6), (2, 2)), ((4, 4), (3, 3))]:
         space = random_space(rng, players, strategies)
         g = random_game(rng, space)
         mu, gamma = random_mu(rng, space), random_gamma(rng, space)
         h = deviation_divergence(g, mu, gamma)
-        Counted, count = counting_fraction()
-        counted_h = ScalarField.from_values(space, [Counted(v) for v in h.flat()])
+        Tracked, count = counting_ints()
+        counted_h = ScalarField.from_values(space, [Tracked(v) for v in h.flat()])
         phi = solve_poisson(counted_h, mu)
         assert phi == solve_poisson(h, mu)
         assert 0 < count() <= 8 * space.num_profiles * sum(space.sizes)
 
 
 def test_exact_decompose_operation_count():
-    # one round of own-axis averages of g, and one of phi for the potential
-    # part, takes 6272 operations on 2^6 and 5562 on 3^4 (8.2 and 5.7 per
-    # profile and strategy); averaging g, f = phi / gamma and g - f
-    # separately takes 8192 on 2^6, over the cap of 6912
+    # one round of own-axis sums of g, and one of phi for the potential
+    # part, takes 6528 big-int operations on 2^6 and 5940 on 3^4 (8.5 and
+    # 6.1 per profile and strategy); averaging g, f = phi / gamma and g - f
+    # separately took 8192 Fraction operations on 2^6, over the cap of 6912
     rng = random.Random(16)
     for players, strategies in [((6, 6), (2, 2)), ((4, 4), (3, 3))]:
         space = random_space(rng, players, strategies)
         g = random_game(rng, space)
         mu, gamma = random_mu(rng, space), random_gamma(rng, space)
-        Counted, count = counting_fraction()
+        Tracked, count = counting_ints()
         counted_g = Game.from_payoffs(
-            space, [[Counted(v) for v in g.flat(i)] for i in space.players]
+            space, [[Tracked(v) for v in g.flat(i)] for i in space.players]
         )
         parts = decompose(counted_g, mu, gamma)
         plain = decompose(g, mu, gamma)
         assert parts.components() == plain.components() and parts.phi == plain.phi
         assert 0 < count() <= 9 * space.num_profiles * sum(space.sizes)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 3, 3), (8, 8, 8), (2,) * 6, (2,) * 8, (3,) * 6, (2,) * 10]
+)
+def test_exact_phi_shared_bit_length(monkeypatch, sizes):
+    # one shared denominator per tensor, with no gcd pass between stages,
+    # must not make phi's numerators much longer than its reduced entries
+    # (seed 17: 45 against 32 bits on (3,3,3), 204 against 192 on 2^8)
+    solved = []
+    original = decomposition._solve_ints
+
+    def recording(h, weights):
+        solved.append(original(h, weights))
+        return solved[-1]
+
+    monkeypatch.setattr(decomposition, "_solve_ints", recording)
+    rng = random.Random(17)
+    space = StrategySpace(tuple(tuple(str(k) for k in range(m)) for m in sizes))
+    g = random_game(rng, space)
+    phi = decompose(g, random_mu(rng, space), random_gamma(rng, space)).phi
+    (shared,) = solved
+    shared_bits = max(
+        max(abs(v).bit_length() for v in shared.num.reshape(-1).tolist()),
+        shared.den.bit_length(),
+    )
+    reduced_bits = max(
+        max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+        for v in phi.flat()
+    )
+    assert shared_bits <= 2 * reduced_bits + 32
 
 
 def test_solve_poisson_rejects_inconsistent_rhs():
