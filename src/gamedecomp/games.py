@@ -342,10 +342,15 @@ class MixedProfile(_Tensors):
 
     @classmethod
     def from_positive_weights(cls, space: StrategySpace, weights, exact: bool = True):
-        """Normalize strictly positive weight vectors into a profile."""
+        """Normalize strictly positive weight vectors into a profile.
+
+        The weights are coerced to the scalar mode first, so exact weights
+        given as Python ints are divided exactly.
+        """
         probs = []
         for w in weights:
             vec = list(w)
+            vec = scalar_array(vec, (len(vec),), exact).tolist()
             total = sum(vec)
             probs.append([x / total for x in vec])
         return cls.from_probs(space, probs, exact)

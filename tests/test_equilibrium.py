@@ -89,6 +89,15 @@ def test_harmonic_equilibrium_requires_product_gamma():
     assert best_response_epsilon(scale(doc.game, doc.gamma), profile) == 0
 
 
+def test_from_positive_weights_divides_in_the_scalar_mode():
+    space = StrategySpace((("a", "b", "c"), ("a", "b", "c")))
+    exact = MixedProfile.from_positive_weights(space, [[1, 1, 1], [1, 2, 3]])
+    assert exact.probs[0].tolist() == [F(1, 3)] * 3
+    assert exact.probs[1].tolist() == [F(1, 6), F(1, 3), F(1, 2)]
+    inexact = MixedProfile.from_positive_weights(space, [[1, 1, 1], [1, 2, 3]], exact=False)
+    assert inexact.probs[1].tolist() == [1 / 6, 2 / 6, 3 / 6]
+
+
 def test_map_equilibrium_depend_example(depend):
     parts = decompose(depend.game, depend.mu, depend.gamma)
     beta_gen = [[1, 3], [2, 1]]
