@@ -9,11 +9,13 @@ the suites reproducible across runs.
 from __future__ import annotations
 
 import random
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
 from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
@@ -44,7 +46,7 @@ from .transforms import (
 
 PARAM_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 SPLIT_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
-_LABELS = "abcd"
+_LABELS = string.ascii_lowercase
 
 
 @dataclass
@@ -320,6 +322,13 @@ def run_law(
     players: tuple[int, int] = (2, 3),
     strategies: tuple[int, int] = (2, 4),
 ) -> LawReport:
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    if strategies[1] > len(_LABELS):
+        raise ValidationError(
+            f"at most {len(_LABELS)} strategies per player (labels a-z), "
+            f"got {strategies[1]}"
+        )
     check = LAWS[law]
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
