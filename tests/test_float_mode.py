@@ -154,6 +154,9 @@ def test_scalar_modes_never_mix():
         decompose(gf, mu, gamma)
     with pytest.raises(ValidationError, match="mix exact and float"):
         decompose(g, mu, cf)
+    h = deviation_divergence(g, mu, gamma)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        solve_poisson(h, mf)
 
 
 def test_float_solver_and_predicates():
