@@ -319,8 +319,8 @@ def _cmd_closest(args) -> int:
 
 def _cmd_verify(args) -> int:
     laws = sorted(LAWS) if args.law == "all" else [args.law]
-    players = (2, max(2, args.players))
-    strategies = (2, max(2, args.strategies))
+    players = (2, args.players)
+    strategies = (2, args.strategies)
     failed = False
     for law in laws:
         report = run_law(law, args.trials, args.seed, players, strategies)

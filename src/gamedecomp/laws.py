@@ -324,10 +324,12 @@ def run_law(
 ) -> LawReport:
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    if strategies[1] > len(_LABELS):
+    if players[1] < 2:
+        raise ValidationError(f"max player count must be at least 2, got {players[1]}")
+    if not 2 <= strategies[1] <= len(_LABELS):
         raise ValidationError(
-            f"at most {len(_LABELS)} strategies per player (labels a-z), "
-            f"got {strategies[1]}"
+            f"max strategies per player must be from 2 to {len(_LABELS)} "
+            f"(labels a-z), got {strategies[1]}"
         )
     check = LAWS[law]
     for trial in range(trials):

@@ -300,7 +300,11 @@ def test_verify_draws_up_to_the_requested_strategies(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--trials", "-2"], ["--trials", "0"], ["--strategies", "27"]]
+    "argv",
+    [
+        ["--trials", "-2"], ["--trials", "0"], ["--strategies", "27"],
+        ["--strategies", "1"], ["--players", "1"],
+    ],
 )
 def test_verify_rejects_arguments_it_cannot_honour(capsys, argv):
     code, out, err = run(capsys, "verify", "all", *argv)
