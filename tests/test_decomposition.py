@@ -317,8 +317,8 @@ def test_decompose_with_wide_rational_parameters(sizes):
     # mu and gamma with numerators and denominators up to 10^4 make the
     # shared denominators of an exact decompose long.  phi must solve
     # L phi = h with mu-mean zero, which fixes it; on (3,3,3) it must also be
-    # the dense oracle's (which takes 5 s on 2^6 and 10 s on 3^4 here).  The
-    # parts must add up to g and be orthogonal.
+    # the dense oracle's, which takes 5 s on 2^6 and 10 s on 3^4 on a 2-core
+    # x86 VM.  The parts must add up to g and be orthogonal.
     rng = random.Random(len(sizes))
     space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
 
