@@ -23,6 +23,8 @@ from gamedecomp import (
     is_mu_normalized,
     is_nonstrategic,
     deviation_divergence,
+    lambda_project,
+    solve_poisson,
 )
 from gamedecomp.laws import (
     random_game,
@@ -417,3 +419,24 @@ def test_decompositions_match_golden_digest():
             parts = decompose(*float_args)
             digest.update(_arrays_fingerprint([parts.phi.values, *parts.nonstrategic.payoffs]))
     assert digest.hexdigest() == GOLDEN_DECOMPOSITION_DIGEST
+
+
+GOLDEN_OPERATOR_DIGEST = "caa3e0188e74f051fa162a502abcc3fe3ff2612a62ca9d193303f66f0d4f04be"
+
+
+def test_operators_and_float_parts_match_golden_digest():
+    # Pins, bit for bit, what the first digest leaves out: the float
+    # potential and harmonic parts, and in both scalar modes lambda_project,
+    # deviation_divergence and solve_poisson of that divergence.
+    digest = hashlib.sha256()
+    for sizes in GOLDEN_SHAPES:
+        for seed in range(3):
+            exact_args, float_args = _golden_instance(sizes, seed)
+            for g, mu, gamma in (exact_args, float_args):
+                h = deviation_divergence(g, mu, gamma)
+                digest.update(_arrays_fingerprint([
+                    *lambda_project(g, mu).payoffs, h.values, solve_poisson(h, mu).values
+                ]))
+            parts = decompose(*float_args)
+            digest.update(_arrays_fingerprint([*parts.potential.payoffs, *parts.harmonic.payoffs]))
+    assert digest.hexdigest() == GOLDEN_OPERATOR_DIGEST
