@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -21,17 +20,7 @@ from .games import (
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import (
-    _axis_average,
-    _divergence,
-    _divergence_ints,
-    _project_ints,
-    _solve_ints,
-    _sub_ints,
-    deviation_divergence,
-    lambda_project,
-    solve_poisson,
-)
+from .operators import _deviation, _divergence, _solve, _spread, _sub, deviation_divergence
 from .spaces import require_same_space
 
 
@@ -104,66 +93,31 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     Pi(phi / gamma^i) is (phi - Lambda^i phi) / gamma^i, and
     harmonic = Pi g - potential.
 
-    Exact mode runs the pipeline on integers (_decompose_exact); float mode
-    runs it on float64 arrays through the public operators.
+    Both scalar modes run this one body on ``numeric._Shared`` tensors (see
+    operators): g and mu are converted once on entry and each result once on
+    exit, so exact mode pays the gcds of ``Fraction`` arithmetic once per
+    output entry.  Only the Poisson solve core differs per mode (_solve).
     """
     space = require_same_space(g, mu, gamma)
     validate_parameters(space, mu, gamma)
     require_same_mode(g, mu)
-    if g.exact:
-        return _decompose_exact(g, mu, gamma)
-
-    nonstrategic = lambda_project(g, mu)
-    normalized = g - nonstrategic
-    phi = solve_poisson(_divergence(normalized, mu, gamma), mu)
-    potential = Game(
-        space,
-        tuple(
-            freeze((phi.values - _axis_average(phi.values, mu.weights[i], i))
-                   / gamma.expanded(i))
-            for i in space.players
-        ),
-    )
-    return Decomposition(
-        nonstrategic=nonstrategic,
-        potential=potential,
-        harmonic=normalized - potential,
-        phi=phi,
-        mu=mu,
-        gamma=gamma,
-    )
-
-
-def _decompose_exact(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:
-    """decompose's pipeline on integer numerators over one shared denominator
-    per tensor (see operators): g, mu and gamma are converted once on entry,
-    each result once on exit, so the gcds of ``Fraction`` arithmetic are paid
-    once per output entry instead of once per operation.
-    """
-    space = g.space
     weights = [_Shared.of(w) for w in mu.weights]
     averages, normalized = zip(*(
-        _project_ints(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
+        _deviation(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
     ))
-    phi = _solve_ints(_divergence_ints(normalized, mu, gamma), weights)
-    potential, harmonic = [], []
-    for i in space.players:
-        deviation = _project_ints(phi, weights[i], i)[1]  # phi - Lambda^i phi
-        inverse = _Shared.of(Fraction(1) / gamma.tensors[i])
-        part = _Shared(
-            deviation.num * np.expand_dims(inverse.num, i), deviation.den * inverse.den
-        )
-        potential.append(part.fractions())
-        harmonic.append(_sub_ints(normalized[i], part).fractions())
-    nonstrategic = tuple(
-        freeze(np.broadcast_to(np.expand_dims(avg.fractions(), i), space.sizes).copy())
-        for i, avg in enumerate(averages)
-    )
+    phi = _solve(_divergence(normalized, mu, gamma), weights)
+    potential = [
+        _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
+    ]
     return Decomposition(
-        nonstrategic=Game(space, nonstrategic),
-        potential=Game(space, tuple(potential)),
-        harmonic=Game(space, tuple(harmonic)),
-        phi=ScalarField(space, phi.fractions()),
+        nonstrategic=Game(space, tuple(
+            _spread(avg, i, space.sizes) for i, avg in enumerate(averages)
+        )),
+        potential=Game(space, tuple(part.values() for part in potential)),
+        harmonic=Game(space, tuple(
+            _sub(pi, part).values() for pi, part in zip(normalized, potential)
+        )),
+        phi=ScalarField(space, phi.values()),
         mu=mu,
         gamma=gamma,
     )

@@ -5,6 +5,12 @@ every operation in the library bit-exact.  A floating-point mode exists for
 oracle cross-checks and large fuzz runs; it is selected per object at
 construction time and detected from the numpy dtype (``object`` = exact,
 ``float64`` = float).
+
+``_Shared`` holds a tensor as numerators over one shared denominator, Python
+ints in exact mode and the floats themselves over 1 in float mode.  The
+``decompose`` pipeline runs on it in both modes, and its methods hold that
+pipeline's scalar-mode branches; only the Poisson solve core keeps a body per
+mode (``operators._solve``).
 """
 
 from __future__ import annotations
@@ -83,20 +89,25 @@ def zeros_array(shape, exact: bool = True) -> np.ndarray:
 
 
 class _Shared(NamedTuple):
-    """An exact tensor as Python-int numerators over one shared positive
-    denominator: the entries are ``num / den``.
+    """A tensor as numerators over one shared positive denominator: the
+    entries are ``num / den``.
 
-    Integer arithmetic on ``num`` defers every gcd to ``fractions()``, the one
-    conversion back to ``Fraction``; exact ``decompose`` and the exact Poisson
-    solve run on this form (see ``operators``).
+    Exact tensors hold Python-int numerators, so integer arithmetic on
+    ``num`` defers every gcd to ``values()``, the one conversion back to
+    ``Fraction``.  A float tensor is its own numerators over 1.  The
+    ``decompose`` pipeline (see ``operators``) runs on this form in both
+    scalar modes; these methods hold its only scalar-mode branches outside
+    the Poisson solve core.
     """
 
-    num: np.ndarray  # object dtype, Python ints
+    num: np.ndarray  # object dtype of Python ints, or float64
     den: int
 
     @classmethod
     def of(cls, values: np.ndarray) -> "_Shared":
-        """Exact tensor -> numerators over the LCM of its denominators."""
+        """A tensor in: exact entries over the LCM of their denominators."""
+        if not array_is_exact(values):
+            return cls(values, 1)
         flat = values.reshape(-1).tolist()
         den = math.lcm(*(v.denominator for v in flat))
         if den == 1:
@@ -105,8 +116,36 @@ class _Shared(NamedTuple):
             nums = [v.numerator * (den // v.denominator) for v in flat]
         return cls(_object_array(nums, values.shape), den)
 
-    def fractions(self) -> np.ndarray:
-        """The immutable ``Fraction`` tensor num / den."""
+    @property
+    def exact(self) -> bool:
+        return array_is_exact(self.num)
+
+    def over(self, num: np.ndarray, den) -> "_Shared":
+        """num / den in this tensor's mode: exact keeps the denominator,
+        float divides now."""
+        return _Shared(num, den) if self.exact else _Shared(num / den, 1)
+
+    def scale(self, c) -> "_Shared":
+        """This tensor times the scalar c; exact mode reduces c against the
+        denominator and skips the multiplication when its numerator is 1."""
+        if not self.exact:
+            return _Shared(self.num * c, 1)
+        q = Fraction(c) / self.den
+        num = self.num if q.numerator == 1 else self.num * q.numerator
+        return _Shared(num, q.denominator)
+
+    def divide(self, t: np.ndarray) -> "_Shared":
+        """This tensor over the tensor t (broadcast); exact mode multiplies by
+        1/t as numerators over the LCM of t's numerators."""
+        if not self.exact:
+            return _Shared(self.num / t, 1)
+        inverse = _Shared.of(1 / t)
+        return _Shared(self.num * inverse.num, self.den * inverse.den)
+
+    def values(self) -> np.ndarray:
+        """The immutable tensor out: ``Fraction`` num / den, or the floats."""
+        if not self.exact:
+            return freeze(self.num)
         den = self.den
         flat = [Fraction(v, den) for v in self.num.reshape(-1).tolist()]
         return freeze(_object_array(flat, self.num.shape))

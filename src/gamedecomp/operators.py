@@ -12,25 +12,30 @@ once, so L is diagonal in the tensor-product basis and the minimal-norm
 Poisson solve is a per-axis change of basis, one division, and the change
 back.
 
-Exact mode runs that pipeline on integers (the ``_*_ints`` kernels): every
-tensor is a ``numeric._Shared``, Python-int numerators over one shared
-denominator, and each mu^i is scaled to integers m^i by the LCM of its
-denominators, with W_i = sum_k m^i_k.  No stage divides a tensor: averages
-keep the sum A = sum_k m_k x_k and put W into the denominator, the Poisson
-solve multiplies through (see _solve_ints), and division by gamma^i is
-multiplication by the numerators of 1/gamma^i over the LCM of gamma^i's
-numerators.  Denominators are scalars, so each kernel costs O(|S|) Python-int
-operations per axis, and the one gcd per entry is paid when the caller turns
-the result back into ``Fraction`` values.  ``lambda_project``, ``pi_project``
-and ``deviation_divergence`` stay generic, on ``Fraction`` or ``float64``
-arrays; ``solve_poisson`` runs _solve_ints in exact mode, and its float
-branch is the only one that divides.
+Every stage is written once, on ``numeric._Shared`` tensors: numerators over
+one shared denominator, Python ints in exact mode and float64 over 1 in float
+mode.  The stage kernels (_average, _deviation, _sub, _divergence) never
+branch on the scalar mode; the few ``_Shared`` methods that do keep exact
+mode free of divisions: an average keeps the sum A = sum_k m_k x_k and puts
+W = sum_k m_k into the denominator, where mu^i is scaled to integers m^i by
+the LCM of its denominators, and division by gamma^i is multiplication by
+the numerators of 1/gamma^i.  Denominators are scalars, so each exact kernel
+costs O(|S|) Python-int operations per axis, and the one gcd per entry is
+paid when the result turns back into ``Fraction`` values.
+
+Only the Poisson solve core stays per mode (_solve): exact mode multiplies
+through on integers (_solve_ints), float mode divides in the basis above with
+the heaviest strategy of each axis as reference, which keeps float rounding
+independent of the spread of the weights.  ``lambda_project``,
+``deviation_divergence`` and ``solve_poisson`` are thin wrappers over the
+same kernels.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -40,20 +45,14 @@ from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_sa
 from .spaces import require_same_space
 
 
-def _axis_average(values: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
-    """Weighted average along one axis, broadcast back to the full shape."""
-    avg = axis_contract(values, weights, axis) / weights.sum()
-    return np.broadcast_to(np.expand_dims(avg, axis), values.shape)
-
-
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_same_space(g, mu)
-    payoffs = tuple(
-        freeze(_axis_average(g.payoffs[i], mu.weights[i], i).copy())
-        for i in g.space.players
-    )
-    return Game(g.space, payoffs)
+    require_same_mode(g, mu)
+    return Game(g.space, tuple(
+        _spread(_average(_Shared.of(p), _Shared.of(w), i), i, g.space.sizes)
+        for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
+    ))
 
 
 def pi_project(g: Game, mu: MeasureVector) -> Game:
@@ -70,77 +69,128 @@ def deviation_divergence(
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
     require_same_space(g, mu, gamma)
-    return _divergence(pi_project(g, mu), mu, gamma)
+    require_same_mode(g, mu, gamma)
+    normalized = [
+        _deviation(_Shared.of(p), _Shared.of(w), i)[1]
+        for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
+    ]
+    return ScalarField(g.space, _divergence(normalized, mu, gamma).values())
+
+
+def _average(x: _Shared, weights: _Shared, axis: int) -> _Shared:
+    """Lambda^i x along ``axis``, with that axis removed.
+
+    With m = weights.num and W = sum_k m_k, A = sum_k m_k x_k gives
+    Lambda^i x = A / (W den); weights over any denominator give the same.
+    """
+    return x.over(axis_contract(x.num, weights.num, axis), x.den * weights.num.sum())
+
+
+def _deviation(x: _Shared, weights: _Shared, axis: int) -> tuple[_Shared, _Shared]:
+    """Lambda^i x (axis removed) and Pi^i x = x - Lambda^i x along ``axis``."""
+    avg = _average(x, weights, axis)
+    return avg, _sub(x, _Shared(np.expand_dims(avg.num, axis), avg.den))
+
+
+def _sub(a: _Shared, b: _Shared) -> _Shared:
+    """a - b over the LCM of the two denominators (float: both are 1)."""
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    left = a.num if fa == 1 else a.num * fa
+    return _Shared(left - (b.num if fb == 1 else b.num * fb), den)
+
+
+def _spread(avg: _Shared, axis: int, shape) -> np.ndarray:
+    """An average with ``axis`` removed, as the full immutable tensor of
+    ``shape`` that is constant along that axis; only the distinct entries are
+    converted out."""
+    return freeze(np.broadcast_to(np.expand_dims(avg.values(), axis), shape).copy())
 
 
 def _divergence(
-    normalized: Game, mu: MeasureVector, gamma: CoMeasureVector
-) -> ScalarField:
-    """The deviation divergence from Pi g: h = sum_i gamma^i mu^i(S^i) (Pi g)^i,
-    since sum_{t^i} mu^i(t^i) (g^i(s) - g^i(t^i, s^{-i})) = mu^i(S^i) (Pi g)^i(s)."""
-    acc = None
-    for i in normalized.space.players:
-        term = gamma.expanded(i) * (normalized.payoffs[i] * mu.total(i))
-        acc = term if acc is None else acc + term
-    return ScalarField(normalized.space, freeze(acc))
+    normalized: list[_Shared], mu: MeasureVector, gamma: CoMeasureVector
+) -> _Shared:
+    """The deviation divergence from Pi g, one player per entry of ``normalized``:
+    h = sum_i gamma^i mu^i(S^i) (Pi g)^i, since
+    sum_{t^i} mu^i(t^i) (g^i(s) - g^i(t^i, s^{-i})) = mu^i(S^i) (Pi g)^i(s).
 
-
-def _check_consistent(h: ScalarField, mu: MeasureVector):
-    """L phi = h is solvable iff sum_s mu(s) h(s) = 0.
-
-    Float solve_poisson checks here; exact mode reads the same sum off the
-    origin coefficient in _solve_ints.
-
-    Float mode allows FLOAT_ZERO_TOL relative to the size of the summed terms,
-    sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|): the
-    h of a harmonic game is pure rounding noise, which that floor absorbs.
+    mu^i(S^i), reduced against the denominator of (Pi g)^i, and gamma^i fold
+    into one factor over S^{-i}, and the terms are summed over the LCM of
+    their denominators, so exact mode multiplies each entry once.
     """
-    terms = mu.product_array() * h.values
-    residual = terms.sum()
-    scale = 1.0 if h.exact else max(magnitude(h.values), float(np.abs(terms).sum()))
-    if not is_zero(residual, h.exact, scale):
-        raise SolveError(
-            f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
-        )
+    terms = []
+    for i, part in enumerate(normalized):
+        scaled = part.scale(mu.total(i))
+        factor = _Shared.of(gamma.expanded(i))
+        terms.append((scaled.num, factor.num, scaled.den * factor.den))
+    den = math.lcm(*(d for _, _, d in terms))
+    acc = None
+    for num, factor, d in terms:
+        term = num * (factor * (den // d))
+        acc = term if acc is None else acc + term
+    return _Shared(acc, den)
 
 
 def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     """Minimal-norm solution of L phi = h with sum_s mu(s) phi(s) = 0.
 
-    Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0},
-    with the heaviest strategy of the axis as reference 0: coefficient 0 is
-    the mu^i-weighted mean m, coefficient k >= 1 is mu^i_k (x_k - m).  L is
-    diagonal there, with eigenvalue sum_{i: k_i != 0} mu^i(S^i) at
-    coefficient index (k_1, ..., k_n); each coefficient is divided by it, and
-    the all-zero-index coefficient (the mu-mean, spanning Ker L) is set to 0,
-    which is the mu-mean-zero pin.  The inverse transform then gives phi.
-    Exact mode runs the same solve on integers (_solve_ints).  Both cost
-    O(|S| n) scalar operations and O(|S|) memory.
+    Expands h along every axis i in the basis {1, e_k/mu^i_k - e_0/mu^i_0}:
+    coefficient 0 is the mu^i-weighted mean m, coefficient k >= 1 is
+    mu^i_k (x_k - m).  L is diagonal there, with eigenvalue
+    sum_{i: k_i != 0} mu^i(S^i) at coefficient index (k_1, ..., k_n); each
+    coefficient is divided by it, and the all-zero-index coefficient (the
+    mu-mean, spanning Ker L) is set to 0, which is the mu-mean-zero pin.  The
+    inverse transform then gives phi.  Both scalar modes cost O(|S| n)
+    scalar operations and O(|S|) memory; see _solve.
     """
     require_same_space(h, mu)
     require_same_mode(h, mu)
+    weights = [_Shared.of(w) for w in mu.weights]
+    return ScalarField(h.space, _solve(_Shared.of(h.values), weights).values())
+
+
+def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
+    """The Poisson solve core, the one stage with a body per scalar mode.
+
+    Exact input goes to _solve_ints, which multiplies through on integers.
+    Float input is solved in solve_poisson's basis with each axis's heaviest
+    strategy as reference (_to_axis_basis), dividing as it goes.  The two
+    stay apart: the integer form would change float phi's rounding, and the
+    float basis would cost exact mode a big-int division per slice.
+    """
     if h.exact:
-        weights = [_Shared.of(w) for w in mu.weights]
-        phi = _solve_ints(_Shared.of(h.values), weights)
-        return ScalarField(h.space, phi.fractions())
-    _check_consistent(h, mu)
-    space = h.space
-    n = space.n_players
-    coeffs = h.values
-    eigen = 0
-    for i in space.players:
-        coeffs = _to_axis_basis(coeffs, mu.weights[i], i)
-        axis_shape = [1] * n
-        axis_shape[i] = space.sizes[i]
-        per_axis = [0] + [mu.total(i)] * (space.sizes[i] - 1)
-        eigen = eigen + np.array(per_axis).reshape(axis_shape)
-    origin = (0,) * n
+        return _solve_ints(h, weights)
+    weights = [w.num for w in weights]
+    _check_consistent(h.num, weights)
+    coeffs, eigen = h.num, 0
+    for i, w in enumerate(weights):
+        coeffs = _to_axis_basis(coeffs, w, i)
+        per_axis = np.full(len(w), w.sum())
+        per_axis[0] = 0
+        eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
+    origin = (0,) * coeffs.ndim
     coeffs[origin] = 0.0  # the pin
     eigen[origin] = 1
     phi = coeffs / eigen
-    for i in reversed(space.players):
-        phi = _from_axis_basis(phi, mu.weights[i], i)
-    return ScalarField(space, freeze(phi))
+    for i in reversed(range(len(weights))):
+        phi = _from_axis_basis(phi, weights[i], i)
+    return _Shared(phi, 1)
+
+
+def _check_consistent(h: np.ndarray, weights: list[np.ndarray]) -> None:
+    """Float L phi = h is solvable iff sum_s mu(s) h(s) = 0.
+
+    Exact mode reads the same sum off the origin coefficient in _solve_ints.
+    The tolerance is FLOAT_ZERO_TOL relative to the size of the summed terms,
+    sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|): the
+    h of a harmonic game is pure rounding noise, which that floor absorbs.
+    """
+    terms = reduce(np.multiply.outer, weights) * h
+    residual = terms.sum()
+    if not is_zero(residual, False, max(magnitude(h), float(np.abs(terms).sum()))):
+        raise SolveError(
+            f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
+        )
 
 
 def _to_axis_basis(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
@@ -171,42 +221,8 @@ def _from_axis_basis(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarra
     return np.roll(np.moveaxis(out, 0, axis), -shift, axis)
 
 
-# -- exact kernels: integer numerators over one shared denominator --------------
 
-
-def _project_ints(x: _Shared, weights: _Shared, axis: int) -> tuple[_Shared, _Shared]:
-    """Lambda^i x and Pi^i x = x - Lambda^i x along ``axis``.
-
-    With m = weights.num and W = sum_k m_k, A = sum_k m_k x_k gives
-    Lambda^i x = A / (W den), with the axis removed, and
-    Pi^i x = (W x - A) / (W den).
-    """
-    total = weights.num.sum()
-    avg = axis_contract(x.num, weights.num, axis)
-    den = x.den * total
-    return _Shared(avg, den), _Shared(x.num * total - np.expand_dims(avg, axis), den)
-
-
-def _divergence_ints(
-    normalized: list[_Shared], mu: MeasureVector, gamma: CoMeasureVector
-) -> _Shared:
-    """_divergence from Pi g, one player per entry of ``normalized``.
-
-    Each player's scalar mu^i(S^i) / den_i folds into gamma^i's numerators,
-    a tensor over S^{-i}; the terms are then summed over the LCM of their
-    denominators.
-    """
-    factors = []
-    for i, part in enumerate(normalized):
-        shared = _Shared.of(gamma.tensors[i])
-        scale = Fraction(mu.total(i), part.den)
-        factors.append(_Shared(shared.num * scale.numerator, shared.den * scale.denominator))
-    den = math.lcm(*(f.den for f in factors))
-    acc = None
-    for i, (part, f) in enumerate(zip(normalized, factors)):
-        term = part.num * np.expand_dims(f.num * (den // f.den), i)
-        acc = term if acc is None else acc + term
-    return _Shared(acc, den)
+# -- the exact solve core: integers, multiplying through -----------------------
 
 
 def _solve_ints(h: _Shared, weights: list[_Shared]) -> _Shared:
@@ -279,11 +295,3 @@ def _inverse_eigen_ints(weights: list[_Shared], shape) -> tuple[np.ndarray, int]
     factor = (common // eigen) * (lcm // cancel)
     factor[origin] = 0
     return factor[np.ix_(*[[0] + [1] * (m - 1) for m in shape])], common // cancel
-
-
-def _sub_ints(a: _Shared, b: _Shared) -> _Shared:
-    """a - b over the LCM of the two denominators."""
-    den = math.lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    left = a.num if fa == 1 else a.num * fa
-    return _Shared(left - (b.num if fb == 1 else b.num * fb), den)

@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .numeric import axis_contract, freeze, scalar_array, unequal_mask
-from .games import CoMeasureVector, Game, MeasureVector, require_same_mode
+from .games import (
+    CoMeasureVector,
+    Game,
+    MeasureVector,
+    require_same_mode,
+    validate_co_measure,
+)
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace, require_same_space
 
@@ -114,9 +120,10 @@ def translate_nonstrategic(g: Game, ns: Game) -> Game:
 
 
 def scale(g: Game, beta: CoMeasureVector) -> Game:
-    """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s)."""
+    """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s), for a strictly positive beta."""
     require_same_space(g, beta)
     require_same_mode(g, beta)
+    validate_co_measure(g.space, beta)
     payoffs = tuple(
         freeze(g.payoffs[i] * beta.expanded(i)) for i in g.space.players
     )
@@ -126,9 +133,13 @@ def scale(g: Game, beta: CoMeasureVector) -> Game:
 def co_measure_quotient(
     gamma: CoMeasureVector, beta: CoMeasureVector
 ) -> CoMeasureVector:
-    """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure."""
+    """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure.
+
+    beta must be strictly positive, like gamma.
+    """
     space = require_same_space(gamma, beta)
     require_same_mode(gamma, beta)
+    validate_co_measure(space, beta)
     tensors = tuple(
         freeze(gamma.tensors[i] / beta.tensors[i]) for i in space.players
     )

@@ -26,7 +26,6 @@ import numpy as np
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.numeric import freeze, is_zero, zeros_array
-from gamedecomp.operators import _axis_average, _check_consistent
 from gamedecomp.spaces import require_same_space
 
 
@@ -78,12 +77,16 @@ def least_squares_phi(game, mu, gamma) -> np.ndarray:
 def laplacian_apply(phi: ScalarField, mu: MeasureVector) -> ScalarField:
     """(L phi)(s) = sum_i mu^i(S^i) (phi(s) - weighted own-axis average)."""
     require_same_space(phi, mu)
+    values = phi.values
     acc = None
-    for i in phi.space.players:
-        avg = _axis_average(phi.values, mu.weights[i], i)
-        term = (phi.values - avg) * mu.total(i)
+    for i, w in enumerate(mu.weights):
+        shape = [1] * values.ndim
+        shape[i] = -1
+        total = w.sum()
+        avg = (values * w.reshape(shape)).sum(axis=i, keepdims=True) / total
+        term = (values - avg) * total
         acc = term if acc is None else acc + term
-    return ScalarField(phi.space, freeze(acc))
+    return ScalarField.from_values(phi.space, acc.reshape(-1).tolist(), exact=phi.exact)
 
 
 def laplacian_matrix(mu: MeasureVector) -> list[list[Fraction]]:
@@ -111,12 +114,14 @@ def solve_poisson_dense(h: ScalarField, mu: MeasureVector) -> ScalarField:
     term pins sum_s mu(s) phi(s) = 0.  Exists as an independent oracle.
     """
     require_same_space(h, mu)
-    _check_consistent(h, mu)
     space = h.space
     size = space.num_profiles
+    mu_flat = [Fraction(w) for w in mu.product_array().reshape(-1).tolist()]
+    rhs = [Fraction(v) for v in h.values.reshape(-1).tolist()]
+    residual = sum((w * v for w, v in zip(mu_flat, rhs)), Fraction(0))
+    if residual != 0:
+        raise SolveError(f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}")
     mat = laplacian_matrix(mu)
-    mu_flat = mu.product_array().reshape(-1).tolist()
-    rhs = h.values.reshape(-1).tolist()
     for r in range(size):
         for c in range(size):
             mat[r][c] += mu_flat[c]

@@ -101,20 +101,25 @@ def test_closest_potential(capsys):
     assert "payoffs 1: 0 0 0 0" in out
 
 
+SOLVES = [("classify", 0), ("closest-potential", 1), ("decompose", 1)]
+
+
 @pytest.mark.parametrize(
-    "command, solves", [("classify", 0), ("closest-potential", 1), ("decompose", 1)]
+    "mode, command, solves",
+    [pytest.param([], c, n, id=f"{c}-{n}") for c, n in SOLVES]
+    + [pytest.param(["--float"], c, n, id=f"float-{c}-{n}") for c, n in SOLVES],
 )
-def test_poisson_solves_per_command(monkeypatch, capsys, command, solves):
-    # exact decompose solves on integers, through _solve_ints
-    original = decomposition._solve_ints
+def test_poisson_solves_per_command(monkeypatch, capsys, mode, command, solves):
+    # decompose reaches the solve core of either scalar mode through _solve
+    original = decomposition._solve
     calls = []
 
     def counting(h, weights):
         calls.append(h)
         return original(h, weights)
 
-    monkeypatch.setattr(decomposition, "_solve_ints", counting)
-    code, _, _ = run(capsys, command, FIXTURES / "depend.game")
+    monkeypatch.setattr(decomposition, "_solve", counting)
+    code, _, _ = run(capsys, *mode, command, FIXTURES / "depend.game")
     assert code == 0
     assert len(calls) == solves
 
@@ -205,6 +210,20 @@ def test_transform_bad_arguments_fail_cleanly(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+@pytest.mark.parametrize("beta", ["gen:1,2;3,0", "1,-2;3,4", "0,1;1,1"])
+def test_transform_scale_rejects_nonpositive_beta(capsys, mode, beta):
+    # a zero beta divided the co-measure by zero (a traceback, or inf in
+    # float mode); a negative one wrote a gamma that parse_game refuses
+    code, out, err = run(
+        capsys, *mode, "transform", FIXTURES / "mp.game", "--op", "scale", "--beta", beta
+    )
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: nonpositive co-measure")
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]])

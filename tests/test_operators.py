@@ -290,13 +290,13 @@ def test_exact_phi_shared_bit_length(monkeypatch, sizes):
     # must not make phi's numerators much longer than its reduced entries
     # (seed 17: 45 against 32 bits on (3,3,3), 204 against 192 on 2^8)
     solved = []
-    original = decomposition._solve_ints
+    original = decomposition._solve
 
     def recording(h, weights):
         solved.append(original(h, weights))
         return solved[-1]
 
-    monkeypatch.setattr(decomposition, "_solve_ints", recording)
+    monkeypatch.setattr(decomposition, "_solve", recording)
     rng = random.Random(17)
     space = StrategySpace(tuple(tuple(str(k) for k in range(m)) for m in sizes))
     g = random_game(rng, space)

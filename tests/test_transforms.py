@@ -119,6 +119,20 @@ def test_scale_examples(depend):
     assert twice == direct
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_scalings_refuse_nonpositive_beta(depend, exact):
+    for generator in ([[1, 2], [3, 0]], [[1, -2], [3, 4]]):
+        beta = CoMeasureVector.from_generator(depend.space, generator, exact=exact)
+        gamma = CoMeasureVector.uniform(depend.space, exact=exact)
+        game = Game.from_payoffs(
+            depend.space, [depend.game.flat(i) for i in depend.space.players], exact=exact
+        )
+        with pytest.raises(ValidationError, match="nonpositive co-measure"):
+            scale(game, beta)
+        with pytest.raises(ValidationError, match="nonpositive co-measure"):
+            co_measure_quotient(gamma, beta)
+
+
 def test_column_scaled_mp_is_scaling_of_mp(matching_pennies):
     bar = load_fixture("mp-col-scaled.game")
     beta = CoMeasureVector.from_tensors(matching_pennies.space, [[2, 1], [1, 1]])
