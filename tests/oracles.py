@@ -12,6 +12,8 @@
   W^i = 1/sqrt(mu^{-i}), and takes their divergence edge by edge.
 - The decomposition oracle decides gamma-potential membership the long way:
   a full decomposition under uniform mu, then a zero test on the harmonic part.
+- The weighted-sum oracle computes the (mu,gamma) game inner product and the
+  smallest norm weight profile by profile in plain Fractions.
 """
 
 from __future__ import annotations
@@ -275,3 +277,35 @@ def is_gamma_potential_by_decomposition(g: Game, gamma: CoMeasureVector) -> bool
     """gamma-potential iff the harmonic part vanishes; the class does not depend on mu."""
     mu = MeasureVector.uniform(g.space, exact=g.exact)
     return decompose(g, mu, gamma).harmonic.is_zero()
+
+
+def weighted_sum(a: Game, b: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Fraction:
+    """<a, b>_{mu,gamma} summed one profile at a time in plain Fractions:
+    sum_i sum_s mu^i(S^i) mu(s) gamma^i(s^{-i})^2 a^i(s) b^i(s).
+
+    Float entries are read as the exact rationals they hold, so the result
+    is the exact value of the sum on the given data.
+    """
+    return sum(
+        (
+            norm_weight(mu, gamma, i, s) * Fraction(a.payoffs[i][s]) * Fraction(b.payoffs[i][s])
+            for i in a.space.players
+            for s in a.space.profiles()
+        ),
+        Fraction(0),
+    )
+
+
+def min_norm_weight(mu: MeasureVector, gamma: CoMeasureVector) -> Fraction:
+    """min over players i and profiles s of mu^i(S^i) mu(s) gamma^i(s^{-i})^2."""
+    return min(
+        norm_weight(mu, gamma, i, s) for i in mu.space.players for s in mu.space.profiles()
+    )
+
+
+def norm_weight(mu: MeasureVector, gamma: CoMeasureVector, i: int, s) -> Fraction:
+    """mu^i(S^i) mu(s) gamma^i(s^{-i})^2 at one player and profile, exactly."""
+    total = sum((Fraction(w) for w in mu.weights[i].tolist()), Fraction(0))
+    prod = math.prod(Fraction(mu.weights[j][k]) for j, k in enumerate(s))
+    opp = tuple(k for j, k in enumerate(s) if j != i)
+    return total * prod * Fraction(gamma.tensors[i][opp]) ** 2
