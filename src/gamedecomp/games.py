@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -358,6 +359,9 @@ class MixedProfile(_Tensors):
 
 # -- parameter validation ----------------------------------------------------
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MIN = Fraction(sys.float_info.min)
+
 
 def validate_parameters(
     space: StrategySpace, mu: MeasureVector, gamma: CoMeasureVector
@@ -372,6 +376,27 @@ def validate_parameters(
         lambda i, k, w: f"nonpositive measure: mu^{i + 1}({space.labels[i][k]}) = {w}",
     )
     validate_co_measure(space, gamma)
+    if not mu.exact:
+        _require_float_range(mu, gamma)
+
+
+def _require_float_range(mu: MeasureVector, gamma: CoMeasureVector) -> None:
+    """Float mode: every norm weight w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2
+    must be a normal float, or mu(s) h(s), d^2 and B^2 overflow or lose their
+    precision.  Decided exactly on the largest and smallest entries."""
+    extremes = [
+        (Fraction(float(w.max())), Fraction(float(w.min()))) for w in mu.weights
+    ]
+    for i, t in enumerate(gamma.tensors):
+        total = sum(map(Fraction, mu.weights[i].tolist()))
+        top = total * math.prod(hi for hi, _ in extremes) * Fraction(float(t.max())) ** 2
+        bottom = total * math.prod(lo for _, lo in extremes) * Fraction(float(t.min())) ** 2
+        if top > _FLOAT_MAX or bottom < _FLOAT_MIN:
+            raise ValidationError(
+                f"mu and gamma take the norm weights of player {i + 1} out of the "
+                "float range (mu^i(S^i) mu(s) gamma^i(s^-i)^2 must lie within "
+                f"[{sys.float_info.min!r}, {sys.float_info.max!r}]); use exact mode"
+            )
 
 
 def validate_co_measure(space: StrategySpace, gamma: CoMeasureVector) -> None:

@@ -73,7 +73,7 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
     if len(flat) != size:
         raise ValueError(f"expected {size} values, got {len(flat)}")
     if exact:
-        flat = [v if isinstance(v, Fraction) else Fraction(v) for v in flat]
+        flat = [v if isinstance(v, Fraction) else _exact_scalar(v) for v in flat]
         arr = _object_array(flat, size)
     else:
         arr = np.asarray([float(v) for v in flat], dtype=np.float64)
@@ -82,6 +82,17 @@ def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
     arr = arr.reshape(shape)
     arr.flags.writeable = False
     return arr
+
+
+def _exact_scalar(value) -> Fraction:
+    """An exact entry from anything but a float: a float is already rounded,
+    so taking its binary value silently would mix the scalar modes."""
+    if isinstance(value, (float, np.floating)):
+        raise ValidationError(
+            f"float {value!r} given as an exact scalar; pass an int, a Fraction "
+            "or a 'p/q' string, or build the value in float mode"
+        )
+    return Fraction(value)
 
 
 def zeros_array(shape, exact: bool = True) -> np.ndarray:

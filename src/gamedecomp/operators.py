@@ -181,15 +181,19 @@ def _check_consistent(h: np.ndarray, weights: list[np.ndarray]) -> None:
     """Float L phi = h is solvable iff sum_s mu(s) h(s) = 0.
 
     Exact mode reads the same sum off the origin coefficient in _solve_ints.
-    The tolerance is FLOAT_ZERO_TOL relative to the size of the summed terms,
+    The sum is taken with each mu^i divided by its largest entry: a positive
+    rescaling changes neither its sign nor whether it is zero, and it keeps
+    mu(s) h(s) in the float range when the weights are huge.  The tolerance
+    is FLOAT_ZERO_TOL relative to the size of the summed terms,
     sum_s mu(s) |h(s)|, and never less than relative to max(1, max |h|): the
     h of a harmonic game is pure rounding noise, which that floor absorbs.
     """
-    terms = reduce(np.multiply.outer, weights) * h
+    terms = reduce(np.multiply.outer, [w / w.max() for w in weights]) * h
     residual = terms.sum()
     if not is_zero(residual, False, max(magnitude(h), float(np.abs(terms).sum()))):
         raise SolveError(
-            f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}"
+            "inconsistent right-hand side: sum_s mu(s) h(s) = "
+            f"{residual} (each mu^i over its largest entry)"
         )
 
 

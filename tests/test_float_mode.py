@@ -242,3 +242,56 @@ def test_float_predicates_scale_with_the_data():
             assert is_gamma_potential(pot, cf) == want
             assert is_harmonic(har, mf, cf) == want
         harmonic_equilibrium(_scaled(parts.harmonic, factor), mf, cf)
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify"])
+@pytest.mark.parametrize("mu", ["1e300,1e300;1,1", "1e300,1e300;1e300,1e300"])
+def test_cli_float_rejects_weights_out_of_range(capsys, command, mu):
+    # mu(s) h(s) and the norm weights mu^i(S^i) mu(s) gamma^i^2 overflow;
+    # pytest turns a numpy RuntimeWarning into an error, so none may appear
+    code = main(["--float", command, str(FIXTURES / "mp.game"), "--mu", mu])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_float_solve_under_one_huge_weight_per_axis():
+    # mu(s) reaches 10^600, but the solve's basis takes each axis's heaviest
+    # strategy as reference and stays in range; the consistency sum must too,
+    # so it runs on each mu^i over its largest entry (unscaled it was
+    # inf * 0 = nan, with a RuntimeWarning that pytest turns into an error)
+    space = StrategySpace((("a", "b"),) * 2)
+    h = [0, 1, -1, 0]
+    mu = MeasureVector.from_weights(space, [[1e300, 1], [1e300, 1]], exact=False)
+    got = solve_poisson(ScalarField.from_values(space, h, exact=False), mu).flat()
+    exact_mu = MeasureVector.from_weights(space, [[10**300, 1], [10**300, 1]])
+    want = [float(v) for v in solve_poisson(ScalarField.from_values(space, h), exact_mu).flat()]
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * max(abs(v) for v in want)
+
+
+SPACE_2X2 = StrategySpace((("a", "b"), ("a", "b")))
+FLOAT_INTO_EXACT = {
+    "Game.from_payoffs": lambda v: Game.from_payoffs(SPACE_2X2, [[v, 0, 0, 0], [0, 0, 0, 0]]),
+    "ScalarField.from_values": lambda v: ScalarField.from_values(SPACE_2X2, [v, 0, 0, 0]),
+    "MeasureVector.from_weights": lambda v: MeasureVector.from_weights(SPACE_2X2, [[v, 1], [1, 1]]),
+    "CoMeasureVector.from_tensors":
+        lambda v: CoMeasureVector.from_tensors(SPACE_2X2, [[v, 1], [1, 1]]),
+    "CoMeasureVector.from_generator":
+        lambda v: CoMeasureVector.from_generator(SPACE_2X2, [[v, 1], [1, 1]]),
+    "MixedProfile.from_probs": lambda v: MixedProfile.from_probs(SPACE_2X2, [[v, 1 - v], [1, 0]]),
+    "MixedProfile.from_positive_weights":
+        lambda v: MixedProfile.from_positive_weights(SPACE_2X2, [[v, 1], [1, 1]]),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_INTO_EXACT.values(), ids=FLOAT_INTO_EXACT.keys())
+@pytest.mark.parametrize(
+    "value", [0.5, np.float64(0.5), np.float32(0.5)], ids=["float", "float64", "float32"]
+)
+def test_exact_constructors_refuse_floats(build, value):
+    # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+    with pytest.raises(ValidationError, match="float"):
+        build(value)
+    build(Fraction(1, 2))  # the same value, given exactly
