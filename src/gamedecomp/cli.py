@@ -180,8 +180,7 @@ def _cmd_decompose(args) -> int:
     for a, b in pairs:
         residual = parts.inner_product(named[a], named[b])
         report.append(f"orthogonality {a}/{b}: {format_scalar(residual)}")
-    reconstructed = parts.total() == doc.game
-    report.append(f"reconstruction exact: {reconstructed}")
+    report.append(f"reconstruction exact: {parts.reconstructs(doc.game)}")
     report_text = "\n".join(report) + "\n"
 
     phi_lines = [

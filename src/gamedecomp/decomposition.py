@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude, unequal_mask
+from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude, quotient, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
@@ -16,11 +16,12 @@ from .games import (
     ScalarField,
     norm_weights,
     require_same_mode,
+    shared_payoffs,
     validate_co_measure,
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import _deviation, _divergence, _solve, _spread, _sub, deviation_divergence
+from .operators import _add, _deviation, _divergence, _solve, _spread, _sub, deviation_divergence
 from .spaces import require_same_space
 
 
@@ -45,13 +46,32 @@ class Decomposition:
     def total(self) -> Game:
         return self.nonstrategic + self.potential + self.harmonic
 
+    def reconstructs(self, g: Game) -> bool:
+        """total() == g, decided on integer numerators: the components are
+        added in shared form (numeric._Shared) and compared with g over one
+        common denominator, so exact mode does no ``Fraction`` arithmetic."""
+        require_same_space(g, self.mu)
+        require_same_mode(g, self.mu)
+        totals = (
+            reduce(_add, per_player)
+            for per_player in zip(*(shared_payoffs(c) for c in self.components()))
+        )
+        return all(t.equals(x) for t, x in zip(totals, shared_payoffs(g)))
+
     @cached_property
-    def _weights(self) -> tuple[np.ndarray, ...]:
+    def _weights(self) -> tuple[_Shared, ...]:
         return norm_weights(self.mu, self.gamma)
 
     def inner_product(self, a: Game, b: Game):
-        """<a, b>_{mu,gamma} on this decomposition's cached norm weights."""
-        return weighted_inner_product(a, b, self._weights)
+        """<a, b>_{mu,gamma} on this decomposition's cached norm weights.
+
+        a and b are taken to shared form and contracted on their numerators
+        (see games.weighted_inner_product), so exact mode builds one
+        ``Fraction`` per player.
+        """
+        require_same_space(a, b, self.mu)
+        require_same_mode(a, b, self.mu)
+        return weighted_inner_product(shared_payoffs(a), shared_payoffs(b), self._weights)
 
     @cached_property
     def distance_sq(self):
@@ -74,13 +94,14 @@ class Decomposition:
         factor keeps the single-entry norm estimate valid for arbitrary
         strictly positive measures; when the product measure is identically 1
         it reduces to 4 max d^2 / (gamma^2 mu^j(S^j)).  The denominators are
-        the norm weights, so d^2 and B^2 share one weight tensor.
+        the norm weights, so d^2 and B^2 share one weight tensor, whose
+        smallest entry is found on the numerators.
 
         Both scalar modes return the square, so comparisons eps^2 <= B^2 need
         no root and stay rational in exact mode.
         """
-        worst = 1 / min(w.min() for w in self._weights)
-        return 4 * self.distance_sq * worst
+        smallest = min(quotient(w.num.min(), w.den, w.exact) for w in self._weights)
+        return 4 * self.distance_sq * (1 / smallest)
 
 
 def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:

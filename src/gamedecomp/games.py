@@ -26,9 +26,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .numeric import (
+    _Shared,
     arrays_equal,
     array_is_exact,
     freeze,
+    quotient,
     scalar_array,
     unequal_mask,
     zeros_array,
@@ -429,22 +431,44 @@ def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     return (mu.product_array() * h.values * f.values).sum()
 
 
-def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[np.ndarray, ...]:
+def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ...]:
     """Per-player weights w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2 of the game
-    inner product, as full-profile tensors; build once, reuse for every pair."""
+    inner product, as full-profile shared tensors; build once, reuse for
+    every pair.
+
+    Exact mode multiplies the numerators of mu and gamma over the product of
+    their denominators.  Float mode computes prod * (gamma^i ** 2 * mu^i(S^i))
+    in that order, which fixes its rounding.
+    """
     require_same_space(mu, gamma)
-    prod = mu.product_array()
-    return tuple(
-        freeze(prod * (gamma.expanded(i) ** 2 * mu.total(i)))
-        for i in mu.space.players
-    )
+    require_same_mode(mu, gamma)
+    weights = [_Shared.of(w) for w in mu.weights]
+    prod = _outer([w.num for w in weights])
+    den = math.prod(w.den for w in weights)
+    out = []
+    for i in mu.space.players:
+        g = _Shared.of(gamma.expanded(i))
+        factor = _Shared(g.num ** 2, g.den ** 2).scale(mu.total(i))
+        out.append(_Shared(freeze(prod * factor.num), den * factor.den))
+    return tuple(out)
 
 
-def weighted_inner_product(g1: Game, g2: Game, weights: tuple[np.ndarray, ...]):
-    """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights."""
-    require_same_space(g1, g2)
+def shared_payoffs(g: Game) -> tuple[_Shared, ...]:
+    """g's payoff tensors in shared form, one per player."""
+    return tuple(_Shared.of(p) for p in g.payoffs)
+
+
+def weighted_inner_product(a, b, weights: tuple[_Shared, ...]):
+    """sum_i sum_s w_i(s) a^i(s) b^i(s) on shared tensors (see shared_payoffs),
+    with ``weights`` from norm_weights.
+
+    Each player's sum runs on the numerators and is divided once, by
+    w.den a.den b.den; the player sums are added in player order.  Float
+    mode thus sums (w * a * b).sum() per player, as a plain sum would.
+    """
     return sum(
-        (w * a * b).sum() for w, a, b in zip(weights, g1.payoffs, g2.payoffs)
+        quotient((w.num * x.num * y.num).sum(), w.den * x.den * y.den, w.exact)
+        for w, x, y in zip(weights, a, b)
     )
 
 
@@ -453,7 +477,10 @@ def inner_product_game(
 ):
     """<g1, g2>_{mu,gamma} = sum_i mu^i(S^i) <gamma^i g1^i, gamma^i g2^i>_0."""
     require_same_space(g1, g2, mu, gamma)
-    return weighted_inner_product(g1, g2, norm_weights(mu, gamma))
+    require_same_mode(g1, g2, mu)
+    return weighted_inner_product(
+        shared_payoffs(g1), shared_payoffs(g2), norm_weights(mu, gamma)
+    )
 
 
 def game_norm_sq(g: Game, mu: MeasureVector, gamma: CoMeasureVector):

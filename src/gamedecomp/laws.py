@@ -141,7 +141,7 @@ def _check_orthogonality(g, mu, gamma, aux):
 
 def _check_reconstruction(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
-    if parts.total() != g:
+    if not parts.reconstructs(g):
         return "components do not sum back to the game"
     if not is_nonstrategic(parts.nonstrategic):
         return "nonstrategic component fails is_nonstrategic"

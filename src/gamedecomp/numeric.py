@@ -147,11 +147,29 @@ class _Shared(NamedTuple):
 
     def divide(self, t: np.ndarray) -> "_Shared":
         """This tensor over the tensor t (broadcast); exact mode multiplies by
-        1/t as numerators over the LCM of t's numerators."""
+        1/t, read off t's numerators and denominators as q/p over the LCM of
+        the numerators p, so no ``Fraction`` is built."""
         if not self.exact:
             return _Shared(self.num / t, 1)
-        inverse = _Shared.of(1 / t)
-        return _Shared(self.num * inverse.num, self.den * inverse.den)
+        flat = t.reshape(-1).tolist()
+        den = math.lcm(*(v.numerator for v in flat))
+        inverse = _object_array([v.denominator * (den // v.numerator) for v in flat], t.shape)
+        return _Shared(self.num * inverse, self.den * den)
+
+    def aligned(self, other: "_Shared") -> tuple[np.ndarray, np.ndarray, int]:
+        """The numerators of this tensor and ``other`` over the LCM of their
+        denominators, and that LCM (float: both are 1, nothing is scaled)."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        left = self.num if fa == 1 else self.num * fa
+        return left, (other.num if fb == 1 else other.num * fb), den
+
+    def equals(self, other: "_Shared") -> bool:
+        """Entrywise equality of two tensors of one shape, without converting
+        out: exact mode compares numerators over one denominator, float mode
+        allows tolerance(magnitude(a, b)) as ``arrays_equal`` does."""
+        left, right, _ = self.aligned(other)
+        return arrays_equal(left, right, self.exact)
 
     def values(self) -> np.ndarray:
         """The immutable tensor out: ``Fraction`` num / den, or the floats."""
@@ -160,6 +178,12 @@ class _Shared(NamedTuple):
         den = self.den
         flat = [Fraction(v, den) for v in self.num.reshape(-1).tolist()]
         return freeze(_object_array(flat, self.num.shape))
+
+
+def quotient(num, den, exact: bool):
+    """num / den as one scalar: a ``Fraction`` in exact mode; float mode's
+    shared denominators are 1, so the float is returned as it is."""
+    return Fraction(num, den) if exact else num / den
 
 
 def _object_array(items: list, shape) -> np.ndarray:

@@ -94,10 +94,14 @@ def _deviation(x: _Shared, weights: _Shared, axis: int) -> tuple[_Shared, _Share
 
 def _sub(a: _Shared, b: _Shared) -> _Shared:
     """a - b over the LCM of the two denominators (float: both are 1)."""
-    den = math.lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    left = a.num if fa == 1 else a.num * fa
-    return _Shared(left - (b.num if fb == 1 else b.num * fb), den)
+    left, right, den = a.aligned(b)
+    return _Shared(left - right, den)
+
+
+def _add(a: _Shared, b: _Shared) -> _Shared:
+    """a + b over the LCM of the two denominators (float: both are 1)."""
+    left, right, den = a.aligned(b)
+    return _Shared(left + right, den)
 
 
 def _spread(avg: _Shared, axis: int, shape) -> np.ndarray:

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from gamedecomp import decomposition, laws, parse_game
+from gamedecomp import (
+    GameDocument, StrategySpace, decomposition, laws, parse_game, serialize_game,
+)
 from gamedecomp.cli import main
 from conftest import FIXTURES
 
@@ -122,6 +125,45 @@ def test_poisson_solves_per_command(monkeypatch, capsys, mode, command, solves):
     code, _, _ = run(capsys, *mode, command, FIXTURES / "depend.game")
     assert code == 0
     assert len(calls) == solves
+
+
+def test_exact_decompose_fraction_constructions(tmp_path, monkeypatch, capsys):
+    # One exact decompose of a seeded 2^6 game builds 1721 Fractions: the
+    # 588 literals it reads, one per converted result entry (the
+    # nonstrategic part only at its 192 distinct entries) and O(n) scalars.
+    # The cap is what it reads plus what it prints (3 n |S| payoffs, |S|
+    # phi values and 6 report lines, 1810 together) plus 16 n.  The report
+    # on Fraction arrays, with Fraction norm weights and total() == game,
+    # built 10401.
+    rng = random.Random(21)
+    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
+    g = laws.random_game(rng, space)
+    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
+    path = tmp_path / "g.game"
+    path.write_text(serialize_game(GameDocument(g, mu, gamma)))
+    count = [0]
+    original = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    if hasattr(F, "_from_coprime_ints"):  # builds without __new__
+        built = F._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            count[0] += 1
+            return built(*args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
+    assert main(["decompose", str(path)]) == 0
+    monkeypatch.undo()
+    assert "reconstruction exact: True" in capsys.readouterr().out
+    n, size = space.n_players, space.num_profiles
+    read = n * size + sum(space.sizes) + sum(space.num_opp_profiles(i) for i in space.players)
+    printed = 3 * n * size + size + 6
+    assert count[0] <= read + printed + 16 * n
 
 
 def test_transform_scale_and_permute(tmp_path, capsys):
