@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import GameDecompError
 from .numeric import format_scalar, parse_scalar
-from .games import CoMeasureVector, MeasureVector
+from .games import CoMeasureVector, MeasureVector, validate_parameters
 from .gamedoc import GameDocument, parse_game, serialize_game
 from .decomposition import (
     decompose,
@@ -217,6 +217,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_classify(args) -> int:
     doc = _load(args)
+    # the predicates below read mu and gamma before is_harmonic validates them
+    validate_parameters(doc.space, doc.mu, doc.gamma)
     rows = [
         ("nonstrategic (NSG)", is_nonstrategic(doc.game)),
         ("mu-normalized (muNG)", is_mu_normalized(doc.game, doc.mu)),

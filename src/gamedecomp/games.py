@@ -361,8 +361,8 @@ class MixedProfile(_Tensors):
 
 # -- parameter validation ----------------------------------------------------
 
-_FLOAT_MAX = Fraction(sys.float_info.max)
-_FLOAT_MIN = Fraction(sys.float_info.min)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 def validate_parameters(
@@ -385,15 +385,17 @@ def validate_parameters(
 def _require_float_range(mu: MeasureVector, gamma: CoMeasureVector) -> None:
     """Float mode: every norm weight w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2
     must be a normal float, or mu(s) h(s), d^2 and B^2 overflow or lose their
-    precision.  Decided exactly on the largest and smallest entries."""
-    extremes = [
-        (Fraction(float(w.max())), Fraction(float(w.min()))) for w in mu.weights
-    ]
+    precision.  Decided on the logarithms of the largest and smallest
+    products, which cannot overflow."""
+    weights = [w.tolist() for w in mu.weights]
+    top_mu = sum(math.log(max(w)) for w in weights)
+    bottom_mu = sum(math.log(min(w)) for w in weights)
     for i, t in enumerate(gamma.tensors):
-        total = sum(map(Fraction, mu.weights[i].tolist()))
-        top = total * math.prod(hi for hi, _ in extremes) * Fraction(float(t.max())) ** 2
-        bottom = total * math.prod(lo for _, lo in extremes) * Fraction(float(t.min())) ** 2
-        if top > _FLOAT_MAX or bottom < _FLOAT_MIN:
+        w, hi = weights[i], max(weights[i])
+        log_total = math.log(hi) + math.log(sum(x / hi for x in w))
+        top = log_total + top_mu + 2 * math.log(t.max())
+        bottom = log_total + bottom_mu + 2 * math.log(t.min())
+        if top > _LOG_FLOAT_MAX or bottom < _LOG_FLOAT_MIN:
             raise ValidationError(
                 f"mu and gamma take the norm weights of player {i + 1} out of the "
                 "float range (mu^i(S^i) mu(s) gamma^i(s^-i)^2 must lie within "

@@ -245,7 +245,7 @@ def test_float_predicates_scale_with_the_data():
 
 
 @pytest.mark.parametrize("command", ["decompose", "classify"])
-@pytest.mark.parametrize("mu", ["1e300,1e300;1,1", "1e300,1e300;1e300,1e300"])
+@pytest.mark.parametrize("mu", ["1e300,1e300;1,1", "1e300,1e300;1e300,1e300", "1e308,1e308;1,1"])
 def test_cli_float_rejects_weights_out_of_range(capsys, command, mu):
     # mu(s) h(s) and the norm weights mu^i(S^i) mu(s) gamma^i^2 overflow;
     # pytest turns a numpy RuntimeWarning into an error, so none may appear
