@@ -63,15 +63,11 @@ class Decomposition:
         return norm_weights(self.mu, self.gamma)
 
     def inner_product(self, a: Game, b: Game):
-        """<a, b>_{mu,gamma} on this decomposition's cached norm weights.
-
-        a and b are taken to shared form and contracted on their numerators
-        (see games.weighted_inner_product), so exact mode builds one
-        ``Fraction`` per player.
-        """
+        """<a, b>_{mu,gamma} on this decomposition's cached norm weights,
+        contracted on integer numerators in exact mode."""
         require_same_space(a, b, self.mu)
         require_same_mode(a, b, self.mu)
-        return weighted_inner_product(shared_payoffs(a), shared_payoffs(b), self._weights)
+        return weighted_inner_product(a, b, self._weights)
 
     @cached_property
     def distance_sq(self):

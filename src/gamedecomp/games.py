@@ -460,17 +460,18 @@ def shared_payoffs(g: Game) -> tuple[_Shared, ...]:
     return tuple(_Shared.of(p) for p in g.payoffs)
 
 
-def weighted_inner_product(a, b, weights: tuple[_Shared, ...]):
-    """sum_i sum_s w_i(s) a^i(s) b^i(s) on shared tensors (see shared_payoffs),
-    with ``weights`` from norm_weights.
+def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
+    """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights.
 
-    Each player's sum runs on the numerators and is divided once, by
-    w.den a.den b.den; the player sums are added in player order.  Float
-    mode thus sums (w * a * b).sum() per player, as a plain sum would.
+    The payoffs are taken to shared form, and each player's sum runs on the
+    numerators and is divided once, by w.den a.den b.den, so exact mode
+    builds one ``Fraction`` per player.  The player sums are added in player
+    order; float mode thus sums (w * a * b).sum() per player.
     """
+    require_same_space(g1, g2)
     return sum(
-        quotient((w.num * x.num * y.num).sum(), w.den * x.den * y.den, w.exact)
-        for w, x, y in zip(weights, a, b)
+        quotient((w.num * a.num * b.num).sum(), w.den * a.den * b.den, w.exact)
+        for w, a, b in zip(weights, shared_payoffs(g1), shared_payoffs(g2))
     )
 
 
@@ -480,9 +481,7 @@ def inner_product_game(
     """<g1, g2>_{mu,gamma} = sum_i mu^i(S^i) <gamma^i g1^i, gamma^i g2^i>_0."""
     require_same_space(g1, g2, mu, gamma)
     require_same_mode(g1, g2, mu)
-    return weighted_inner_product(
-        shared_payoffs(g1), shared_payoffs(g2), norm_weights(mu, gamma)
-    )
+    return weighted_inner_product(g1, g2, norm_weights(mu, gamma))
 
 
 def game_norm_sq(g: Game, mu: MeasureVector, gamma: CoMeasureVector):
