@@ -13,9 +13,12 @@ from gamedecomp import (
     ScalarField,
     StrategySpace,
     ValidationError,
+    best_response_epsilon,
     decompose,
     deviation_divergence,
+    expected_payoff,
     harmonic_equilibrium,
+    inner_product_c0,
     is_gamma_potential,
     is_harmonic,
     is_mu_normalized,
@@ -157,6 +160,15 @@ def test_scalar_modes_never_mix():
     h = deviation_divergence(g, mu, gamma)
     with pytest.raises(ValidationError, match="mix exact and float"):
         solve_poisson(h, mf)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        is_mu_normalized(g, mf)
+    xf = MixedProfile.uniform(space, exact=False)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        best_response_epsilon(g, xf)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        expected_payoff(g, xf, 0)
+    with pytest.raises(ValidationError, match="mix exact and float"):
+        inner_product_c0(h, h, mf)
 
 
 def test_float_solver_and_predicates():
@@ -269,6 +281,26 @@ def test_float_solve_under_one_huge_weight_per_axis():
     exact_mu = MeasureVector.from_weights(space, [[10**300, 1], [10**300, 1]])
     want = [float(v) for v in solve_poisson(ScalarField.from_values(space, h), exact_mu).flat()]
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * max(abs(v) for v in want)
+
+
+def test_float_solve_under_huge_weights_on_every_axis_points_to_exact_mode():
+    # each axis step multiplies the coefficients by that axis's weights, so
+    # with every strategy of every axis at 1e200 they leave the float range
+    # (phi itself is about 1e-200); unguarded this returned [inf, nan, -inf, nan]
+    space = StrategySpace((("a", "b"),) * 2)
+    mu = MeasureVector.from_weights(space, [[1e200, 1e200], [1e200, 1e200]], exact=False)
+    h = ScalarField.from_values(space, [0, 1, -1, 0], exact=False)
+    with pytest.raises(ValidationError, match="float range.*use exact mode"):
+        solve_poisson(h, mu)
+
+
+def test_float_divergence_out_of_range_points_to_exact_mode():
+    space = StrategySpace((("a", "b"),) * 2)
+    mu = MeasureVector.from_weights(space, [[1e300, 1e300], [1, 1]], exact=False)
+    gamma = CoMeasureVector.uniform(space, exact=False)
+    g = Game.from_payoffs(space, [[0, 0, 1e10, -1e10], [0, 0, 0, 0]], exact=False)
+    with pytest.raises(ValidationError, match="float range.*use exact mode"):
+        deviation_divergence(g, mu, gamma)
 
 
 SPACE_2X2 = StrategySpace((("a", "b"), ("a", "b")))

@@ -11,6 +11,7 @@ from gamedecomp import (
     ScalarField,
     SolveError,
     StrategySpace,
+    ValidationError,
     decompose,
     deviation_divergence,
     inner_product_c0,
@@ -42,6 +43,23 @@ def constant_game(space, value):
 
 
 # -- projections ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [
+        lambda g, mu, gamma: lambda_project(g, mu),
+        lambda g, mu, gamma: deviation_divergence(g, mu, gamma),
+    ],
+    ids=["lambda_project", "deviation_divergence"],
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_operators_refuse_a_measure_summing_to_zero(operator, exact):
+    """mu^1 = (1, -1) sums to 0, which the own-axis average divides by."""
+    g = Game.from_payoffs(SPACE, [MP.flat(i) for i in SPACE.players], exact)
+    gamma = CoMeasureVector.uniform(SPACE, exact=exact)
+    with pytest.raises(ValidationError, match=r"^nonpositive measure: mu\^1\(t\) = -1"):
+        operator(g, MeasureVector.from_weights(SPACE, [[1, -1], [1, 1]], exact), gamma)
 
 
 def test_lambda_project_examples():
