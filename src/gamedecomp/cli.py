@@ -184,10 +184,8 @@ def _cmd_decompose(args) -> int:
     report_text = "\n".join(report) + "\n"
 
     phi_lines = [
-        " ".join(doc.space.profile_labels(profile))
-        + ": "
-        + format_scalar(parts.phi.value(profile))
-        for profile in doc.space.profiles()
+        " ".join(doc.space.profile_labels(profile)) + ": " + format_scalar(value)
+        for profile, value in zip(doc.space.profiles(), parts.phi.flat())
     ]
     phi_text = "\n".join(phi_lines) + "\n"
     # every text is built before any is written, so an error leaves no partial output
@@ -278,14 +276,7 @@ def _cmd_transform(args) -> int:
         spec = RedundancySpec(player, args.s0, alpha)
         game, mu, gamma = reduce_redundant(game, mu, gamma, spec)
 
-    text = serialize_game(
-        GameDocument(game, mu, gamma), comment=f"{args.op} of {args.game.name}"
-    )
-    if args.out:
-        args.out.write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_document(args.out, GameDocument(game, mu, gamma), f"{args.op} of {args.game.name}")
     return 0
 
 
@@ -305,15 +296,10 @@ def _cmd_closest(args) -> int:
     parts = decompose(doc.game, doc.mu, doc.gamma)
     closest, dist_sq = parts.closest_potential()
     notes = f"d^2: {_sqrt_note(dist_sq)}\nB^2: {_sqrt_note(parts.epsilon_bound())}"
-    text = serialize_game(
-        GameDocument(closest, doc.mu, doc.gamma),
-        comment=f"closest potential game to {args.game.name}",
+    _write_document(
+        args.out, GameDocument(closest, doc.mu, doc.gamma),
+        f"closest potential game to {args.game.name}",
     )
-    if args.out:
-        args.out.write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
     print(notes)
     return 0
 
@@ -333,6 +319,16 @@ def _cmd_verify(args) -> int:
             print("minimized counterexample:")
             sys.stdout.write(report.counterexample)
     return 2 if failed else 0
+
+
+def _write_document(out: Path | None, doc: GameDocument, comment: str) -> None:
+    """Write a document to ``--out`` and say so, or to stdout without --out."""
+    text = serialize_game(doc, comment=comment)
+    if out:
+        out.write_text(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
 
 
 def _require(condition, message: str) -> None:

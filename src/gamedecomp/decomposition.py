@@ -15,14 +15,12 @@ from .games import (
     MeasureVector,
     ScalarField,
     norm_weights,
-    require_same_mode,
+    require_operands,
     shared_payoffs,
-    validate_co_measure,
     validate_parameters,
     weighted_inner_product,
 )
 from .operators import _add, _deviation, _divergence, _solve, _spread, _sub, deviation_divergence
-from .spaces import require_same_space
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,7 @@ class Decomposition:
         """total() == g, decided on integer numerators: the components are
         added in shared form (numeric._Shared) and compared with g over one
         common denominator, so exact mode does no ``Fraction`` arithmetic."""
-        require_same_space(g, self.mu)
-        require_same_mode(g, self.mu)
+        require_operands(g, self.mu)
         totals = (
             reduce(_add, per_player)
             for per_player in zip(*(shared_payoffs(c) for c in self.components()))
@@ -65,8 +62,7 @@ class Decomposition:
     def inner_product(self, a: Game, b: Game):
         """<a, b>_{mu,gamma} on this decomposition's cached norm weights,
         contracted on integer numerators in exact mode."""
-        require_same_space(a, b, self.mu)
-        require_same_mode(a, b, self.mu)
+        require_operands(a, b, self.mu)
         return weighted_inner_product(a, b, self._weights)
 
     @cached_property
@@ -115,9 +111,8 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     exit, so exact mode pays the gcds of ``Fraction`` arithmetic once per
     output entry.  Only the Poisson solve core differs per mode (_solve).
     """
-    space = require_same_space(g, mu, gamma)
+    space = require_operands(g, mu, gamma)
     validate_parameters(space, mu, gamma)
-    require_same_mode(g, mu)
     weights = [_Shared.of(w) for w in mu.weights]
     averages, normalized = zip(*(
         _deviation(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
@@ -153,7 +148,7 @@ def is_nonstrategic(g: Game) -> bool:
 
 def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     """True iff the mu-weighted own-coordinate sum vanishes everywhere."""
-    require_same_space(g, mu)
+    require_operands(g, mu)
     for i in g.space.players:
         acc = axis_contract(g.payoffs[i], mu.weights[i], i)
         scale = 1.0 if g.exact else magnitude(g.payoffs[i]) * mu.total(i)
@@ -175,7 +170,7 @@ def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
 
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
-    validate_parameters(require_same_space(g, mu, gamma), mu, gamma)
+    validate_parameters(require_operands(g, mu, gamma), mu, gamma)
     h = deviation_divergence(g, mu, gamma)
     scale = 1.0 if g.exact else sum(
         magnitude(g.payoffs[i]) * magnitude(gamma.tensors[i]) * mu.total(i)
@@ -216,11 +211,9 @@ def _integrate(g: Game, gamma: CoMeasureVector):
 
     Returns (psi, None) when all checks pass, else (psi, (source, target)) for
     the first failing edge: the lowest player, then the first profile in
-    row-major order.  Validates gamma (strictly positive, same scalar mode).
+    row-major order.
     """
-    space = require_same_space(g, gamma)
-    require_same_mode(g, gamma)
-    validate_co_measure(space, gamma)
+    space = require_operands(g, gamma)
     diffs = []
     psi = None
     for i in space.players:

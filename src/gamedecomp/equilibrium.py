@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numeric import axis_contract, is_zero, magnitude
-from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
+from .games import CoMeasureVector, Game, MeasureVector, MixedProfile, require_operands
 from .decomposition import extract_potential, is_harmonic
-from .spaces import require_same_space
 
 
 def _opponent_payoff_vector(g: Game, x: MixedProfile, player: int) -> list:
@@ -32,7 +31,7 @@ def _opponent_payoff_vector(g: Game, x: MixedProfile, player: int) -> list:
 
 def expected_payoff(g: Game, x: MixedProfile, player: int):
     """sum_s prod_j x^j(s^j) g^i(s), exactly."""
-    require_same_space(g, x)
+    require_operands(g, x)
     vector = _opponent_payoff_vector(g, x, player)
     return sum(p * v for p, v in zip(x.probs[player].tolist(), vector))
 
@@ -43,7 +42,7 @@ def best_response_epsilon(g: Game, x: MixedProfile):
     x is a Nash equilibrium iff the result is exactly 0; scanning pure
     deviations suffices because a best response to fixed opponents is pure.
     """
-    require_same_space(g, x)
+    require_operands(g, x)
     zero = Fraction(0) if g.exact else 0.0
     worst = zero
     for i in g.space.players:
@@ -77,7 +76,7 @@ def harmonic_equilibrium(
     constant per player (then c = 1 and the profile is normalized mu).  The
     harmonic check first validates mu and gamma.
     """
-    space = require_same_space(g, mu, gamma)
+    space = require_operands(g, mu, gamma)
     if not is_harmonic(g, mu, gamma):
         raise PreconditionError("not harmonic")
     if gamma.generator is not None:

@@ -131,50 +131,51 @@ def parse_game(text: str, exact: bool = True) -> GameDocument:
         tensors.append(values)
     game = Game.from_payoffs(space, tensors, exact)
 
-    one = Fraction(1) if exact else 1.0
-    mu_weights = []
-    for i in range(1, n_players + 1):
-        values = mu_lines.get(i, [one] * space.sizes[i - 1])
-        if len(values) != space.sizes[i - 1]:
-            raise ParseError(
-                f"mu {i}: expected {space.sizes[i - 1]} entries, got {len(values)}"
-            )
-        mu_weights.append(values)
-    mu = MeasureVector.from_weights(space, mu_weights, exact)
-
-    if generator_lines:
-        if gamma_lines:
-            raise ParseError("use either gamma lines or a generator block, not both")
-        gen = []
+    # the parameter types refuse nonpositive entries when built
+    try:
+        one = Fraction(1) if exact else 1.0
+        mu_weights = []
         for i in range(1, n_players + 1):
-            if i not in generator_lines:
-                raise ParseError(f"generator block is missing player {i}")
-            values = generator_lines[i]
+            values = mu_lines.get(i, [one] * space.sizes[i - 1])
             if len(values) != space.sizes[i - 1]:
                 raise ParseError(
-                    f"generator {i}: expected {space.sizes[i - 1]} entries, "
-                    f"got {len(values)}"
+                    f"mu {i}: expected {space.sizes[i - 1]} entries, got {len(values)}"
                 )
-            gen.append(values)
-        gamma = CoMeasureVector.from_generator(space, gen, exact)
-    else:
-        gamma_tensors = []
-        for i in range(1, n_players + 1):
-            expected = space.num_opp_profiles(i - 1)
-            spec = gamma_lines.get(i, "uniform")
-            if spec == "uniform":
-                gamma_tensors.append([one] * expected)
-            else:
-                if len(spec) != expected:
-                    raise ParseError(
-                        f"gamma {i}: expected {expected} entries, got {len(spec)}"
-                    )
-                gamma_tensors.append(spec)
-        gamma = CoMeasureVector.from_tensors(space, gamma_tensors, exact)
-        if all(v == 1 for t in gamma.tensors for v in t.reshape(-1).tolist()):
-            gamma = CoMeasureVector.uniform(space, exact=exact)
+            mu_weights.append(values)
+        mu = MeasureVector.from_weights(space, mu_weights, exact)
 
-    try:
+        if generator_lines:
+            if gamma_lines:
+                raise ParseError("use either gamma lines or a generator block, not both")
+            gen = []
+            for i in range(1, n_players + 1):
+                if i not in generator_lines:
+                    raise ParseError(f"generator block is missing player {i}")
+                values = generator_lines[i]
+                if len(values) != space.sizes[i - 1]:
+                    raise ParseError(
+                        f"generator {i}: expected {space.sizes[i - 1]} entries, "
+                        f"got {len(values)}"
+                    )
+                gen.append(values)
+            gamma = CoMeasureVector.from_generator(space, gen, exact)
+        else:
+            gamma_tensors = []
+            for i in range(1, n_players + 1):
+                expected = space.num_opp_profiles(i - 1)
+                spec = gamma_lines.get(i, "uniform")
+                if spec == "uniform":
+                    gamma_tensors.append([one] * expected)
+                else:
+                    if len(spec) != expected:
+                        raise ParseError(
+                            f"gamma {i}: expected {expected} entries, got {len(spec)}"
+                        )
+                    gamma_tensors.append(spec)
+            gamma = CoMeasureVector.from_tensors(space, gamma_tensors, exact)
+            if all(v == 1 for t in gamma.tensors for v in t.reshape(-1).tolist()):
+                gamma = CoMeasureVector.uniform(space, exact=exact)
+
         validate_parameters(space, mu, gamma)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None

@@ -11,6 +11,11 @@ every ``from_*`` constructor, and the ``+``/``-`` of ``Game`` and
 ``ScalarField``.  ``Game`` still binds ``__add__``, ``__sub__`` and ``__eq__``
 in its own class body: the layer tracer in ``perfbench/spans.py`` wraps them
 by reading ``Game.__dict__``, where an inherited method is not found.
+
+``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry when
+they are built, so every mu and gamma in the package is strictly positive.
+``require_operands`` is the one operand check of every public function: one
+strategy space, then one scalar mode.
 """
 
 from __future__ import annotations
@@ -35,7 +40,18 @@ from .numeric import (
     unequal_mask,
     zeros_array,
 )
-from .spaces import StrategySpace, require_same_space
+from .spaces import StrategySpace
+
+
+def require_operands(*operands) -> StrategySpace:
+    """The operand check of every public function: raise unless all operands
+    live on one strategy space, then unless they share one scalar mode;
+    return that space."""
+    spaces = {obj.space for obj in operands}
+    if len(spaces) != 1:
+        raise ValidationError("arguments live on different strategy spaces")
+    require_same_mode(*operands)
+    return next(iter(spaces))
 
 
 def require_same_mode(*objects) -> None:
@@ -58,6 +74,17 @@ def _check_shapes(what: str, arrays, shapes) -> None:
     got = tuple(arr.shape for arr in arrays)
     if got != shapes:
         raise ValidationError(f"{what} shapes {got} do not match the space: expected {shapes}")
+
+
+def _require_positive(arrays, message) -> None:
+    """Raise message(i, k, value) for the first entry k <= 0 in row-major
+    order of the first array i that has one."""
+    for i, arr in enumerate(arrays):
+        flat = arr.reshape(-1)
+        bad = flat <= 0
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(message(i, k, flat[k]))
 
 
 def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
@@ -116,8 +143,7 @@ class _Tensors:
         )
 
     def _combine(self, other, op):
-        require_same_space(self, other)
-        require_same_mode(self, other)
+        require_operands(self, other)
         return self._build(
             self.space,
             tuple(freeze(op(a, b)) for a, b in zip(self._arrays, other._arrays)),
@@ -216,6 +242,13 @@ class MeasureVector(_Tensors):
     _noun = "weight vector"
     _shapes = staticmethod(_own_shapes)
 
+    def __post_init__(self):
+        super().__post_init__()
+        _require_positive(
+            self.weights,
+            lambda i, k, w: f"nonpositive measure: mu^{i + 1}({self.space.labels[i][k]}) = {w}",
+        )
+
     @classmethod
     def from_weights(cls, space: StrategySpace, weights, exact: bool = True):
         return cls(space, cls._coerce(space, weights, exact))
@@ -267,6 +300,10 @@ class CoMeasureVector(_Tensors):
         super().__post_init__()
         if self.generator is not None:
             _check_shapes("generator", self.generator, _own_shapes(self.space))
+        _require_positive(
+            self.tensors,
+            lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",
+        )
 
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
@@ -292,10 +329,6 @@ class CoMeasureVector(_Tensors):
     def expanded(self, player: int) -> np.ndarray:
         """gamma^i broadcast over the full profile space (own axis inserted)."""
         return np.expand_dims(self.tensors[player], axis=player)
-
-    def value(self, player: int, profile: tuple[int, ...]):
-        opp = tuple(k for j, k in enumerate(profile) if j != player)
-        return self.tensors[player][opp]
 
     def is_player_constant(self, player: int) -> bool:
         flat = self.tensors[player].reshape(-1)
@@ -368,16 +401,12 @@ _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 def validate_parameters(
     space: StrategySpace, mu: MeasureVector, gamma: CoMeasureVector
 ) -> None:
-    """Check spaces, a shared scalar mode and strict positivity; report the
-    first offending entry."""
-    if mu.space != space or gamma.space != space:
+    """Check that mu and gamma live on ``space`` in one scalar mode and, in
+    float mode, that their norm weights stay in the float range.  Strict
+    positivity needs no check here: both types refuse a nonpositive entry
+    when they are built."""
+    if require_operands(mu, gamma) != space:
         raise ValidationError("parameters live on a different strategy space")
-    require_same_mode(mu, gamma)
-    _require_positive(
-        mu.weights,
-        lambda i, k, w: f"nonpositive measure: mu^{i + 1}({space.labels[i][k]}) = {w}",
-    )
-    validate_co_measure(space, gamma)
     if not mu.exact:
         _require_float_range(mu, gamma)
 
@@ -403,33 +432,12 @@ def _require_float_range(mu: MeasureVector, gamma: CoMeasureVector) -> None:
             )
 
 
-def validate_co_measure(space: StrategySpace, gamma: CoMeasureVector) -> None:
-    """Check that gamma lives on ``space`` and is strictly positive."""
-    if gamma.space != space:
-        raise ValidationError("parameters live on a different strategy space")
-    _require_positive(
-        gamma.tensors,
-        lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",
-    )
-
-
-def _require_positive(arrays, message) -> None:
-    """Raise message(i, k, value) for the first entry k <= 0 in row-major
-    order of the first array i that has one."""
-    for i, arr in enumerate(arrays):
-        flat = arr.reshape(-1)
-        bad = flat <= 0
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValidationError(message(i, k, flat[k]))
-
-
 # -- inner products ------------------------------------------------------------
 
 
 def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     """<h, f>_0 = sum_s mu(s) h(s) f(s)."""
-    require_same_space(h, f, mu)
+    require_operands(h, f, mu)
     return (mu.product_array() * h.values * f.values).sum()
 
 
@@ -442,8 +450,7 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
     their denominators.  Float mode computes prod * (gamma^i ** 2 * mu^i(S^i))
     in that order, which fixes its rounding.
     """
-    require_same_space(mu, gamma)
-    require_same_mode(mu, gamma)
+    require_operands(mu, gamma)
     weights = [_Shared.of(w) for w in mu.weights]
     prod = _outer([w.num for w in weights])
     den = math.prod(w.den for w in weights)
@@ -468,7 +475,7 @@ def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
     builds one ``Fraction`` per player.  The player sums are added in player
     order; float mode thus sums (w * a * b).sum() per player.
     """
-    require_same_space(g1, g2)
+    require_operands(g1, g2)
     return sum(
         quotient((w.num * a.num * b.num).sum(), w.den * a.den * b.den, w.exact)
         for w, a, b in zip(weights, shared_payoffs(g1), shared_payoffs(g2))
@@ -479,8 +486,7 @@ def inner_product_game(
     g1: Game, g2: Game, mu: MeasureVector, gamma: CoMeasureVector
 ):
     """<g1, g2>_{mu,gamma} = sum_i mu^i(S^i) <gamma^i g1^i, gamma^i g2^i>_0."""
-    require_same_space(g1, g2, mu, gamma)
-    require_same_mode(g1, g2, mu)
+    require_operands(g1, g2, mu, gamma)
     return weighted_inner_product(g1, g2, norm_weights(mu, gamma))
 
 

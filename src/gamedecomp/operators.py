@@ -34,21 +34,20 @@ same kernels.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from .errors import SolveError
+from .errors import SolveError, ValidationError
 from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude
-from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_same_mode
-from .spaces import require_same_space
+from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_operands
 
 
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
-    require_same_space(g, mu)
-    require_same_mode(g, mu)
+    require_operands(g, mu)
     return Game(g.space, tuple(
         _spread(_average(_Shared.of(p), _Shared.of(w), i), i, g.space.sizes)
         for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
@@ -68,13 +67,27 @@ def deviation_divergence(
     Square-root free; equals delta* D(g) under the adopted sign convention,
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
-    require_same_space(g, mu, gamma)
-    require_same_mode(g, mu, gamma)
-    normalized = [
-        _deviation(_Shared.of(p), _Shared.of(w), i)[1]
-        for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
-    ]
-    return ScalarField(g.space, _divergence(normalized, mu, gamma).values())
+    require_operands(g, mu, gamma)
+    with _float_range("the deviation divergence"):
+        normalized = [
+            _deviation(_Shared.of(p), _Shared.of(w), i)[1]
+            for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
+        ]
+        return ScalarField(g.space, _divergence(normalized, mu, gamma).values())
+
+
+@contextmanager
+def _float_range(what: str):
+    """Raise one ValidationError, pointing to exact mode, where float
+    arithmetic in the block overflows or makes an invalid value (inf - inf,
+    0 * inf) instead of returning inf or nan."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(
+            f"{what} leaves the float range under these weights; use exact mode"
+        ) from None
 
 
 def _average(x: _Shared, weights: _Shared, axis: int) -> _Shared:
@@ -147,8 +160,7 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     inverse transform then gives phi.  Both scalar modes cost O(|S| n)
     scalar operations and O(|S|) memory; see _solve.
     """
-    require_same_space(h, mu)
-    require_same_mode(h, mu)
+    require_operands(h, mu)
     weights = [_Shared.of(w) for w in mu.weights]
     return ScalarField(h.space, _solve(_Shared.of(h.values), weights).values())
 
@@ -160,25 +172,28 @@ def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
     Float input is solved in solve_poisson's basis with each axis's heaviest
     strategy as reference (_to_axis_basis), dividing as it goes.  The two
     stay apart: the integer form would change float phi's rounding, and the
-    float basis would cost exact mode a big-int division per slice.
+    float basis would cost exact mode a big-int division per slice.  Each
+    float axis step multiplies by that axis's weights, so weights huge on
+    every axis can take the coefficients out of the float range.
     """
     if h.exact:
         return _solve_ints(h, weights)
     weights = [w.num for w in weights]
-    _check_consistent(h.num, weights)
-    coeffs, eigen = h.num, 0
-    for i, w in enumerate(weights):
-        coeffs = _to_axis_basis(coeffs, w, i)
-        per_axis = np.full(len(w), w.sum())
-        per_axis[0] = 0
-        eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
-    origin = (0,) * coeffs.ndim
-    coeffs[origin] = 0.0  # the pin
-    eigen[origin] = 1
-    phi = coeffs / eigen
-    for i in reversed(range(len(weights))):
-        phi = _from_axis_basis(phi, weights[i], i)
-    return _Shared(phi, 1)
+    with _float_range("the Poisson solve"):
+        _check_consistent(h.num, weights)
+        coeffs, eigen = h.num, 0
+        for i, w in enumerate(weights):
+            coeffs = _to_axis_basis(coeffs, w, i)
+            per_axis = np.full(len(w), w.sum())
+            per_axis[0] = 0
+            eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
+        origin = (0,) * coeffs.ndim
+        coeffs[origin] = 0.0  # the pin
+        eigen[origin] = 1
+        phi = coeffs / eigen
+        for i in reversed(range(len(weights))):
+            phi = _from_axis_basis(phi, weights[i], i)
+        return _Shared(phi, 1)
 
 
 def _check_consistent(h: np.ndarray, weights: list[np.ndarray]) -> None:

@@ -132,10 +132,3 @@ class StrategySpace:
         labels = list(self.labels)
         labels[player] = tuple(new)
         return StrategySpace(tuple(labels))
-
-
-def require_same_space(*objects) -> StrategySpace:
-    spaces = {obj.space for obj in objects}
-    if len(spaces) != 1:
-        raise ValidationError("arguments live on different strategy spaces")
-    return next(iter(spaces))

@@ -19,15 +19,9 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .numeric import axis_contract, freeze, scalar_array, unequal_mask
-from .games import (
-    CoMeasureVector,
-    Game,
-    MeasureVector,
-    require_same_mode,
-    validate_co_measure,
-)
+from .games import CoMeasureVector, Game, MeasureVector, require_operands
 from .decomposition import is_nonstrategic
-from .spaces import StrategySpace, require_same_space
+from .spaces import StrategySpace
 
 
 # -- the strategy-axis re-indexing rule --------------------------------------------
@@ -97,8 +91,7 @@ def permute_params(
     mu: MeasureVector, gamma: CoMeasureVector, spec: PermutationSpec
 ) -> tuple[MeasureVector, CoMeasureVector]:
     """mu_sigma^i = mu^i o sigma; other gammas permute their player-i axis."""
-    space = require_same_space(mu, gamma)
-    require_same_mode(mu, gamma)
+    space = require_operands(mu, gamma)
     spec.validate(space)
     idx = list(spec.sigma)
     weights = np.take(mu.weights[spec.player], idx)
@@ -110,7 +103,7 @@ def permute_params(
 
 def translate_nonstrategic(g: Game, ns: Game) -> Game:
     """Add a nonstrategic game; only the nonstrategic component moves."""
-    require_same_space(g, ns)
+    require_operands(g, ns)
     if not is_nonstrategic(ns):
         raise PreconditionError("translation not nonstrategic")
     return g + ns
@@ -120,10 +113,9 @@ def translate_nonstrategic(g: Game, ns: Game) -> Game:
 
 
 def scale(g: Game, beta: CoMeasureVector) -> Game:
-    """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s), for a strictly positive beta."""
-    require_same_space(g, beta)
-    require_same_mode(g, beta)
-    validate_co_measure(g.space, beta)
+    """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s); beta is strictly positive
+    like every co-measure."""
+    require_operands(g, beta)
     payoffs = tuple(
         freeze(g.payoffs[i] * beta.expanded(i)) for i in g.space.players
     )
@@ -133,13 +125,8 @@ def scale(g: Game, beta: CoMeasureVector) -> Game:
 def co_measure_quotient(
     gamma: CoMeasureVector, beta: CoMeasureVector
 ) -> CoMeasureVector:
-    """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure.
-
-    beta must be strictly positive, like gamma.
-    """
-    space = require_same_space(gamma, beta)
-    require_same_mode(gamma, beta)
-    validate_co_measure(space, beta)
+    """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure."""
+    space = require_operands(gamma, beta)
     tensors = tuple(
         freeze(gamma.tensors[i] / beta.tensors[i]) for i in space.players
     )
@@ -190,8 +177,7 @@ def extend_duplicate(
     spec: DuplicationSpec,
 ) -> tuple[Game, MeasureVector, CoMeasureVector]:
     """Insert a duplicate strategy right after its source and split parameters."""
-    space = require_same_space(g, mu, gamma)
-    require_same_mode(g, mu, gamma)
+    space = require_operands(g, mu, gamma)
     spec.validate()
     i = spec.player
     src = space.strategy_index(i, spec.source)
@@ -223,8 +209,7 @@ def reduce_duplicate(
     coherent with the duplication (equal slices at s0 and s1); the reduced
     gamma keeps the common slice value.
     """
-    space = require_same_space(g, mu, gamma)
-    require_same_mode(g, mu, gamma)
+    space = require_operands(g, mu, gamma)
     i = player
     p0 = space.strategy_index(i, s0)
     p1 = space.strategy_index(i, s1)
@@ -303,8 +288,7 @@ def reduce_redundant(
     opponent subprofiles; the constants may differ across players), restricted
     unchanged to the smaller space and returned without a generator.
     """
-    space = require_same_space(g, mu, gamma)
-    require_same_mode(g, mu, gamma)
+    space = require_operands(g, mu, gamma)
     spec.validate(space)
     i = spec.player
     p0 = space.strategy_index(i, spec.s0)

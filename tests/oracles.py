@@ -27,8 +27,8 @@ import numpy as np
 
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
+from gamedecomp.games import require_operands
 from gamedecomp.numeric import freeze, is_zero, zeros_array
-from gamedecomp.spaces import require_same_space
 
 
 def orthonormal_delta_matrix(space, mu):
@@ -78,7 +78,7 @@ def least_squares_phi(game, mu, gamma) -> np.ndarray:
 
 def laplacian_apply(phi: ScalarField, mu: MeasureVector) -> ScalarField:
     """(L phi)(s) = sum_i mu^i(S^i) (phi(s) - weighted own-axis average)."""
-    require_same_space(phi, mu)
+    require_operands(phi, mu)
     values = phi.values
     acc = None
     for i, w in enumerate(mu.weights):
@@ -115,7 +115,7 @@ def solve_poisson_dense(h: ScalarField, mu: MeasureVector) -> ScalarField:
     constants and Im L is their <.,.>_0-orthogonal complement; the rank-one
     term pins sum_s mu(s) phi(s) = 0.  Exists as an independent oracle.
     """
-    require_same_space(h, mu)
+    require_operands(h, mu)
     space = h.space
     size = space.num_profiles
     mu_flat = [Fraction(w) for w in mu.product_array().reshape(-1).tolist()]
@@ -219,7 +219,7 @@ def _edge_weight_sqrt(mu_opp_value, exact: bool):
 
 def build_flow(g: Game, gamma: CoMeasureVector, mu: MeasureVector) -> Flow:
     """Embed a game as the flow D(g) = sum_i delta^i(gamma^i g^i)."""
-    space = require_same_space(g, gamma, mu)
+    space = require_operands(g, gamma, mu)
     exact = g.exact
 
     weighting = "sqrt"

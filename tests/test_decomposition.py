@@ -185,13 +185,16 @@ def test_predicates_validate_gamma(matching_pennies):
     from gamedecomp import harmonic_equilibrium
 
     doc = matching_pennies
-    zero = CoMeasureVector.from_tensors(doc.space, [[0, 0], [0, 0]])
+
+    def zero():
+        return CoMeasureVector.from_tensors(doc.space, [[0, 0], [0, 0]])
+
     with pytest.raises(ValidationError, match="nonpositive co-measure"):
-        is_gamma_potential(doc.game, zero)
+        is_gamma_potential(doc.game, zero())
     with pytest.raises(ValidationError, match="nonpositive co-measure"):
-        is_harmonic(doc.game, doc.mu, zero)
+        is_harmonic(doc.game, doc.mu, zero())
     with pytest.raises(ValidationError, match="nonpositive co-measure"):
-        harmonic_equilibrium(doc.game, doc.mu, zero)
+        harmonic_equilibrium(doc.game, doc.mu, zero())
 
 
 def test_is_harmonic_examples():

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion against this checkout."""
+"""Smoke test: every narrative demo runs to completion against this checkout,
+with every Python warning turned into an error."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ def test_demo_runs(demo):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         env=env,
         capture_output=True,
         text=True,

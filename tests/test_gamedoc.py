@@ -70,6 +70,9 @@ def test_generator_block_roundtrip():
         (lambda t: t.replace("gamedoc 1\n", ""), "missing 'gamedoc"),
         (lambda t: t.replace("payoffs 2: -1 1 1 -1\n", ""), "missing 'payoffs 2'"),
         (lambda t: t + "mu 1: 0 1\n", "nonpositive measure"),
+        (lambda t: t + "gamma 2: 1 -1\n", r"^nonpositive co-measure: gamma\^2 entry 1 = -1$"),
+        (lambda t: t + "generator 1: 1 1\ngenerator 2: 0 1\n",
+         r"^nonpositive co-measure: gamma\^1 entry 0 = 0$"),
         (lambda t: t + "gamma 1: 1 2 3\n", "gamma 1: expected 2 entries"),
         (lambda t: t + "profile p: 1/2 1/2 | 1/3 1/3\n", "sum to"),
         (lambda t: t.replace("payoffs 1: 1", "payoffs 1: x"), "not an integer"),

@@ -71,32 +71,66 @@ def test_bilinearity_symmetry_positivity():
 
 def test_validate_parameters_reports_offender():
     validate_parameters(SPACE, MU, GAMMA)
-    bad_mu = MeasureVector.from_weights(SPACE, [[0, 1], [1, 1]])
     with pytest.raises(ValidationError, match="nonpositive measure"):
-        validate_parameters(SPACE, bad_mu, GAMMA)
+        validate_parameters(SPACE, MeasureVector.from_weights(SPACE, [[0, 1], [1, 1]]), GAMMA)
     with pytest.raises(ValidationError, match="shape mismatch"):
         CoMeasureVector.from_tensors(SPACE, [[1, 1, 1], [1, 1]])
-    bad_gamma = CoMeasureVector.from_tensors(SPACE, [[1, -1], [1, 1]])
     with pytest.raises(ValidationError, match="nonpositive co-measure"):
-        validate_parameters(SPACE, bad_mu := MU, bad_gamma)
+        validate_parameters(SPACE, MU, CoMeasureVector.from_tensors(SPACE, [[1, -1], [1, 1]]))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_validate_parameters_names_first_offender(exact):
     """The first nonpositive entry, in player then row-major order, is named."""
-    mu = MeasureVector.from_weights(SPACE, [[1, 1], [1, 0]], exact)
-    gamma = CoMeasureVector.from_tensors(SPACE, [[1, 1], [2, -3]], exact)
     unit = CoMeasureVector.uniform(SPACE, exact=exact)
     zero, minus3 = ("0", "-3") if exact else ("0.0", "-3.0")
+
+    def mu(weights):
+        return MeasureVector.from_weights(SPACE, weights, exact)
+
     with pytest.raises(ValidationError, match=rf"^nonpositive measure: mu\^2\(t\) = {zero}$"):
-        validate_parameters(SPACE, mu, unit)
+        validate_parameters(SPACE, mu([[1, 1], [1, 0]]), unit)
     with pytest.raises(
         ValidationError, match=rf"^nonpositive co-measure: gamma\^2 entry 1 = {minus3}$"
     ):
-        validate_parameters(SPACE, MeasureVector.uniform(SPACE, exact=exact), gamma)
-    mu = MeasureVector.from_weights(SPACE, [[-1, 0], [0, 1]], exact)
+        gamma = CoMeasureVector.from_tensors(SPACE, [[1, 1], [2, -3]], exact)
+        validate_parameters(SPACE, mu([[1, 1], [1, 1]]), gamma)
     with pytest.raises(ValidationError, match=r"^nonpositive measure: mu\^1\(s\) = -1"):
-        validate_parameters(SPACE, mu, unit)
+        validate_parameters(SPACE, mu([[-1, 0], [0, 1]]), unit)
+
+
+NONPOSITIVE_PARAMETERS = {
+    "MeasureVector.from_weights": (
+        lambda exact: MeasureVector.from_weights(SPACE, [[1, 2], [0, -1]], exact),
+        r"nonpositive measure: mu\^2\(s\) = 0",
+    ),
+    "MeasureVector.uniform": (
+        lambda exact: MeasureVector.uniform(SPACE, -2, exact),
+        r"nonpositive measure: mu\^1\(s\) = -2",
+    ),
+    "CoMeasureVector.from_tensors": (
+        lambda exact: CoMeasureVector.from_tensors(SPACE, [[1, 1], [2, -3]], exact),
+        r"nonpositive co-measure: gamma\^2 entry 1 = -3",
+    ),
+    "CoMeasureVector.from_generator": (
+        lambda exact: CoMeasureVector.from_generator(SPACE, [[1, 0], [3, 4]], exact),
+        r"nonpositive co-measure: gamma\^2 entry 1 = 0",
+    ),
+    "CoMeasureVector.uniform": (
+        lambda exact: CoMeasureVector.uniform(SPACE, 0, exact),
+        r"nonpositive co-measure: gamma\^1 entry 0 = 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, message", NONPOSITIVE_PARAMETERS.values(), ids=NONPOSITIVE_PARAMETERS.keys()
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_parameters_refuse_nonpositive_entries_when_built(build, message, exact):
+    """Strict positivity is an invariant of both parameter types, in both modes."""
+    with pytest.raises(ValidationError, match=rf"^{message}(\.0)?$"):
+        build(exact)
 
 
 def test_measure_product_arrays():

@@ -122,15 +122,16 @@ def test_scale_examples(depend):
 @pytest.mark.parametrize("exact", [True, False])
 def test_scalings_refuse_nonpositive_beta(depend, exact):
     for generator in ([[1, 2], [3, 0]], [[1, -2], [3, 4]]):
-        beta = CoMeasureVector.from_generator(depend.space, generator, exact=exact)
         gamma = CoMeasureVector.uniform(depend.space, exact=exact)
         game = Game.from_payoffs(
             depend.space, [depend.game.flat(i) for i in depend.space.players], exact=exact
         )
         with pytest.raises(ValidationError, match="nonpositive co-measure"):
-            scale(game, beta)
+            scale(game, CoMeasureVector.from_generator(depend.space, generator, exact=exact))
         with pytest.raises(ValidationError, match="nonpositive co-measure"):
-            co_measure_quotient(gamma, beta)
+            co_measure_quotient(
+                gamma, CoMeasureVector.from_generator(depend.space, generator, exact=exact)
+            )
 
 
 def test_column_scaled_mp_is_scaling_of_mp(matching_pennies):
