@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gamedecomp import (
     CoMeasureVector,
@@ -39,11 +40,12 @@ def test_rational_literal_parses_exactly():
     assert doc.game.flat(0)[0] == F(4, 15)
 
 
-def test_roundtrip_stability_on_all_fixtures():
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_roundtrip_stability_on_all_fixtures(exact):
     for path in sorted(FIXTURES.glob("*.game")):
-        doc = parse_game(path.read_text())
+        doc = parse_game(path.read_text(), exact=exact)
         text = serialize_game(doc)
-        again = parse_game(text)
+        again = parse_game(text, exact=exact)
         assert again.game == doc.game
         assert again.mu == doc.mu
         assert again.gamma == doc.gamma
@@ -77,6 +79,16 @@ def test_generator_block_roundtrip():
         (lambda t: t + "profile p: 1/2 1/2 | 1/3 1/3\n", "sum to"),
         (lambda t: t.replace("payoffs 1: 1", "payoffs 1: x"), "not an integer"),
         (lambda t: t.replace("strategies 1: s t", "strategies 1: s s"), "duplicate"),
+        # each directive once per player, players numbered 1..n, profile names unique
+        (lambda t: t + "payoffs 1: 5 5 5 5\n",
+         r"^line 7: repeated 'payoffs 1' line \(first on line 5\)$"),
+        (lambda t: t + "mu 3: 7 7\n", r"^line 7: no player 3: the game has 2 players$"),
+        (lambda t: t + "gamma 9: 1 2\n", r"^line 7: no player 9: the game has 2 players$"),
+        (lambda t: t + "strategies 3: a b c\n",
+         r"^line 7: no player 3: the game has 2 players$"),
+        (lambda t: t + "profile u: 1/2 1/2 | 1/2 1/2\nprofile u: 1 0 | 1 0\n",
+         r"^line 8: repeated 'profile u' line \(first on line 7\)$"),
+        (lambda t: t + ": x\n", r"^line 7: unrecognized directive ': x'$"),
     ],
 )
 def test_parse_errors_are_addressed(mutate, message):
@@ -97,6 +109,50 @@ def test_float_mode_parses_decimals():
     assert not doc.game.exact
     with pytest.raises(ParseError):
         parse_game(text)  # exact mode rejects decimals
+
+
+# -- mutated fixtures fail only with ParseError ---------------------------------
+
+_FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.game"))]
+_DIRECTIVES = ["", "gamedoc", "players", "strategies", "payoffs", "mu", "gamma",
+               "generator", "profile", "uniform"]
+_SHORT_TEXT = st.text("12ab:#|/-. ", max_size=8)
+_SHORT_LINES = _SHORT_TEXT | st.builds(
+    "{} {}".format, st.sampled_from(_DIRECTIVES), _SHORT_TEXT
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with lines deleted, duplicated, renumbered or inserted."""
+    lines = draw(st.sampled_from(_FIXTURE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "renumber", "insert"]))
+        k = draw(st.integers(0, len(lines)))
+        if op == "insert":
+            lines.insert(k, draw(_SHORT_LINES))
+        elif k == len(lines):
+            continue
+        elif op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+        else:
+            number = str(draw(st.integers(0, 4)))
+            lines[k] = re.sub(r"\d+", number, lines[k], count=1)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_fixtures())
+@example(text=": x")
+@example(text="gamedoc 1\nplayers \u00b2\n")  # a digit to str.isdigit, not to int
+def test_mutated_fixtures_raise_only_parse_errors(exact, text):
+    try:
+        parse_game(text, exact=exact)
+    except ParseError:
+        pass
 
 
 # -- round-trip property over random documents ----------------------------------
