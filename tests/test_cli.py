@@ -88,7 +88,7 @@ def test_check_eq(capsys):
 
     code, _, err = run(capsys, "check-eq", FIXTURES / "mp.game", "--profile", "missing")
     assert code == 1
-    assert "no profile named" in err
+    assert err == "error: no profile named 'missing' in the document\n"
 
     code, out, _ = run(
         capsys, "check-eq", FIXTURES / "mp-dup.game", "--profile", "continuum-x-1-3"
@@ -266,6 +266,24 @@ def test_transform_scale_rejects_nonpositive_beta(capsys, mode, beta):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: nonpositive co-measure")
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "extra",
+    ["payoffs 1: 5 5 5 5", "mu 3: 7 7", "gamma 9: 1 2", "strategies 3: a b c",
+     "profile uniform: 1 0 | 1 0", ": x"],
+)
+def test_document_line_that_would_change_the_game_fails_cleanly(
+    tmp_path, capsys, mode, extra
+):
+    path = tmp_path / "extra.game"
+    path.write_text((FIXTURES / "mp.game").read_text() + extra + "\n")
+    code, out, err = run(capsys, *mode, "classify", path)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 10: ")
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]])

@@ -10,6 +10,7 @@ from gamedecomp import (
     MixedProfile,
     PreconditionError,
     StrategySpace,
+    ValidationError,
     best_response_epsilon,
     closest_potential,
     decompose,
@@ -116,6 +117,31 @@ def test_map_equilibrium_depend_example(depend):
     assert mapped.probs[0].tolist() == [F(3, 4), F(1, 4)]
     assert mapped.probs[1].tolist() == [F(1, 3), F(2, 3)]
     assert best_response_epsilon(scale(parts.harmonic, beta), mapped) == 0
+
+
+@pytest.mark.parametrize("player", [-1, 2])
+def test_expected_payoff_refuses_a_player_the_space_lacks(depend, player):
+    # -1 used to answer 1/24, where the last player's payoff is 1/6
+    x = MixedProfile.from_probs(depend.space, [[F(1, 3), F(2, 3)], [F(1, 4), F(3, 4)]])
+    assert expected_payoff(depend.game, x, 1) == F(1, 6)
+    with pytest.raises(
+        ValidationError, match=rf"^no player {player + 1}: the game has 2 players$"
+    ):
+        expected_payoff(depend.game, x, player)
+
+
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        ([[1, 0], [1, 1]], "^nonpositive co-measure"),
+        ([[1, 1]], r"^need one co-measure tensor per player \(2\), got 1$"),
+        ([[1, 1, 1], [1, 1]], "^shape mismatch"),
+        ([[1.0, 2.0], [1.0, 1.0]], "float"),
+    ],
+)
+def test_map_equilibrium_refuses_an_invalid_generator(depend, generator, message):
+    with pytest.raises(ValidationError, match=message):
+        map_equilibrium_under_scaling(MixedProfile.uniform(depend.space), generator)
 
 
 def test_map_equilibrium_roundtrip():

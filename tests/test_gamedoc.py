@@ -89,6 +89,12 @@ def test_generator_block_roundtrip():
         (lambda t: t + "profile u: 1/2 1/2 | 1/2 1/2\nprofile u: 1 0 | 1 0\n",
          r"^line 8: repeated 'profile u' line \(first on line 7\)$"),
         (lambda t: t + ": x\n", r"^line 7: unrecognized directive ': x'$"),
+        (lambda t: t + "players 3\n", r"^line 7: repeated 'players' line \(first on line 2\)$"),
+        (lambda t: t + "mu " + "9" * 5000 + ": 1 1\n",
+         r"^line 7: expected a player number after 'mu'$"),
+        (lambda t: t.replace("payoffs 1: 1 -1 -1 1\n", "payoffs 1: 1 -1 -1\n"),
+         r"^line 5: payoffs 1: expected 4 entries, got 3$"),
+        (lambda t: t + "gamma 1: 1 2 3\n", r"^line 7: gamma 1: expected 2 entries, got 3$"),
     ],
 )
 def test_parse_errors_are_addressed(mutate, message):

@@ -62,6 +62,24 @@ def test_permute_basics(matching_pennies):
         permute(doc.game, PermutationSpec(0, (0, 0)))
 
 
+@pytest.mark.parametrize("player", [-1, 2, 5])
+def test_transforms_refuse_a_player_the_space_lacks(matching_pennies, player):
+    # -1 used to index the last player's axis, and 2 or more raised IndexError
+    g, mu, gamma = matching_pennies.game, matching_pennies.mu, matching_pennies.gamma
+    calls = [
+        lambda: permute(g, PermutationSpec(player, (1, 0))),
+        lambda: permute_params(mu, gamma, PermutationSpec(player, (1, 0))),
+        lambda: extend_duplicate(g, mu, gamma, DuplicationSpec(player, "s", "s2")),
+        lambda: reduce_duplicate(g, mu, gamma, player, "s", "t"),
+        lambda: reduce_redundant(g, mu, gamma, RedundancySpec(player, "s", (F(1),))),
+    ]
+    for call in calls:
+        with pytest.raises(
+            ValidationError, match=rf"^no player {player + 1}: the game has 2 players$"
+        ):
+            call()
+
+
 def test_permute_params_moves_gamma_axis():
     space = StrategySpace((("a", "b", "c"), ("x", "y")))
     gamma = CoMeasureVector.from_tensors(space, [[1, 2], [3, 4, 5]])
