@@ -130,6 +130,8 @@ def _load(args) -> GameDocument:
         doc.mu = _parse_mu(mu_text, doc.space, exact=not args.float_mode)
     if gamma_text:
         doc.gamma = _parse_gamma(gamma_text, doc.space, exact=not args.float_mode)
+    if mu_text or gamma_text:
+        validate_parameters(doc.space, doc.mu, doc.gamma)
     return doc
 
 
@@ -215,8 +217,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_classify(args) -> int:
     doc = _load(args)
-    # the predicates below read mu and gamma before is_harmonic validates them
-    validate_parameters(doc.space, doc.mu, doc.gamma)
     rows = [
         ("nonstrategic (NSG)", is_nonstrategic(doc.game)),
         ("mu-normalized (muNG)", is_mu_normalized(doc.game, doc.mu)),
@@ -232,10 +232,7 @@ def _cmd_transform(args) -> int:
     doc = _load(args)
     exact = not args.float_mode
     game, mu, gamma = doc.game, doc.mu, doc.gamma
-    n = game.space.n_players
-    if args.player is not None:
-        _require(1 <= args.player <= n, f"--player must be in 1..{n}, got {args.player}")
-        player = args.player - 1
+    player = None if args.player is None else args.player - 1
 
     if args.op == "permute":
         _require(args.player is not None and args.sigma, "--op permute needs --player and --sigma")
@@ -282,9 +279,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check_eq(args) -> int:
     doc = _load(args)
-    if args.profile not in doc.profiles:
-        print(f"error: no profile named {args.profile!r} in the document", file=sys.stderr)
-        return 1
+    _require(
+        args.profile in doc.profiles, f"no profile named {args.profile!r} in the document"
+    )
     eps = best_response_epsilon(doc.game, doc.profiles[args.profile])
     print(f"epsilon: {format_scalar(eps)}")
     print(f"nash equilibrium: {'yes' if eps == 0 else 'no'}")

@@ -31,7 +31,7 @@ def _opponent_payoff_vector(g: Game, x: MixedProfile, player: int) -> list:
 
 def expected_payoff(g: Game, x: MixedProfile, player: int):
     """sum_s prod_j x^j(s^j) g^i(s), exactly."""
-    require_operands(g, x)
+    player = require_operands(g, x).require_player(player)
     vector = _opponent_payoff_vector(g, x, player)
     return sum(p * v for p, v in zip(x.probs[player].tolist(), vector))
 
@@ -101,17 +101,13 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     """Transport an equilibrium of g to one of (beta . g), beta generated by b.
 
     y^i is x^i / b^i renormalized; Nash equilibria map onto Nash equilibria
-    for product scalings.
+    for product scalings.  b is checked as a co-measure generator: one
+    strictly positive vector per player, in x's scalar mode.
     """
     space = x.space
-    gen = [np.asarray(c).reshape(-1).tolist() for c in b_generator]
-    for i in space.players:
-        if len(gen[i]) != space.sizes[i]:
-            raise PreconditionError(
-                "beta not product: generator shape does not match the space"
-            )
+    gen = CoMeasureVector.from_generator(space, b_generator, x.exact).generator
     weights = [
-        [p / c for p, c in zip(x.probs[i].tolist(), gen[i])] for i in space.players
+        [p / c for p, c in zip(x.probs[i].tolist(), gen[i].tolist())] for i in space.players
     ]
     return MixedProfile.from_positive_weights(space, weights, exact=x.exact)
 

@@ -14,12 +14,17 @@ Grammar (one directive per line; ``#`` starts a comment; blank lines ignored)::
                                            # excludes gamma lines, needs all i
     profile <name>: p .. | p .. | ...      # optional named mixed profiles
 
-Values are integers or ``p/q`` rationals (decimals allowed in float mode).
-Serialization is canonical, so identical inputs produce byte-identical output.
+Each header line appears once, each per-player directive at most once per
+player, player numbers run from 1 to n, and profile names are unique; a
+repeated line, an unknown player or a wrong entry count is an error that
+names its line.  Values are integers or ``p/q`` rationals (decimals allowed
+in float mode).  Serialization is canonical, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,143 +54,112 @@ class GameDocument:
         return self.game.space
 
 
+# the header directives, each with the error for a line that lacks its number
+_HEADERS = {"gamedoc": "malformed version line", "players": "malformed players line"}
+_PLAYER_KINDS = ("strategies", "payoffs", "mu", "gamma", "generator")
+
+
 def parse_game(text: str, exact: bool = True) -> GameDocument:
     """Parse a game document; errors carry the offending line number."""
-    version = None
-    n_players = None
-    strategies: dict[int, list[str]] = {}
-    payoffs: dict[int, list] = {}
-    mu_lines: dict[int, list] = {}
-    gamma_lines: dict[int, object] = {}
-    generator_lines: dict[int, list] = {}
-    profile_lines: list[tuple[int, str, str]] = []
+    header: dict[str, tuple[int, int]] = {}  # gamedoc/players -> (line, number)
+    table: dict[tuple[str, object], tuple[int, str]] = {}  # (kind, player or name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(":")
-        head = key.strip().split()
-        rest = rest.strip()
-
-        if head[0] == "gamedoc":
-            if len(head) != 2 or not head[1].isdigit():
-                raise ParseError("malformed version line", lineno)
-            version = int(head[1])
-            if version != FORMAT_VERSION:
-                raise ParseError(f"unsupported format version {version}", lineno)
+        kind, *args = key.split() or [""]
+        if kind in _HEADERS:
+            number = _number(args[0]) if len(args) == 1 else None
+            if number is None:
+                raise ParseError(_HEADERS[kind], lineno)
+            if kind == "gamedoc" and number != FORMAT_VERSION:
+                raise ParseError(f"unsupported format version {number}", lineno)
+            _record(header, kind, kind, lineno, number)
             continue
-        if head[0] == "players":
-            if len(head) != 2 or not head[1].isdigit():
-                raise ParseError("malformed players line", lineno)
-            n_players = int(head[1])
-            continue
-
-        if len(head) != 2:
+        if len(args) != 1:
             raise ParseError(f"unrecognized directive {line!r}", lineno)
-        kind, arg = head
+        name = args[0]
+        if kind != "profile":
+            name = _number(name)
+            if name is None:
+                raise ParseError(f"expected a player number after {kind!r}", lineno)
+            if kind not in _PLAYER_KINDS:
+                raise ParseError(f"unrecognized directive {kind!r}", lineno)
+        _record(table, (kind, name), f"{kind} {name}", lineno, rest.strip())
 
-        if kind == "profile":
-            profile_lines.append((lineno, arg, rest))
-            continue
-        if not arg.isdigit():
-            raise ParseError(f"expected a player number after {kind!r}", lineno)
-        player = int(arg)
-        if kind == "strategies":
-            strategies[player] = rest.split()
-        elif kind == "payoffs":
-            payoffs[player] = _parse_values(rest, lineno, exact)
-        elif kind == "mu":
-            mu_lines[player] = _parse_values(rest, lineno, exact)
-        elif kind == "gamma":
-            gamma_lines[player] = (
-                "uniform" if rest == "uniform" else _parse_values(rest, lineno, exact)
-            )
-        elif kind == "generator":
-            generator_lines[player] = _parse_values(rest, lineno, exact)
-        else:
-            raise ParseError(f"unrecognized directive {kind!r}", lineno)
-
-    if version is None:
+    if "gamedoc" not in header:
         raise ParseError("missing 'gamedoc <version>' line")
-    if n_players is None:
+    if "players" not in header:
         raise ParseError("missing 'players <n>' line")
-    for i in range(1, n_players + 1):
-        if i not in strategies:
+    players = range(1, header["players"][1] + 1)
+    labels = []
+    for i in players:
+        if ("strategies", i) not in table:
             raise ParseError(f"missing 'strategies {i}' line")
-    try:
-        space = StrategySpace(tuple(tuple(strategies[i]) for i in range(1, n_players + 1)))
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+        labels.append(tuple(table["strategies", i][1].split()))
+    with _as_parse_error():
+        space = StrategySpace(tuple(labels))
+    for (kind, i), (lineno, _) in table.items():
+        if kind != "profile":
+            with _as_parse_error(lineno):
+                space.require_player(i - 1)
 
-    tensors = []
-    for i in range(1, n_players + 1):
-        if i not in payoffs:
-            raise ParseError(f"missing 'payoffs {i}' line")
-        values = payoffs[i]
-        if len(values) != space.num_profiles:
+    one = Fraction(1) if exact else 1.0
+
+    def row(kind: str, i: int, count: int, missing: str | None = None) -> list:
+        """The ``count`` entries of line '<kind> i'.  An absent line is the
+        error ``missing`` if given, else all ones, as is 'gamma i: uniform'."""
+        if (kind, i) not in table:
+            if missing:
+                raise ParseError(missing)
+            return [one] * count
+        lineno, rest = table[kind, i]
+        if kind == "gamma" and rest == "uniform":
+            return [one] * count
+        values = _parse_values(rest, lineno, exact)
+        if len(values) != count:
             raise ParseError(
-                f"payoffs {i}: expected {space.num_profiles} entries for "
-                f"player {i}, got {len(values)}"
+                f"{kind} {i}: expected {count} entries, got {len(values)}", lineno
             )
-        tensors.append(values)
-    game = Game.from_payoffs(space, tensors, exact)
+        return values
+
+    payoffs = [
+        row("payoffs", i, space.num_profiles, f"missing 'payoffs {i}' line")
+        for i in players
+    ]
+    game = Game.from_payoffs(space, payoffs, exact)
 
     # the parameter types refuse nonpositive entries when built
-    try:
-        one = Fraction(1) if exact else 1.0
-        mu_weights = []
-        for i in range(1, n_players + 1):
-            values = mu_lines.get(i, [one] * space.sizes[i - 1])
-            if len(values) != space.sizes[i - 1]:
-                raise ParseError(
-                    f"mu {i}: expected {space.sizes[i - 1]} entries, got {len(values)}"
-                )
-            mu_weights.append(values)
+    with _as_parse_error():
+        mu_weights = [row("mu", i, m) for i, m in zip(players, space.sizes)]
         mu = MeasureVector.from_weights(space, mu_weights, exact)
-
-        if generator_lines:
-            if gamma_lines:
+        if any(kind == "generator" for kind, _ in table):
+            if any(kind == "gamma" for kind, _ in table):
                 raise ParseError("use either gamma lines or a generator block, not both")
-            gen = []
-            for i in range(1, n_players + 1):
-                if i not in generator_lines:
-                    raise ParseError(f"generator block is missing player {i}")
-                values = generator_lines[i]
-                if len(values) != space.sizes[i - 1]:
-                    raise ParseError(
-                        f"generator {i}: expected {space.sizes[i - 1]} entries, "
-                        f"got {len(values)}"
-                    )
-                gen.append(values)
+            gen = [
+                row("generator", i, m, f"generator block is missing player {i}")
+                for i, m in zip(players, space.sizes)
+            ]
             gamma = CoMeasureVector.from_generator(space, gen, exact)
         else:
-            gamma_tensors = []
-            for i in range(1, n_players + 1):
-                expected = space.num_opp_profiles(i - 1)
-                spec = gamma_lines.get(i, "uniform")
-                if spec == "uniform":
-                    gamma_tensors.append([one] * expected)
-                else:
-                    if len(spec) != expected:
-                        raise ParseError(
-                            f"gamma {i}: expected {expected} entries, got {len(spec)}"
-                        )
-                    gamma_tensors.append(spec)
+            gamma_tensors = [
+                row("gamma", i, space.num_opp_profiles(i - 1)) for i in players
+            ]
             gamma = CoMeasureVector.from_tensors(space, gamma_tensors, exact)
             if all(v == 1 for t in gamma.tensors for v in t.reshape(-1).tolist()):
                 gamma = CoMeasureVector.uniform(space, exact=exact)
-
         validate_parameters(space, mu, gamma)
-    except ValidationError as exc:
-        raise ParseError(str(exc)) from None
 
     profiles = {}
-    for lineno, name, rest in profile_lines:
+    for (kind, name), (lineno, rest) in table.items():
+        if kind != "profile":
+            continue
         blocks = [b.strip() for b in rest.split("|")]
-        if len(blocks) != n_players:
+        if len(blocks) != space.n_players:
             raise ParseError(
-                f"profile {name!r}: expected {n_players} player blocks", lineno
+                f"profile {name!r}: expected {space.n_players} player blocks", lineno
             )
         probs = []
         for i, block in enumerate(blocks):
@@ -197,12 +171,35 @@ def parse_game(text: str, exact: bool = True) -> GameDocument:
                     lineno,
                 )
             probs.append(values)
-        try:
+        with _as_parse_error(lineno, f"profile {name!r}: "):
             profiles[name] = MixedProfile.from_probs(space, probs, exact)
-        except ValidationError as exc:
-            raise ParseError(f"profile {name!r}: {exc}", lineno) from None
 
     return GameDocument(game, mu, gamma, profiles)
+
+
+def _number(text: str) -> int | None:
+    """The natural number a decimal numeral spells; None for anything else,
+    including a numeral too long for int()."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:
+        return None
+
+
+def _record(table: dict, key, name: str, lineno: int, value) -> None:
+    """table[key] = (lineno, value), refusing a second line for one key."""
+    if key in table:
+        raise ParseError(f"repeated '{name}' line (first on line {table[key][0]})", lineno)
+    table[key] = (lineno, value)
+
+
+@contextmanager
+def _as_parse_error(lineno: int | None = None, prefix: str = ""):
+    """Re-raise a ValidationError as a ParseError at ``lineno``."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ParseError(prefix + str(exc), lineno) from None
 
 
 def _parse_values(text: str, lineno: int, exact: bool) -> list:

@@ -56,9 +56,17 @@ class StrategySpace:
     def profiles(self):
         return itertools.product(*(range(m) for m in self.sizes))
 
+    def require_player(self, player: int) -> int:
+        """``player`` (0-based) after checking that the space has it."""
+        if not 0 <= player < self.n_players:
+            raise ValidationError(
+                f"no player {player + 1}: the game has {self.n_players} players"
+            )
+        return player
+
     def strategy_index(self, player: int, label: str) -> int:
         try:
-            return self.labels[player].index(label)
+            return self.labels[self.require_player(player)].index(label)
         except ValueError:
             raise ValidationError(
                 f"player {player + 1} has no strategy {label!r}"

@@ -74,7 +74,7 @@ class PermutationSpec:
     sigma: tuple[int, ...]
 
     def validate(self, space: StrategySpace) -> None:
-        m = space.sizes[self.player]
+        m = space.sizes[space.require_player(self.player)]
         if sorted(self.sigma) != list(range(m)):
             raise ValidationError(
                 f"invalid permutation array {self.sigma} for {m} strategies"
@@ -265,7 +265,7 @@ class RedundancySpec:
     alpha: tuple[Fraction, ...]
 
     def validate(self, space: StrategySpace) -> None:
-        m = space.sizes[self.player]
+        m = space.sizes[space.require_player(self.player)]
         if len(self.alpha) != m - 1:
             raise ValidationError(
                 f"alpha needs {m - 1} entries, got {len(self.alpha)}"
