@@ -11,12 +11,7 @@ duplicated weight restores the original structure.
 from fractions import Fraction as F
 from pathlib import Path
 
-from gamedecomp import (
-    decompose,
-    game_norm_sq,
-    inner_product_game,
-    parse_game,
-)
+from gamedecomp import decompose, parse_game
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -29,7 +24,7 @@ def show(game, title):
         for col in range(space.sizes[1]):
             cells.append(
                 "("
-                + ", ".join(str(game.payoff(i, (row, col))) for i in space.players)
+                + ", ".join(str(game.payoffs[i][row, col]) for i in space.players)
                 + ")"
             )
         print(f"    {space.labels[0][row]:>3}: " + "  ".join(cells))
@@ -40,9 +35,8 @@ def main():
     mp = parse_game((FIXTURES / "mp.game").read_text())
     parts = decompose(mp.game, mp.mu, mp.gamma)
     show(mp.game, "game")
-    print(f"  norm^2 of components: ns={game_norm_sq(parts.nonstrategic, mp.mu, mp.gamma)}, "
-          f"pot={game_norm_sq(parts.potential, mp.mu, mp.gamma)}, "
-          f"har={game_norm_sq(parts.harmonic, mp.mu, mp.gamma)}")
+    ns, pot, har = (parts.inner_product(c, c) for c in parts.components())
+    print(f"  norm^2 of components: ns={ns}, pot={pot}, har={har}")
     print("  -> purely harmonic;", "harmonic == game:", parts.harmonic == mp.game)
 
     print("\n== duplicated matching pennies, uniform parameters ==")
@@ -54,9 +48,9 @@ def main():
     show(parts.nonstrategic, "nonstrategic component")
     print("  components sum back to the game:", parts.total() == dup.game)
     print("  pairwise inner products:",
-          inner_product_game(parts.potential, parts.harmonic, dup.mu, dup.gamma),
-          inner_product_game(parts.potential, parts.nonstrategic, dup.mu, dup.gamma),
-          inner_product_game(parts.harmonic, parts.nonstrategic, dup.mu, dup.gamma))
+          parts.inner_product(parts.potential, parts.harmonic),
+          parts.inner_product(parts.potential, parts.nonstrategic),
+          parts.inner_product(parts.harmonic, parts.nonstrategic))
 
     print("\n== same game, duplicated weight split across the copies ==")
     from gamedecomp import MeasureVector

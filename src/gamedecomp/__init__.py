@@ -20,22 +20,10 @@ from .games import (
     MeasureVector,
     MixedProfile,
     ScalarField,
-    game_norm_sq,
-    inner_product_c0,
-    inner_product_game,
-    validate_parameters,
-)
-from .operators import (
-    deviation_divergence,
-    lambda_project,
-    pi_project,
-    solve_poisson,
 )
 from .decomposition import (
     Decomposition,
-    closest_potential,
     decompose,
-    epsilon_bound,
     extract_potential,
     is_gamma_potential,
     is_harmonic,
@@ -85,35 +73,25 @@ __all__ = [
     "StrategySpace",
     "ValidationError",
     "best_response_epsilon",
-    "closest_potential",
     "co_measure_inverse",
     "co_measure_quotient",
     "decompose",
-    "deviation_divergence",
-    "epsilon_bound",
     "expected_payoff",
     "extend_duplicate",
     "extract_potential",
-    "game_norm_sq",
     "harmonic_equilibrium",
-    "inner_product_c0",
-    "inner_product_game",
     "is_gamma_potential",
     "is_harmonic",
     "is_mu_normalized",
     "is_nonstrategic",
-    "lambda_project",
     "map_equilibrium_under_scaling",
     "parse_game",
     "permute",
     "permute_params",
-    "pi_project",
     "pure_equilibrium_from_potential",
     "reduce_duplicate",
     "reduce_redundant",
     "scale",
     "serialize_game",
-    "solve_poisson",
     "translate_nonstrategic",
-    "validate_parameters",
 ]

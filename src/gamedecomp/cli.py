@@ -8,10 +8,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .errors import GameDecompError
+from .errors import GameDecompError, ParseError
 from .numeric import format_scalar, parse_scalar
 from .games import CoMeasureVector, MeasureVector, validate_parameters
 from .gamedoc import GameDocument, parse_game, serialize_game
@@ -131,7 +130,7 @@ def _load(args) -> GameDocument:
     if gamma_text:
         doc.gamma = _parse_gamma(gamma_text, doc.space, exact=not args.float_mode)
     if mu_text or gamma_text:
-        validate_parameters(doc.space, doc.mu, doc.gamma)
+        validate_parameters(doc.mu, doc.gamma)
     return doc
 
 
@@ -255,7 +254,7 @@ def _cmd_transform(args) -> int:
             "--op extend needs --player, --source, --label",
         )
         spec = DuplicationSpec(
-            player, args.source, args.label, _literal(Fraction, args.lam, "--lam")
+            player, args.source, args.label, _literal(parse_scalar, args.lam, "--lam")
         )
         game, mu, gamma = extend_duplicate(game, mu, gamma, spec)
     elif args.op == "reduce":
@@ -269,7 +268,7 @@ def _cmd_transform(args) -> int:
             args.player is not None and args.s0 and args.alpha,
             "--op reduce-redundant needs --player, --s0, --alpha",
         )
-        alpha = tuple(_literal(Fraction, x, "--alpha") for x in args.alpha.split(","))
+        alpha = tuple(_literal(parse_scalar, x, "--alpha") for x in args.alpha.split(","))
         spec = RedundancySpec(player, args.s0, alpha)
         game, mu, gamma = reduce_redundant(game, mu, gamma, spec)
 
@@ -333,11 +332,14 @@ def _require(condition, message: str) -> None:
         raise GameDecompError(message)
 
 
-def _literal(kind, text: str, flag: str):
-    """kind(text), with a bad literal reported as a GameDecompError naming the flag."""
+def _literal(read, text: str, flag: str):
+    """read(text), with a bad literal reported as a GameDecompError naming the
+    flag; ``parse_scalar`` reads exact integers and p/q, as documents do."""
     try:
-        return kind(text.strip())
-    except (ValueError, ZeroDivisionError):
+        return read(text.strip())
+    except ParseError as exc:
+        raise GameDecompError(f"{flag}: {exc}") from None
+    except ValueError:
         raise GameDecompError(f"{flag}: not a valid number: {text!r}") from None
 
 

@@ -112,7 +112,7 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     output entry.  Only the Poisson solve core differs per mode (_solve).
     """
     space = require_operands(g, mu, gamma)
-    validate_parameters(space, mu, gamma)
+    validate_parameters(mu, gamma)
     weights = [_Shared.of(w) for w in mu.weights]
     averages, normalized = zip(*(
         _deviation(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
@@ -170,7 +170,8 @@ def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
 
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
-    validate_parameters(require_operands(g, mu, gamma), mu, gamma)
+    require_operands(g, mu, gamma)
+    validate_parameters(mu, gamma)
     h = deviation_divergence(g, mu, gamma)
     scale = 1.0 if g.exact else sum(
         magnitude(g.payoffs[i]) * magnitude(gamma.tensors[i]) * mu.total(i)

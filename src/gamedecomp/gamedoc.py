@@ -148,9 +148,7 @@ def parse_game(text: str, exact: bool = True) -> GameDocument:
                 row("gamma", i, space.num_opp_profiles(i - 1)) for i in players
             ]
             gamma = CoMeasureVector.from_tensors(space, gamma_tensors, exact)
-            if all(v == 1 for t in gamma.tensors for v in t.reshape(-1).tolist()):
-                gamma = CoMeasureVector.uniform(space, exact=exact)
-        validate_parameters(space, mu, gamma)
+        validate_parameters(mu, gamma)
 
     profiles = {}
     for (kind, name), (lineno, rest) in table.items():

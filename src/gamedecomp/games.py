@@ -117,13 +117,13 @@ class _Tensors:
         return cls(space, arrays)
 
     @classmethod
-    def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None):
+    def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None, noun=None):
         """One immutable tensor per item of ``data``, after checking the count."""
         shapes = cls._shapes(space) if shapes is None else shapes
         data = list(data)
         if len(data) != len(shapes):
             raise ValidationError(
-                f"need one {cls._noun} per player ({len(shapes)}), got {len(data)}"
+                f"need one {noun or cls._noun} per player ({len(shapes)}), got {len(data)}"
             )
         return tuple(_coerce_tensor(d, shape, exact) for d, shape in zip(data, shapes))
 
@@ -178,9 +178,6 @@ class Game(_Tensors):
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "Game":
         return cls(space, tuple(zeros_array(space.sizes, exact) for _ in space.players))
 
-    def payoff(self, player: int, profile: tuple[int, ...]):
-        return self.payoffs[player][profile]
-
     def flat(self, player: int) -> list:
         return self.payoffs[player].reshape(-1).tolist()
 
@@ -221,9 +218,6 @@ class ScalarField(_Tensors):
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "ScalarField":
         return cls(space, zeros_array(space.sizes, exact))
 
-    def value(self, profile: tuple[int, ...]):
-        return self.values[profile]
-
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
 
@@ -260,17 +254,9 @@ class MeasureVector(_Tensors):
     def total(self, player: int):
         return self.weights[player].sum()
 
-    def normalized(self, player: int) -> np.ndarray:
-        w = self.weights[player]
-        return w / self.total(player)
-
     def product_array(self) -> np.ndarray:
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
         return _outer(self.weights)
-
-    def opp_product_array(self, player: int) -> np.ndarray:
-        """mu^{-i}(s^{-i}) as a tensor over S^{-i}."""
-        return _outer(w for j, w in enumerate(self.weights) if j != player)
 
     def scaled(self, factor) -> "MeasureVector":
         return MeasureVector(self.space, tuple(freeze(w * factor) for w in self.weights))
@@ -307,20 +293,21 @@ class CoMeasureVector(_Tensors):
 
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
-        return cls(space, cls._coerce(space, tensors, exact))
+        tensors = cls._coerce(space, tensors, exact)
+        if all(v == 1 for t in tensors for v in t.flat):
+            # an all-ones co-measure is the unit product co-measure, generated by ones
+            return cls.from_generator(space, [[1] * m for m in space.sizes], exact)
+        return cls(space, tensors)
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
-        if value == 1:
-            # the unit co-measure is the product co-measure generated by ones
-            return cls.from_generator(space, [[value] * m for m in space.sizes], exact)
         return cls.from_tensors(
             space, [[value] * space.num_opp_profiles(i) for i in space.players], exact
         )
 
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
-        gen = cls._coerce(space, generator, exact, _own_shapes(space))
+        gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
         tensors = tuple(
             freeze(_outer(c for j, c in enumerate(gen) if j != i)) for i in space.players
         )
@@ -398,24 +385,17 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
-def validate_parameters(
-    space: StrategySpace, mu: MeasureVector, gamma: CoMeasureVector
-) -> None:
-    """Check that mu and gamma live on ``space`` in one scalar mode and, in
-    float mode, that their norm weights stay in the float range.  Strict
-    positivity needs no check here: both types refuse a nonpositive entry
-    when they are built."""
-    if require_operands(mu, gamma) != space:
-        raise ValidationError("parameters live on a different strategy space")
-    if not mu.exact:
-        _require_float_range(mu, gamma)
-
-
-def _require_float_range(mu: MeasureVector, gamma: CoMeasureVector) -> None:
+def validate_parameters(mu: MeasureVector, gamma: CoMeasureVector) -> None:
     """Float mode: every norm weight w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2
     must be a normal float, or mu(s) h(s), d^2 and B^2 overflow or lose their
     precision.  Decided on the logarithms of the largest and smallest
-    products, which cannot overflow."""
+    products, which cannot overflow.
+
+    Every caller has already checked mu and gamma with ``require_operands``
+    (one space, one scalar mode), and both types refuse a nonpositive entry
+    when they are built, so exact mode has nothing left to check."""
+    if mu.exact:
+        return
     weights = [w.tolist() for w in mu.weights]
     top_mu = sum(math.log(max(w)) for w in weights)
     bottom_mu = sum(math.log(min(w)) for w in weights)

@@ -47,9 +47,6 @@ class StrategySpace:
 
     # -- profile indexing ---------------------------------------------------
 
-    def index(self, profile: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(profile, self.sizes))
-
     def profile(self, index: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.unravel_index(index, self.sizes))
 
@@ -83,43 +80,11 @@ class StrategySpace:
     def num_opp_profiles(self, player: int) -> int:
         return math.prod(self.opp_sizes(player))
 
-    def opp_profiles(self, player: int):
-        return itertools.product(*(range(m) for m in self.opp_sizes(player)))
-
-    def opp_index(self, player: int, profile: tuple[int, ...]) -> int:
-        """Index into the row-major S^{-i} space of a full profile's remainder."""
-        opp = profile[:player] + profile[player + 1:]
-        return int(np.ravel_multi_index(opp, self.opp_sizes(player)))
-
-    def merge_opp(self, player: int, own: int, opp: tuple[int, ...]) -> tuple[int, ...]:
-        """Full profile from player's own strategy plus an opponent subprofile."""
-        out = list(opp[:player]) + [own] + list(opp[player:])
-        return tuple(out)
-
     def axis_in_opp(self, player: int, other: int) -> int:
         """Axis of player ``other`` inside the S^{-player} tensor."""
         if other == player:
             raise ValueError("player is not part of its own opponent space")
         return other if other < player else other - 1
-
-    # -- comparable pairs (game-graph edges) ---------------------------------
-
-    def edges(self):
-        """Yield (player, s_profile, t_profile) once per unordered comparable pair.
-
-        Orientation is fixed: s precedes t in profile-index order.
-        """
-        for i in self.players:
-            for opp in self.opp_profiles(i):
-                for a, b in itertools.combinations(range(self.sizes[i]), 2):
-                    yield i, self.merge_opp(i, a, opp), self.merge_opp(i, b, opp)
-
-    def num_edges(self) -> int:
-        total = 0
-        for i in self.players:
-            m = self.sizes[i]
-            total += m * (m - 1) // 2 * self.num_opp_profiles(i)
-        return total
 
     # -- derived spaces -------------------------------------------------------
 

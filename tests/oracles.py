@@ -14,6 +14,10 @@
   a full decomposition under uniform mu, then a zero test on the harmonic part.
 - The weighted-sum oracle computes the (mu,gamma) game inner product and the
   smallest norm weight profile by profile in plain Fractions.
+
+The oracles index profiles, enumerate the game-graph edges and form the
+opponent products mu^{-i} with their own helpers below, so they share no
+indexing code with the library they check.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +36,33 @@ from gamedecomp.games import require_operands
 from gamedecomp.numeric import freeze, is_zero, zeros_array
 
 
+def profiles(space):
+    """Every profile as a tuple, in row-major order, player 1 varying slowest."""
+    return itertools.product(*(range(m) for m in space.sizes))
+
+
+def profile_index(space, profile) -> int:
+    """Row-major index of a profile, player 1 varying slowest."""
+    index = 0
+    for k, m in zip(profile, space.sizes):
+        index = index * m + k
+    return index
+
+
+def edges(space):
+    """Yield (player, s, t) once per unordered comparable pair: s and t differ
+    only in player i's coordinate, and s precedes t in row-major order."""
+    for i, m in enumerate(space.sizes):
+        for s in profiles(space):
+            for b in range(s[i] + 1, m):
+                yield i, s, s[:i] + (b,) + s[i + 1:]
+
+
+def opp_product(mu: MeasureVector, player: int) -> np.ndarray:
+    """mu^{-i}(s^{-i}) = prod_{j != i} mu^j(s^j) as a tensor over S^{-i}."""
+    return reduce(np.multiply.outer, [w for j, w in enumerate(mu.weights) if j != player])
+
+
 def orthonormal_delta_matrix(space, mu):
     """Matrix of delta: C0 -> C1 in orthonormal coordinates, rows = edges.
 
@@ -38,30 +70,31 @@ def orthonormal_delta_matrix(space, mu):
     edge (s, t) is sqrt(mu(s) mu(t)) X(s, t).
     """
     mu_flat = [float(x) for x in mu.product_array().reshape(-1).tolist()]
-    edges = list(space.edges())
-    matrix = np.zeros((len(edges), space.num_profiles))
-    for row, (i, s, t) in enumerate(edges):
-        opp = tuple(x for j, x in enumerate(s) if j != i)
-        w = 1.0 / math.sqrt(float(mu.opp_product_array(i)[opp]))
-        si, ti = space.index(s), space.index(t)
+    opp_mu = [opp_product(mu, i) for i in space.players]
+    pairs = list(edges(space))
+    matrix = np.zeros((len(pairs), space.num_profiles))
+    for row, (i, s, t) in enumerate(pairs):
+        w = 1.0 / math.sqrt(float(opp_mu[i][s[:i] + s[i + 1:]]))
+        si, ti = profile_index(space, s), profile_index(space, t)
         matrix[row, ti] = w * math.sqrt(mu_flat[si])
         matrix[row, si] = -w * math.sqrt(mu_flat[ti])
-    return matrix, edges
+    return matrix, pairs
 
 
-def embedded_flow_coordinates(game, mu, gamma, edges):
+def embedded_flow_coordinates(game, mu, gamma, pairs):
     """C1 coordinates of D(g) on the given edge list."""
     mu_flat = [float(x) for x in mu.product_array().reshape(-1).tolist()]
-    out = np.zeros(len(edges))
-    for row, (i, s, t) in enumerate(edges):
-        opp = tuple(x for j, x in enumerate(s) if j != i)
-        w = 1.0 / math.sqrt(float(mu.opp_product_array(i)[opp]))
+    opp_mu = [opp_product(mu, i) for i in game.space.players]
+    out = np.zeros(len(pairs))
+    for row, (i, s, t) in enumerate(pairs):
+        opp = s[:i] + s[i + 1:]
+        w = 1.0 / math.sqrt(float(opp_mu[i][opp]))
         value = (
             w
             * float(gamma.tensors[i][opp])
             * (float(game.payoffs[i][t]) - float(game.payoffs[i][s]))
         )
-        si, ti = game.space.index(s), game.space.index(t)
+        si, ti = profile_index(game.space, s), profile_index(game.space, t)
         out[row] = math.sqrt(mu_flat[si] * mu_flat[ti]) * value
     return out
 
@@ -69,8 +102,8 @@ def embedded_flow_coordinates(game, mu, gamma, edges):
 def least_squares_phi(game, mu, gamma) -> np.ndarray:
     """Min-norm least squares solution of delta phi = D(g), flat float array."""
     space = game.space
-    matrix, edges = orthonormal_delta_matrix(space, mu)
-    rhs = embedded_flow_coordinates(game, mu, gamma, edges)
+    matrix, pairs = orthonormal_delta_matrix(space, mu)
+    rhs = embedded_flow_coordinates(game, mu, gamma, pairs)
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     mu_flat = np.array([float(x) for x in mu.product_array().reshape(-1).tolist()])
     return solution / np.sqrt(mu_flat)
@@ -99,12 +132,11 @@ def laplacian_matrix(mu: MeasureVector) -> list[list[Fraction]]:
     for i in space.players:
         total = mu.total(i)
         w = mu.weights[i].tolist()
-        for s in space.profiles():
-            si = space.index(s)
+        for s in profiles(space):
+            si = profile_index(space, s)
             mat[si][si] += total
             for k in range(space.sizes[i]):
-                t = space.merge_opp(i, k, tuple(x for j, x in enumerate(s) if j != i))
-                mat[si][space.index(t)] -= w[k]
+                mat[si][profile_index(space, s[:i] + (k,) + s[i + 1:])] -= w[k]
     return mat
 
 
@@ -180,8 +212,8 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 class Flow:
     """Antisymmetric edge values on the comparable-profile graph.
 
-    One value per unordered comparable pair, stored under the orientation
-    (lower profile index -> higher); the reverse value is implied negative.
+    One value per unordered comparable pair, keyed by the profile pair (s, t)
+    with s before t in row-major order; the reverse value is implied negative.
 
     ``weighting`` records how the W^i = 1/sqrt(mu^{-i}) edge factor was
     absorbed: "sqrt" means values carry W^i itself (possible exactly only when
@@ -195,12 +227,10 @@ class Flow:
     exact: bool = True
 
     def value(self, s: tuple[int, ...], t: tuple[int, ...]):
-        key = (self.space.index(s), self.space.index(t))
-        if key in self.values:
-            return self.values[key]
-        rev = (key[1], key[0])
-        if rev in self.values:
-            return -self.values[rev]
+        if (s, t) in self.values:
+            return self.values[s, t]
+        if (t, s) in self.values:
+            return -self.values[t, s]
         return Fraction(0) if self.exact else 0.0
 
     def is_zero(self) -> bool:
@@ -222,30 +252,21 @@ def build_flow(g: Game, gamma: CoMeasureVector, mu: MeasureVector) -> Flow:
     space = require_operands(g, gamma, mu)
     exact = g.exact
 
+    opp_mu = [opp_product(mu, i) for i in space.players]
     weighting = "sqrt"
-    if exact:
-        for i in space.players:
-            if any(
-                rational_sqrt(v) is None
-                for v in mu.opp_product_array(i).reshape(-1).tolist()
-            ):
-                weighting = "squared"
-                break
+    if exact and any(
+        rational_sqrt(v) is None for t in opp_mu for v in t.reshape(-1).tolist()
+    ):
+        weighting = "squared"
 
     values = {}
-    for i in space.players:
-        opp_mu = mu.opp_product_array(i)
-        gam = gamma.tensors[i]
-        for opp in space.opp_profiles(i):
-            if weighting == "sqrt":
-                w = _edge_weight_sqrt(opp_mu[opp], exact)
-            else:
-                w = 1 / opp_mu[opp]
-            for a, b in itertools.combinations(range(space.sizes[i]), 2):
-                s = space.merge_opp(i, a, opp)
-                t = space.merge_opp(i, b, opp)
-                diff = g.payoffs[i][t] - g.payoffs[i][s]
-                values[(space.index(s), space.index(t))] = w * gam[opp] * diff
+    for i, s, t in edges(space):
+        opp = s[:i] + s[i + 1:]
+        if weighting == "sqrt":
+            w = _edge_weight_sqrt(opp_mu[i][opp], exact)
+        else:
+            w = 1 / opp_mu[i][opp]
+        values[s, t] = w * gamma.tensors[i][opp] * (g.payoffs[i][t] - g.payoffs[i][s])
     return Flow(space, values, weighting, exact)
 
 
@@ -255,14 +276,13 @@ def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
     if mu.space != space:
         raise ValidationError("flow and measure live on different spaces")
     prod = mu.product_array()
+    opp_mu = [opp_product(mu, i) for i in space.players]
     out = zeros_array(space.sizes, flow.exact).copy()
     out.flags.writeable = True
-    for (si, ti), value in flow.values.items():
-        s, t = space.profile(si), space.profile(ti)
+    for (s, t), value in flow.values.items():
         i = next(j for j in space.players if s[j] != t[j])
         if flow.weighting == "sqrt":
-            opp = tuple(k for j, k in enumerate(s) if j != i)
-            w = _edge_weight_sqrt(mu.opp_product_array(i)[opp], flow.exact)
+            w = _edge_weight_sqrt(opp_mu[i][s[:i] + s[i + 1:]], flow.exact)
             if w is None:
                 raise SolveError("sqrt-weighted flow on a non-square measure")
         else:

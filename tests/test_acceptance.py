@@ -18,16 +18,14 @@ from gamedecomp import (
     best_response_epsilon,
     co_measure_quotient,
     decompose,
-    deviation_divergence,
-    epsilon_bound,
     harmonic_equilibrium,
     is_gamma_potential,
     is_harmonic,
     map_equilibrium_under_scaling,
     reduce_duplicate,
     scale,
-    solve_poisson,
 )
+from gamedecomp.operators import deviation_divergence, solve_poisson
 from gamedecomp.laws import (
     random_game,
     random_gamma,

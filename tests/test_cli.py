@@ -244,6 +244,9 @@ def test_transform_error_exit_code(capsys):
         ["--op", "permute", "--player", "1", "--sigma", "a,b"],
         ["--op", "permute", "--player", "0", "--sigma", "1,0"],
         ["--op", "reduce-redundant", "--player", "1", "--s0", "s", "--alpha", "x"],
+        # exponents and decimals are refused before any arithmetic, as in documents
+        ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "1e-5000"],
+        ["--op", "reduce-redundant", "--player", "1", "--s0", "s", "--alpha", "0.5,0.5"],
     ],
 )
 def test_transform_bad_arguments_fail_cleanly(capsys, argv):
@@ -252,6 +255,24 @@ def test_transform_bad_arguments_fail_cleanly(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    if argv[-2] in ("--lam", "--alpha"):
+        assert lines[0].startswith(f"error: {argv[-2]}: ")
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+def test_scaling_by_the_unit_co_measure_keeps_the_generator(capsys, mode):
+    """An all-ones beta is the unit product co-measure however it is spelled,
+    so the scaled document keeps its generator block."""
+    docs = set()
+    for beta in ["uniform", "gen:1,1,1;1,1", "1,1;1,1,1"]:
+        code, out, _ = run(
+            capsys, *mode, "transform", FIXTURES / "two-transformations.game",
+            "--op", "scale", "--beta", beta,
+        )
+        assert code == 0
+        assert "generator 1:" in out and "gamma 1:" not in out
+        docs.add(out)
+    assert len(docs) == 1
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])

@@ -12,20 +12,16 @@ from gamedecomp import (
     ScalarField,
     StrategySpace,
     ValidationError,
-    closest_potential,
     decompose,
-    epsilon_bound,
     extract_potential,
-    game_norm_sq,
-    inner_product_game,
     is_gamma_potential,
     is_harmonic,
     is_mu_normalized,
     is_nonstrategic,
-    deviation_divergence,
-    lambda_project,
-    solve_poisson,
 )
+from gamedecomp.decomposition import closest_potential, epsilon_bound
+from gamedecomp.games import game_norm_sq, inner_product_game
+from gamedecomp.operators import deviation_divergence, lambda_project, solve_poisson
 from gamedecomp.laws import (
     random_game,
     random_gamma,
@@ -226,7 +222,7 @@ def test_extract_potential(depend):
 
     parts = decompose(depend.game, depend.mu, depend.gamma)
     psi = extract_potential(parts.potential, uniform)
-    assert psi.value((1, 0)) - psi.value((0, 0)) == -4
+    assert psi.values[1, 0] - psi.values[0, 0] == -4
 
     with pytest.raises(PreconditionError, match="not gamma-potential"):
         extract_potential(load_fixture("mp.game").game, uniform)
@@ -241,7 +237,7 @@ def test_extract_potential_matches_phi_up_to_constant():
         parts = decompose(g, mu, gamma)
         psi = extract_potential(parts.potential, gamma)
         diff = {
-            psi.value(p) - parts.phi.value(p) for p in space.profiles()
+            psi.values[p] - parts.phi.values[p] for p in space.profiles()
         }
         assert len(diff) == 1
 

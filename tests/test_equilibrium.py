@@ -12,15 +12,14 @@ from gamedecomp import (
     StrategySpace,
     ValidationError,
     best_response_epsilon,
-    closest_potential,
     decompose,
-    epsilon_bound,
     expected_payoff,
     harmonic_equilibrium,
     map_equilibrium_under_scaling,
     pure_equilibrium_from_potential,
     scale,
 )
+from gamedecomp.decomposition import closest_potential, epsilon_bound
 from gamedecomp.laws import (
     random_game,
     random_gamma,
@@ -134,7 +133,7 @@ def test_expected_payoff_refuses_a_player_the_space_lacks(depend, player):
     "generator, message",
     [
         ([[1, 0], [1, 1]], "^nonpositive co-measure"),
-        ([[1, 1]], r"^need one co-measure tensor per player \(2\), got 1$"),
+        ([[1, 1]], r"^need one generator vector per player \(2\), got 1$"),
         ([[1, 1, 1], [1, 1]], "^shape mismatch"),
         ([[1.0, 2.0], [1.0, 1.0]], "float"),
     ],

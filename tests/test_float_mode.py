@@ -15,16 +15,15 @@ from gamedecomp import (
     ValidationError,
     best_response_epsilon,
     decompose,
-    deviation_divergence,
     expected_payoff,
     harmonic_equilibrium,
-    inner_product_c0,
     is_gamma_potential,
     is_harmonic,
     is_mu_normalized,
     is_nonstrategic,
-    solve_poisson,
 )
+from gamedecomp.games import inner_product_c0
+from gamedecomp.operators import deviation_divergence, solve_poisson
 from gamedecomp.cli import main
 from gamedecomp.laws import (
     random_game,
@@ -192,7 +191,8 @@ def test_cli_float_flag(capsys):
 
 
 def test_epsilon_bound_is_squared_in_both_modes():
-    from gamedecomp import epsilon_bound, parse_game
+    from gamedecomp import parse_game
+    from gamedecomp.decomposition import epsilon_bound
 
     text = (FIXTURES / "mp.game").read_text()
     exact_doc = parse_game(text)

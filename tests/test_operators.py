@@ -13,9 +13,10 @@ from gamedecomp import (
     StrategySpace,
     ValidationError,
     decompose,
+)
+from gamedecomp.games import inner_product_c0, inner_product_game
+from gamedecomp.operators import (
     deviation_divergence,
-    inner_product_c0,
-    inner_product_game,
     lambda_project,
     pi_project,
     solve_poisson,
@@ -152,7 +153,7 @@ def test_deviation_divergence_examples():
 
     coordination = Game.from_payoffs(SPACE, [[1, 0, 0, 1], [1, 0, 0, 1]])
     h = deviation_divergence(coordination, MU, GAMMA)
-    assert h.value((0, 0)) == 2
+    assert h.values[0, 0] == 2
 
     space3 = StrategySpace((("s", "t"), ("s", "t"), ("s", "t")))
     g = Game.from_payoffs(
@@ -177,7 +178,7 @@ def test_laplacian_examples():
     assert laplacian_apply(const, MU) == ScalarField.zeros(SPACE)
 
     indicator = ScalarField.from_values(SPACE, [1, 0, 0, 0])
-    assert laplacian_apply(indicator, MU).value((0, 0)) == 2
+    assert laplacian_apply(indicator, MU).values[0, 0] == 2
 
     rng = random.Random(4)
     for _ in range(10):
