@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,41 @@ def mp_duplicated():
 @pytest.fixture
 def depend():
     return load_fixture("depend.game")
+
+
+@pytest.fixture
+def count_fractions():
+    """count_fractions(fn, *args) -> (fn(*args), the Fractions built meanwhile).
+
+    Counts ``Fraction.__new__`` and, where the Python version has it,
+    ``Fraction._from_coprime_ints``, which builds without ``__new__``.
+    """
+
+    def run(fn, *args):
+        count = [0]
+        new = Fraction.__new__
+
+        def counting_new(cls, *a, **kw):
+            count[0] += 1
+            return new(cls, *a, **kw)
+
+        patches = {"__new__": staticmethod(counting_new)}
+        if "_from_coprime_ints" in vars(Fraction):
+            built = Fraction._from_coprime_ints
+
+            def counting_coprime(cls, *a):
+                count[0] += 1
+                return built(*a)
+
+            patches["_from_coprime_ints"] = classmethod(counting_coprime)
+        saved = {name: vars(Fraction)[name] for name in patches}
+        for name, value in patches.items():
+            setattr(Fraction, name, value)
+        try:
+            result = fn(*args)
+        finally:
+            for name, value in saved.items():
+                setattr(Fraction, name, value)
+        return result, count[0]
+
+    return run

@@ -127,7 +127,24 @@ def test_poisson_solves_per_command(monkeypatch, capsys, mode, command, solves):
     assert len(calls) == solves
 
 
-def test_exact_decompose_fraction_constructions(tmp_path, monkeypatch, capsys):
+def _seeded_2x6(tmp_path):
+    """The document of a seeded random game on 2^6, and its space."""
+    rng = random.Random(21)
+    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
+    g = laws.random_game(rng, space)
+    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
+    path = tmp_path / "g.game"
+    path.write_text(serialize_game(GameDocument(g, mu, gamma)))
+    return path, space
+
+
+def _literals(space):
+    """The literals of a document on ``space``: payoffs, mu and gamma."""
+    opp = sum(space.num_opp_profiles(i) for i in space.players)
+    return space.n_players * space.num_profiles + sum(space.sizes) + opp
+
+
+def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fractions):
     # One exact decompose of a seeded 2^6 game builds 1721 Fractions: the
     # 588 literals it reads, one per converted result entry (the
     # nonstrategic part only at its 192 distinct entries) and O(n) scalars.
@@ -135,35 +152,39 @@ def test_exact_decompose_fraction_constructions(tmp_path, monkeypatch, capsys):
     # phi values and 6 report lines, 1810 together) plus 16 n.  The report
     # on Fraction arrays, with Fraction norm weights and total() == game,
     # built 10401.
-    rng = random.Random(21)
-    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
-    g = laws.random_game(rng, space)
-    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
-    path = tmp_path / "g.game"
-    path.write_text(serialize_game(GameDocument(g, mu, gamma)))
-    count = [0]
-    original = F.__new__
-
-    def counting(cls, *args, **kwargs):
-        count[0] += 1
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", staticmethod(counting))
-    if hasattr(F, "_from_coprime_ints"):  # builds without __new__
-        built = F._from_coprime_ints
-
-        def counting_coprime(cls, *args):
-            count[0] += 1
-            return built(*args)
-
-        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_coprime))
-    assert main(["decompose", str(path)]) == 0
-    monkeypatch.undo()
+    path, space = _seeded_2x6(tmp_path)
+    code, count = count_fractions(main, ["decompose", str(path)])
+    assert code == 0
     assert "reconstruction exact: True" in capsys.readouterr().out
     n, size = space.n_players, space.num_profiles
-    read = n * size + sum(space.sizes) + sum(space.num_opp_profiles(i) for i in space.players)
     printed = 3 * n * size + size + 6
-    assert count[0] <= read + printed + 16 * n
+    assert count <= _literals(space) + printed + 16 * n
+
+
+def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions):
+    # One exact classify of the seeded 2^6 game builds 1919 Fractions: the
+    # 588 literals it reads, the rescaled differences that gamma-potential
+    # integrates in Fraction arithmetic (two per payoff entry, plus the
+    # sums along the path) and the mu-weighted sums of the first player.
+    path, space = _seeded_2x6(tmp_path)
+    code, count = count_fractions(main, ["classify", str(path)])
+    assert code == 0
+    assert "gamma-potential (gammaPG): no" in capsys.readouterr().out
+    assert count <= _literals(space) + 4 * space.n_players * space.num_profiles
+
+
+def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_fractions):
+    # One exact closest-potential of the seeded 2^6 game builds 2054
+    # Fractions: the 588 literals it reads, the parts decompose converts
+    # (1024: the nonstrategic part at its distinct entries), the n |S|
+    # entries of the closest game it prints, and O(n) scalars.  The cap is
+    # what it reads, 3 n |S| + |S| for the parts, n |S| printed and 16 n.
+    path, space = _seeded_2x6(tmp_path)
+    code, count = count_fractions(main, ["closest-potential", str(path)])
+    assert code == 0
+    assert "d^2: " in capsys.readouterr().out
+    n, size = space.n_players, space.num_profiles
+    assert count <= _literals(space) + 4 * n * size + size + 16 * n
 
 
 def test_transform_scale_and_permute(tmp_path, capsys):
