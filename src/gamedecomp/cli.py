@@ -125,11 +125,12 @@ def _load(args) -> GameDocument:
     doc = parse_game(args.game.read_text(), exact=not args.float_mode)
     mu_text = getattr(args, "mu", None)
     gamma_text = getattr(args, "gamma", None)
-    if mu_text:
+    # an empty --mu or --gamma is an override that fails to parse, not an absent one
+    if mu_text is not None:
         doc.mu = _parse_mu(mu_text, doc.space, exact=not args.float_mode)
-    if gamma_text:
+    if gamma_text is not None:
         doc.gamma = _parse_gamma(gamma_text, doc.space, exact=not args.float_mode)
-    if mu_text or gamma_text:
+    if mu_text is not None or gamma_text is not None:
         validate_parameters(doc.mu, doc.gamma)
     return doc
 

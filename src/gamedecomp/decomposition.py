@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude, quotient, unequal_mask
+from .numeric import _Shared, axis_contract, is_zero, magnitude, quotient, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
@@ -73,9 +74,14 @@ class Decomposition:
     def closest_potential(self) -> tuple[Game, object]:
         """The nearest gamma-potential game and the squared distance to it.
 
-        Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}).
+        Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}); the
+        sum is taken in shared form and converted out once.
         """
-        return self.nonstrategic + self.potential, self.distance_sq
+        closest = Game._with_shared(self.mu.space, (
+            _add(a, b)
+            for a, b in zip(shared_payoffs(self.nonstrategic), shared_payoffs(self.potential))
+        ))
+        return closest, self.distance_sq
 
     def epsilon_bound(self):
         """Squared bound B^2 with eps^2 <= B^2 for every equilibrium of the
@@ -109,26 +115,27 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     Both scalar modes run this one body on ``numeric._Shared`` tensors (see
     operators): g and mu are converted once on entry and each result once on
     exit, so exact mode pays the gcds of ``Fraction`` arithmetic once per
-    output entry.  Only the Poisson solve core differs per mode (_solve).
+    output entry.  The three parts keep their shared form (Game._shared), so
+    the report's inner products and ``reconstructs`` convert nothing back.
+    Only the Poisson solve core differs per mode (_solve).
     """
     space = require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
     weights = [_Shared.of(w) for w in mu.weights]
     averages, normalized = zip(*(
-        _deviation(_Shared.of(g.payoffs[i]), weights[i], i) for i in space.players
+        _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
     ))
     phi = _solve(_divergence(normalized, mu, gamma), weights)
     potential = [
         _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
     ]
+    payoffs, spread = zip(*(_spread(avg, i, space.sizes) for i, avg in enumerate(averages)))
     return Decomposition(
-        nonstrategic=Game(space, tuple(
-            _spread(avg, i, space.sizes) for i, avg in enumerate(averages)
-        )),
-        potential=Game(space, tuple(part.values() for part in potential)),
-        harmonic=Game(space, tuple(
-            _sub(pi, part).values() for pi, part in zip(normalized, potential)
-        )),
+        nonstrategic=Game._with_shared(space, spread, payoffs),
+        potential=Game._with_shared(space, potential),
+        harmonic=Game._with_shared(
+            space, (_sub(pi, part) for pi, part in zip(normalized, potential))
+        ),
         phi=ScalarField(space, phi.values()),
         mu=mu,
         gamma=gamma,
@@ -196,7 +203,8 @@ def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
             "not gamma-potential: inconsistent cycle at profiles "
             f"{g.space.profile_labels(source)} -> {g.space.profile_labels(target)}"
         )
-    return ScalarField(g.space, freeze(psi - psi.sum() / g.space.num_profiles))
+    mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
+    return ScalarField(g.space, _sub(psi, mean).values())
 
 
 def _integrate(g: Game, gamma: CoMeasureVector):
@@ -210,18 +218,25 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     player the check holds by construction, since the later terms pin its axis.
     Both sides are of the size of psi, so the float tolerance follows psi.
 
+    Every D_i is put over one denominator, the LCM of those of g^i gamma^i,
+    so exact mode integrates and compares integer numerators and builds no
+    ``Fraction``; float tensors lie over 1 and are computed as they were.
+
     Returns (psi, None) when all checks pass, else (psi, (source, target)) for
     the first failing edge: the lowest player, then the first profile in
-    row-major order.
+    row-major order; psi is a shared tensor.
     """
     space = require_operands(g, gamma)
-    diffs = []
+    terms = []
+    for i, payoff in enumerate(shared_payoffs(g)):
+        factor = _Shared.of(gamma.expanded(i))
+        diff = factor.num * (payoff.num - np.take(payoff.num, [0], axis=i))
+        terms.append((diff, factor.den * payoff.den))
+    den = math.lcm(*(d for _, d in terms))
+    diffs = [num if d == den else num * (den // d) for num, d in terms]
     psi = None
-    for i in space.players:
-        payoff = g.payoffs[i]
-        d = gamma.expanded(i) * (payoff - np.take(payoff, [0], axis=i))
-        diffs.append(d)
-        pinned = d[(slice(0, 1),) * i]
+    for i, diff in enumerate(diffs):
+        pinned = diff[(slice(0, 1),) * i]
         psi = pinned if psi is None else psi + pinned
     for i in space.players[1:]:
         mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
@@ -229,8 +244,8 @@ def _integrate(g: Game, gamma: CoMeasureVector):
             target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
             target = tuple(int(k) for k in target)
             source = target[:i] + (0,) + target[i + 1:]
-            return psi, (source, target)
-    return psi, None
+            return _Shared(psi, den), (source, target)
+    return _Shared(psi, den), None
 
 
 def closest_potential(

@@ -12,6 +12,11 @@ every ``from_*`` constructor, and the ``+``/``-`` of ``Game`` and
 in its own class body: the layer tracer in ``perfbench/spans.py`` wraps them
 by reading ``Game.__dict__``, where an inherited method is not found.
 
+A ``Game`` keeps its payoffs in shared form (``numeric._Shared``) once it
+has them: ``Game._with_shared`` stores the form a game was computed in, and
+``shared_payoffs`` converts any other game once, on first read.  Games made
+by ``+``, ``-`` or a transformation are new objects and convert their own.
+
 ``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry when
 they are built, so every mu and gamma in the package is strictly positive.
 ``require_operands`` is the one operand check of every public function: one
@@ -25,7 +30,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -177,6 +182,24 @@ class Game(_Tensors):
     @classmethod
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "Game":
         return cls(space, tuple(zeros_array(space.sizes, exact) for _ in space.players))
+
+    @classmethod
+    def _with_shared(cls, space: StrategySpace, shared, payoffs=None) -> "Game":
+        """The game with payoffs ``shared`` in shared form, which it keeps:
+        ``payoffs`` are those tensors already converted out, else each is
+        converted now."""
+        shared = tuple(shared)
+        if payoffs is None:
+            payoffs = tuple(x.values() for x in shared)
+        game = cls(space, tuple(payoffs))
+        game.__dict__["_shared"] = shared
+        return game
+
+    @cached_property
+    def _shared(self) -> tuple[_Shared, ...]:
+        """The payoff tensors in shared form, one per player: the form the
+        game was built from (_with_shared), else converted on first read."""
+        return tuple(_Shared.of(p) for p in self.payoffs)
 
     def flat(self, player: int) -> list:
         return self.payoffs[player].reshape(-1).tolist()
@@ -443,14 +466,15 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
 
 
 def shared_payoffs(g: Game) -> tuple[_Shared, ...]:
-    """g's payoff tensors in shared form, one per player."""
-    return tuple(_Shared.of(p) for p in g.payoffs)
+    """g's payoff tensors in shared form, one per player; each game converts
+    its payoffs at most once (Game._shared)."""
+    return g._shared
 
 
 def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
     """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights.
 
-    The payoffs are taken to shared form, and each player's sum runs on the
+    The payoffs are read in shared form, and each player's sum runs on the
     numerators and is divided once, by w.den a.den b.den, so exact mode
     builds one ``Fraction`` per player.  The player sums are added in player
     order; float mode thus sums (w * a * b).sum() per player.

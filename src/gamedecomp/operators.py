@@ -42,16 +42,19 @@ import numpy as np
 
 from .errors import SolveError, ValidationError
 from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude
-from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_operands
+from .games import (
+    Game, MeasureVector, CoMeasureVector, ScalarField, require_operands, shared_payoffs,
+)
 
 
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_operands(g, mu)
-    return Game(g.space, tuple(
-        _spread(_average(_Shared.of(p), _Shared.of(w), i), i, g.space.sizes)
-        for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
+    payoffs, spread = zip(*(
+        _spread(_average(x, _Shared.of(w), i), i, g.space.sizes)
+        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu.weights))
     ))
+    return Game._with_shared(g.space, spread, payoffs)
 
 
 def pi_project(g: Game, mu: MeasureVector) -> Game:
@@ -70,8 +73,8 @@ def deviation_divergence(
     require_operands(g, mu, gamma)
     with _float_range("the deviation divergence"):
         normalized = [
-            _deviation(_Shared.of(p), _Shared.of(w), i)[1]
-            for i, (p, w) in enumerate(zip(g.payoffs, mu.weights))
+            _deviation(x, _Shared.of(w), i)[1]
+            for i, (x, w) in enumerate(zip(shared_payoffs(g), mu.weights))
         ]
         return ScalarField(g.space, _divergence(normalized, mu, gamma).values())
 
@@ -117,11 +120,13 @@ def _add(a: _Shared, b: _Shared) -> _Shared:
     return _Shared(left + right, den)
 
 
-def _spread(avg: _Shared, axis: int, shape) -> np.ndarray:
-    """An average with ``axis`` removed, as the full immutable tensor of
-    ``shape`` that is constant along that axis; only the distinct entries are
-    converted out."""
-    return freeze(np.broadcast_to(np.expand_dims(avg.values(), axis), shape).copy())
+def _spread(avg: _Shared, axis: int, shape) -> tuple[np.ndarray, _Shared]:
+    """An average with ``axis`` removed, spread back along that axis to
+    ``shape``: the full immutable tensor, for which only the distinct entries
+    are converted out, and its shared form, a broadcast view of the
+    average's numerators with no copy."""
+    values = freeze(np.broadcast_to(np.expand_dims(avg.values(), axis), shape).copy())
+    return values, _Shared(np.broadcast_to(np.expand_dims(avg.num, axis), shape), avg.den)
 
 
 def _divergence(

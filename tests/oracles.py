@@ -14,6 +14,10 @@
   a full decomposition under uniform mu, then a zero test on the harmonic part.
 - The weighted-sum oracle computes the (mu,gamma) game inner product and the
   smallest norm weight profile by profile in plain Fractions.
+- The integration oracle integrates the gamma-rescaled payoff differences in
+  the payoffs' own scalars: Fraction arithmetic in exact mode, where the
+  library integrates integer numerators, and the same float expressions in
+  float mode.
 
 The oracles index profiles, enumerate the game-graph edges and form the
 opponent products mu^{-i} with their own helpers below, so they share no
@@ -33,7 +37,7 @@ import numpy as np
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.games import require_operands
-from gamedecomp.numeric import freeze, is_zero, zeros_array
+from gamedecomp.numeric import freeze, is_zero, unequal_mask, zeros_array
 
 
 def profiles(space):
@@ -329,3 +333,27 @@ def norm_weight(mu: MeasureVector, gamma: CoMeasureVector, i: int, s) -> Fractio
     prod = math.prod(Fraction(mu.weights[j][k]) for j, k in enumerate(s))
     opp = tuple(k for j, k in enumerate(s) if j != i)
     return total * prod * Fraction(gamma.tensors[i][opp]) ** 2
+
+
+def integrate_by_fractions(g: Game, gamma: CoMeasureVector):
+    """(psi, first bad edge or None) as decomposition._integrate defines
+    them, computed on the payoff tensors themselves.
+
+    D_i = gamma^i (g^i - g^i(0_i, .)); psi sums each D_i with the axes before
+    i pinned at 0; the checks psi == psi(0_i, .) + D_i run from the second
+    player on, and the first failure, lowest player then row-major, names
+    the edge (source, target).
+    """
+    diffs, psi = [], None
+    for i, payoff in enumerate(g.payoffs):
+        d = np.expand_dims(gamma.tensors[i], i) * (payoff - np.take(payoff, [0], axis=i))
+        diffs.append(d)
+        pinned = d[(slice(0, 1),) * i]
+        psi = pinned if psi is None else psi + pinned
+    for i in g.space.players[1:]:
+        mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
+        if mismatch.any():
+            flat = int(np.argmax(mismatch))
+            target = tuple(int(k) for k in np.unravel_index(flat, g.space.sizes))
+            return psi, (target[:i] + (0,) + target[i + 1:], target)
+    return psi, None

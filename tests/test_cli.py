@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from gamedecomp import (
-    GameDocument, StrategySpace, decomposition, laws, parse_game, serialize_game,
+    Game, GameDocument, StrategySpace, decomposition, laws, parse_game, serialize_game,
 )
 from gamedecomp.cli import main
+from gamedecomp.numeric import _Shared
 from conftest import FIXTURES
 
 
@@ -162,15 +164,17 @@ def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fraction
 
 
 def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact classify of the seeded 2^6 game builds 1919 Fractions: the
-    # 588 literals it reads, the rescaled differences that gamma-potential
-    # integrates in Fraction arithmetic (two per payoff entry, plus the
-    # sums along the path) and the mu-weighted sums of the first player.
+    # One exact classify of the seeded 2^6 game builds 767 Fractions: the
+    # 588 literals it reads, the mu-weighted own-axis sums of the first
+    # player (3 |S| / 2; muNG fails there), the |S| entries of the deviation
+    # divergence and O(n) scalars.  The gamma-potential test integrates on
+    # integer numerators and builds none; in Fraction arithmetic it built
+    # 1152, and classify 1919.
     path, space = _seeded_2x6(tmp_path)
     code, count = count_fractions(main, ["classify", str(path)])
     assert code == 0
     assert "gamma-potential (gammaPG): no" in capsys.readouterr().out
-    assert count <= _literals(space) + 4 * space.n_players * space.num_profiles
+    assert count <= _literals(space) + 3 * space.num_profiles + 16 * space.n_players
 
 
 def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_fractions):
@@ -185,6 +189,63 @@ def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_
     assert "d^2: " in capsys.readouterr().out
     n, size = space.n_players, space.num_profiles
     assert count <= _literals(space) + 4 * n * size + size + 16 * n
+
+
+EXACT_COMMANDS = [
+    ["decompose", FIXTURES / "depend.game"],
+    ["classify", FIXTURES / "depend.game"],
+    ["closest-potential", FIXTURES / "mp-dup.game"],
+    ["check-eq", FIXTURES / "mp-dup.game", "--profile", "continuum-x-1-3"],
+    ["transform", FIXTURES / "depend.game", "--op", "scale", "--beta", "gen:1,3;2,1"],
+    ["verify", "all", "--trials", "2", "--seed", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=[a[0] for a in EXACT_COMMANDS])
+def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
+    # every Game keeps the shared form of its payoffs once it has one, so
+    # no payoff tensor goes through _Shared.of twice
+    games, converted = [], []
+    post_init, of = Game.__post_init__, _Shared.of.__func__
+
+    def recording(self):
+        post_init(self)
+        games.append(self)
+
+    def counting(cls, values):
+        converted.append(values)  # kept alive, so the ids stay distinct
+        return of(cls, values)
+
+    monkeypatch.setattr(Game, "__post_init__", recording)
+    monkeypatch.setattr(_Shared, "of", classmethod(counting))
+    code, _, _ = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0
+    assert games
+    times = Counter(id(v) for v in converted)
+    assert max(times[id(p)] for g in games for p in g.payoffs) <= 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+@pytest.mark.parametrize("flag", ["--mu", "--gamma"])
+def test_empty_parameter_override_fails_cleanly(capsys, mode, flag):
+    code, out, err = run(capsys, *mode, "classify", FIXTURES / "mp.game", flag, "")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: need one ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+@pytest.mark.parametrize("flag, line", [
+    ("--mu", "mu-normalized (muNG): no"),
+    ("--gamma", "(mu,gamma)-harmonic (HG): no"),
+])
+def test_parameter_override_replaces_the_document_value(capsys, mode, flag, line):
+    # matching pennies is mu-normalized and harmonic under its own
+    # parameters, and loses one of them under the override
+    code, out, _ = run(capsys, *mode, "classify", FIXTURES / "mp.game", flag, "1,2;1,1")
+    assert code == 0
+    assert line in out
 
 
 def test_transform_scale_and_permute(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamedecomp import (
     CoMeasureVector,
@@ -19,18 +20,22 @@ from gamedecomp import (
     is_mu_normalized,
     is_nonstrategic,
 )
-from gamedecomp.decomposition import closest_potential, epsilon_bound
-from gamedecomp.games import game_norm_sq, inner_product_game
+from gamedecomp import PermutationSpec, permute, scale, translate_nonstrategic
+from gamedecomp.decomposition import _integrate, closest_potential, epsilon_bound
+from gamedecomp.games import game_norm_sq, inner_product_game, shared_payoffs
+from gamedecomp.numeric import _Shared
 from gamedecomp.operators import deviation_divergence, lambda_project, solve_poisson
 from gamedecomp.laws import (
     random_game,
     random_gamma,
     random_mu,
     random_nonstrategic,
+    random_product_gamma,
     random_space,
 )
 from conftest import load_fixture
 from oracles import (
+    integrate_by_fractions,
     is_gamma_potential_by_decomposition,
     laplacian_apply,
     solve_poisson_dense,
@@ -259,6 +264,90 @@ def test_extract_potential_matches_phi_on_deep_spaces(sizes):
 
 
 # -- closest potential game and the bound ------------------------------------------------
+
+
+def _in_float(space, g, gamma):
+    """g and gamma with their exact entries rounded to floats."""
+    return (
+        Game.from_payoffs(space, [g.flat(i) for i in space.players], exact=False),
+        CoMeasureVector.from_tensors(
+            space, [t.reshape(-1).tolist() for t in gamma.tensors], exact=False
+        ),
+    )
+
+
+def _same(got, want, exact) -> bool:
+    """Equal entries in exact mode, equal bits in float mode."""
+    return got.tolist() == want.tolist() if exact else got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_integrate_matches_fraction_oracle(exact):
+    # exact mode integrates integer numerators over one LCM; float mode must
+    # keep the oracle's expressions, so psi agrees to the bit
+    rng = random.Random(43)
+    failures = 0
+    for trial in range(80):
+        space = random_space(rng, (2, 4), (2, 3))
+        g, mu, gamma = random_game(rng, space), random_mu(rng, space), random_gamma(rng, space)
+        if trial % 4 == 0:
+            g = decompose(g, mu, gamma).potential + random_nonstrategic(rng, space)
+        if not exact:
+            g, gamma = _in_float(space, g, gamma)
+        psi, bad = _integrate(g, gamma)
+        want, want_bad = integrate_by_fractions(g, gamma)
+        assert _same(psi.values(), want, exact)
+        assert bad == want_bad
+        if bad is None:
+            centred = want - want.sum() / space.num_profiles
+            assert _same(extract_potential(g, gamma).values, centred, exact)
+            continue
+        failures += 1
+        source, target = (space.profile_labels(s) for s in bad)
+        with pytest.raises(PreconditionError) as info:
+            extract_potential(g, gamma)
+        assert str(info.value).endswith(f"{source} -> {target}")
+    assert failures >= 40
+
+
+def _equals_converted(game) -> bool:
+    return all(x.equals(_Shared.of(p)) for x, p in zip(shared_payoffs(game), game.payoffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_games_keep_a_current_shared_form(sizes, seed, exact):
+    # the parts and the closest potential game are built in shared form and
+    # keep it; a game computed from them converts its own payoffs
+    rng = random.Random(seed)
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+    g, mu, gamma = random_game(rng, space), random_mu(rng, space), random_gamma(rng, space)
+    beta = random_product_gamma(rng, space)
+    if not exact:
+        g, gamma = _in_float(space, g, gamma)
+        mu = MeasureVector.from_weights(space, [w.tolist() for w in mu.weights], exact=False)
+        beta = CoMeasureVector.from_generator(
+            space, [c.tolist() for c in beta.generator], exact=False
+        )
+    parts = decompose(g, mu, gamma)
+    closest, _ = parts.closest_potential()
+    for game in (*parts.components(), closest):
+        assert "_shared" in vars(game)
+        assert _equals_converted(game)
+    sigma = tuple(reversed(range(space.sizes[0])))
+    derived = [
+        parts.potential + parts.harmonic,
+        parts.harmonic - parts.nonstrategic,
+        permute(parts.harmonic, PermutationSpec(0, sigma)),
+        scale(parts.potential, beta),
+        translate_nonstrategic(parts.potential, parts.nonstrategic),
+    ]
+    for game in derived:
+        assert _equals_converted(game)
 
 
 def test_closest_potential_examples(matching_pennies):
