@@ -191,6 +191,29 @@ def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_
     assert count <= _literals(space) + 4 * n * size + size + 16 * n
 
 
+def test_exact_verify_all_fraction_constructions(capsys, count_fractions):
+    # the 11 laws at 30 trials each, seed 7, build 148,463 Fractions: every
+    # part, transformed game and comparison goes through Fraction tensors
+    code, count = count_fractions(main, ["verify", "all", "--trials", "30", "--seed", "7"])
+    assert code == 0
+    assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
+    assert count <= 150_000
+
+
+def test_exact_decompose_333_fraction_constructions(count_fractions):
+    # one decompose() of a seeded (3,3,3) game builds 228 Fractions: the
+    # three parts (the nonstrategic one at its distinct entries), phi and
+    # O(n) scalars; the cap is 3 n |S| + |S| + 16 n
+    rng = random.Random(3)
+    space = StrategySpace(tuple(("a", "b", "c") for _ in range(3)))
+    g = laws.random_game(rng, space)
+    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
+    parts, count = count_fractions(decomposition.decompose, g, mu, gamma)
+    assert parts.reconstructs(g)
+    n, size = space.n_players, space.num_profiles
+    assert count <= 3 * n * size + size + 16 * n
+
+
 EXACT_COMMANDS = [
     ["decompose", FIXTURES / "depend.game"],
     ["classify", FIXTURES / "depend.game"],

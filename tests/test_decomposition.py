@@ -350,6 +350,53 @@ def test_games_keep_a_current_shared_form(sizes, seed, exact):
         assert _equals_converted(game)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_game_storage_keeps_its_public_behaviour(sizes, seed, exact):
+    # Game(space, payoffs), Game.from_payoffs and Game.payoffs read as the
+    # eagerly converted tensors did, games stay frozen, and == and +/- do not
+    # depend on the denominator a game's shared form is stored over
+    rng = random.Random(seed)
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+    cells_ = [
+        [F(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(space.num_profiles)]
+        for _ in space.players
+    ]
+    if not exact:
+        cells_ = [[float(v) for v in row] for row in cells_]
+    g = Game.from_payoffs(space, cells_, exact)
+    for row, p in zip(cells_, g.payoffs):
+        assert p.shape == space.sizes and not p.flags.writeable
+        assert p.reshape(-1).tolist() == row
+        assert all(type(v) is (F if exact else float) for v in p.reshape(-1).tolist())
+    assert g.exact is exact
+    given_payoffs = tuple(p.copy() for p in g.payoffs)
+    kept = Game(space, given_payoffs)
+    assert all(a is b for a, b in zip(kept.payoffs, given_payoffs))
+    assert kept == g
+
+    assert (g - g).is_zero() and (g + g).is_zero() == g.is_zero()
+    if exact:
+        shared = [_Shared.of(p) for p in g.payoffs]
+        halves = Game._with_shared(space, [_Shared(x.num, 2 * x.den) for x in shared])
+        quarters = Game._with_shared(space, [_Shared(2 * x.num, 4 * x.den) for x in shared])
+        eager = tuple(_Shared(x.num, 2 * x.den).values() for x in shared)
+        for lazy in (halves, quarters):
+            assert all(not p.flags.writeable for p in lazy.payoffs)
+            assert [p.tolist() for p in lazy.payoffs] == [p.tolist() for p in eager]
+        assert halves == quarters and quarters == halves
+        assert (halves == g) == g.is_zero()
+        assert halves + quarters == g and g - quarters == halves
+    with pytest.raises(AttributeError):
+        g.payoffs = given_payoffs
+    with pytest.raises(AttributeError):
+        g.space = space
+
+
 def test_closest_potential_examples(matching_pennies):
     doc = matching_pennies
     closest, dist_sq = closest_potential(doc.game, doc.mu, doc.gamma)
