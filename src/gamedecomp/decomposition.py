@@ -9,7 +9,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import _Shared, axis_contract, is_zero, magnitude, quotient, unequal_mask
+from .numeric import _Shared, _add, _sub, axis_contract, is_zero, magnitude, quotient, unequal_mask
 from .games import (
     CoMeasureVector,
     Game,
@@ -21,7 +21,7 @@ from .games import (
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import _add, _deviation, _divergence, _solve, _spread, _sub, deviation_divergence
+from .operators import _deviation, _divergence, _solve, _spread, deviation_divergence
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class Decomposition:
         """The nearest gamma-potential game and the squared distance to it.
 
         Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}); the
-        sum is taken in shared form and converted out once.
+        sum is taken in shared form, and converted out when it is read.
         """
         closest = Game._with_shared(self.mu.space, (
             _add(a, b)
@@ -113,15 +113,15 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     harmonic = Pi g - potential.
 
     Both scalar modes run this one body on ``numeric._Shared`` tensors (see
-    operators): g and mu are converted once on entry and each result once on
-    exit, so exact mode pays the gcds of ``Fraction`` arithmetic once per
-    output entry.  The three parts keep their shared form (Game._shared), so
-    the report's inner products and ``reconstructs`` convert nothing back.
-    Only the Poisson solve core differs per mode (_solve).
+    operators), the form games, phi and the cached mu and gamma are stored
+    in.  The three parts and phi are built in that form and converted to
+    ``Fraction`` values only where they are read, so exact mode pays the
+    gcds of ``Fraction`` arithmetic once per entry read out.  Only the
+    Poisson solve core differs per mode (_solve).
     """
     space = require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
-    weights = [_Shared.of(w) for w in mu.weights]
+    weights = mu._shared
     averages, normalized = zip(*(
         _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
     ))
@@ -129,14 +129,15 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     potential = [
         _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
     ]
-    payoffs, spread = zip(*(_spread(avg, i, space.sizes) for i, avg in enumerate(averages)))
     return Decomposition(
-        nonstrategic=Game._with_shared(space, spread, payoffs),
+        nonstrategic=Game._with_shared(
+            space, (_spread(avg, space.sizes) for avg in averages)
+        ),
         potential=Game._with_shared(space, potential),
         harmonic=Game._with_shared(
             space, (_sub(pi, part) for pi, part in zip(normalized, potential))
         ),
-        phi=ScalarField(space, phi.values()),
+        phi=ScalarField._with_shared(space, (phi,)),
         mu=mu,
         gamma=gamma,
     )
@@ -146,19 +147,21 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
 
 
 def is_nonstrategic(g: Game) -> bool:
-    """True iff every player's payoff ignores her own coordinate."""
+    """True iff every player's payoff ignores her own coordinate; decided on
+    each tensor's numerators, which share one denominator."""
     return not any(
-        unequal_mask(p, np.take(p, [0], axis=i), g.exact).any()
-        for i, p in enumerate(g.payoffs)
+        unequal_mask(x.num, x.num[(slice(None),) * i + (slice(0, 1),)], g.exact).any()
+        for i, x in enumerate(shared_payoffs(g))
     )
 
 
 def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
-    """True iff the mu-weighted own-coordinate sum vanishes everywhere."""
+    """True iff the mu-weighted own-coordinate sum vanishes everywhere;
+    exact mode sums numerators, weighted by mu^i's numerators."""
     require_operands(g, mu)
-    for i in g.space.players:
-        acc = axis_contract(g.payoffs[i], mu.weights[i], i)
-        scale = 1.0 if g.exact else magnitude(g.payoffs[i]) * mu.total(i)
+    for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared)):
+        acc = axis_contract(x.num, w.num, i)
+        scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
         if not is_zero(acc, g.exact, scale):
             return False
     return True
@@ -179,12 +182,12 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
     require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
-    h = deviation_divergence(g, mu, gamma)
+    h = deviation_divergence(g, mu, gamma)._shared[0]
     scale = 1.0 if g.exact else sum(
-        magnitude(g.payoffs[i]) * magnitude(gamma.tensors[i]) * mu.total(i)
-        for i in g.space.players
+        magnitude(x.num) * magnitude(gamma.tensors[i]) * mu.total(i)
+        for i, x in enumerate(shared_payoffs(g))
     )
-    return is_zero(h.values, g.exact, scale)
+    return is_zero(h.num, g.exact, scale)
 
 
 def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
@@ -204,7 +207,7 @@ def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
             f"{g.space.profile_labels(source)} -> {g.space.profile_labels(target)}"
         )
     mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
-    return ScalarField(g.space, _sub(psi, mean).values())
+    return ScalarField._with_shared(g.space, (_sub(psi, mean),))
 
 
 def _integrate(g: Game, gamma: CoMeasureVector):
@@ -229,8 +232,8 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     space = require_operands(g, gamma)
     terms = []
     for i, payoff in enumerate(shared_payoffs(g)):
-        factor = _Shared.of(gamma.expanded(i))
-        diff = factor.num * (payoff.num - np.take(payoff.num, [0], axis=i))
+        factor = gamma._shared_expanded(i)
+        diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
         terms.append((diff, factor.den * payoff.den))
     den = math.lcm(*(d for _, d in terms))
     diffs = [num if d == den else num * (den // d) for num, d in terms]

@@ -7,15 +7,20 @@ The five types share one private base, ``_Tensors``: a strategy space plus
 one scalar tensor per player (a single tensor for ``ScalarField``).  It holds
 the ``exact`` property, ``==`` (which refuses mixed scalar modes), the shape
 check against each class's ``_shapes``, the count-checked coercion behind
-every ``from_*`` constructor, and the ``+``/``-`` of ``Game`` and
-``ScalarField``.  ``Game`` still binds ``__add__``, ``__sub__`` and ``__eq__``
-in its own class body: the layer tracer in ``perfbench/spans.py`` wraps them
-by reading ``Game.__dict__``, where an inherited method is not found.
+every ``from_*`` constructor, and each object's tensors in shared form
+(``numeric._Shared``: numerators over one denominator, the floats themselves
+over 1 in float mode), converted once per object; ``==`` compares those.
 
-A ``Game`` keeps its payoffs in shared form (``numeric._Shared``) once it
-has them: ``Game._with_shared`` stores the form a game was computed in, and
-``shared_payoffs`` converts any other game once, on first read.  Games made
-by ``+``, ``-`` or a transformation are new objects and convert their own.
+``Game`` and ``ScalarField`` store only the shared form (``_SharedTensors``).
+``Game.payoffs`` and ``ScalarField.values`` are views: immutable ``Fraction``
+(or float) tensors built on first read and cached, and a game given its
+payoffs keeps them as that view.  ``+``, ``-``, ``==`` and ``Game.is_zero``
+run on numerators, and ``_with_shared`` builds an object from tensors
+computed in shared form, so a part or transformed game that is never read
+out builds no ``Fraction``.  ``Game`` still binds ``__add__``, ``__sub__``
+and ``__eq__`` in its own class body: the layer tracer in
+``perfbench/spans.py`` wraps them by reading ``Game.__dict__``, where an
+inherited method is not found.
 
 ``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry when
 they are built, so every mu and gamma in the package is strictly positive.
@@ -26,7 +31,6 @@ strategy space, then one scalar mode.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +41,11 @@ import numpy as np
 from .errors import ValidationError
 from .numeric import (
     _Shared,
-    arrays_equal,
+    _add,
+    _sub,
     array_is_exact,
     freeze,
+    insert_axis,
     quotient,
     scalar_array,
     unequal_mask,
@@ -114,12 +120,14 @@ class _Tensors:
         raise NotImplementedError
 
     @property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
+    def _stored(self) -> tuple[np.ndarray, ...]:
+        """The tensors the object holds: those of its field."""
         return getattr(self, self._field)
 
-    @classmethod
-    def _build(cls, space: StrategySpace, arrays: tuple[np.ndarray, ...]):
-        return cls(space, arrays)
+    @cached_property
+    def _shared(self) -> tuple[_Shared, ...]:
+        """The tensors in shared form, converted once per object."""
+        return tuple(_Shared.of(a) for a in self._stored)
 
     @classmethod
     def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None, noun=None):
@@ -133,43 +141,78 @@ class _Tensors:
         return tuple(_coerce_tensor(d, shape, exact) for d, shape in zip(data, shapes))
 
     def __post_init__(self):
-        _check_shapes(self._noun, self._arrays, self._shapes(self.space))
+        _check_shapes(self._noun, self._stored, self._shapes(self.space))
 
     @property
     def exact(self) -> bool:
-        return array_is_exact(self._arrays[0])
+        return array_is_exact(self._stored[0])
 
     def __eq__(self, other) -> bool:
+        """Entrywise equality on the shared forms: exact numerators over one
+        denominator, float entries within tolerance."""
         if not isinstance(other, type(self)):
             return NotImplemented
         require_same_mode(self, other)
         return self.space == other.space and all(
-            arrays_equal(a, b, self.exact) for a, b in zip(self._arrays, other._arrays)
+            a.equals(b) for a, b in zip(self._shared, other._shared)
         )
+
+
+class _SharedTensors(_Tensors):
+    """Tensors stored in shared form (``numeric._Shared``, numerators over
+    one denominator); the value tensors named by ``_field`` are a view, built
+    on first read and cached.  ``+``, ``-`` and ``==`` run on numerators."""
+
+    def _store(self, space: StrategySpace, shared, given=None) -> None:
+        """Set the space and the shared tensors; ``given`` is the value view
+        the tensors were converted from, kept so it is not rebuilt."""
+        object.__setattr__(self, "space", space)
+        self.__dict__["_shared"] = tuple(shared)
+        if given is not None:
+            self.__dict__[self._field] = given
+        self.__post_init__()
+
+    @classmethod
+    def _with_shared(cls, space: StrategySpace, shared):
+        """The object whose tensors are ``shared``, converted out on first read."""
+        obj = cls.__new__(cls)
+        obj._store(space, shared)
+        return obj
+
+    @property
+    def _stored(self) -> tuple[np.ndarray, ...]:
+        return tuple(x.num for x in self._shared)
 
     def _combine(self, other, op):
         require_operands(self, other)
-        return self._build(
-            self.space,
-            tuple(freeze(op(a, b)) for a, b in zip(self._arrays, other._arrays)),
+        return self._with_shared(
+            self.space, tuple(op(a, b) for a, b in zip(self._shared, other._shared))
         )
 
-    def _add(self, other):
-        return self._combine(other, operator.add)
+    def __add__(self, other):
+        return self._combine(other, _add)
 
-    def _sub(self, other):
-        return self._combine(other, operator.sub)
+    def __sub__(self, other):
+        return self._combine(other, _sub)
 
 
-@dataclass(frozen=True, eq=False)
-class Game(_Tensors):
+@dataclass(frozen=True, eq=False, init=False)
+class Game(_SharedTensors):
     """Per-player payoff tensors over one shared profile space."""
 
     space: StrategySpace
-    payoffs: tuple[np.ndarray, ...]
 
     _field = "payoffs"
     _noun = "payoff tensor"
+
+    def __init__(self, space: StrategySpace, payoffs: tuple[np.ndarray, ...]):
+        payoffs = tuple(payoffs)
+        self._store(space, (_Shared.of(p) for p in payoffs), payoffs)
+
+    @cached_property
+    def payoffs(self) -> tuple[np.ndarray, ...]:
+        """The immutable payoff tensors, one per player."""
+        return tuple(x.values() for x in self._shared)
 
     @staticmethod
     def _shapes(space):
@@ -183,55 +226,40 @@ class Game(_Tensors):
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "Game":
         return cls(space, tuple(zeros_array(space.sizes, exact) for _ in space.players))
 
-    @classmethod
-    def _with_shared(cls, space: StrategySpace, shared, payoffs=None) -> "Game":
-        """The game with payoffs ``shared`` in shared form, which it keeps:
-        ``payoffs`` are those tensors already converted out, else each is
-        converted now."""
-        shared = tuple(shared)
-        if payoffs is None:
-            payoffs = tuple(x.values() for x in shared)
-        game = cls(space, tuple(payoffs))
-        game.__dict__["_shared"] = shared
-        return game
-
-    @cached_property
-    def _shared(self) -> tuple[_Shared, ...]:
-        """The payoff tensors in shared form, one per player: the form the
-        game was built from (_with_shared), else converted on first read."""
-        return tuple(_Shared.of(p) for p in self.payoffs)
-
     def flat(self, player: int) -> list:
         return self.payoffs[player].reshape(-1).tolist()
 
-    __add__ = _Tensors._add
-    __sub__ = _Tensors._sub
-    __eq__ = _Tensors.__eq__
-
     def is_zero(self) -> bool:
-        return self == Game.zeros(self.space, self.exact)
+        return all(x.is_zero() for x in self._shared)
+
+    def __repr__(self) -> str:
+        return f"Game(space={self.space!r}, payoffs={self.payoffs!r})"
+
+    __add__ = _SharedTensors.__add__
+    __sub__ = _SharedTensors.__sub__
+    __eq__ = _SharedTensors.__eq__
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField(_Tensors):
+@dataclass(frozen=True, eq=False, init=False)
+class ScalarField(_SharedTensors):
     """An element of C0: one scalar per strategy profile."""
 
     space: StrategySpace
-    values: np.ndarray
 
+    _field = "values"
     _noun = "field"
+
+    def __init__(self, space: StrategySpace, values: np.ndarray):
+        self._store(space, (_Shared.of(values),), values)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The immutable tensor of values, one per profile."""
+        return self._shared[0].values()
 
     @staticmethod
     def _shapes(space):
         return (space.sizes,)
-
-    @property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.values,)
-
-    @classmethod
-    def _build(cls, space, arrays):
-        return cls(space, arrays[0])
 
     @classmethod
     def from_values(cls, space: StrategySpace, data, exact: bool = True) -> "ScalarField":
@@ -244,8 +272,8 @@ class ScalarField(_Tensors):
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
 
-    __add__ = _Tensors._add
-    __sub__ = _Tensors._sub
+    def __repr__(self) -> str:
+        return f"ScalarField(space={self.space!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +302,13 @@ class MeasureVector(_Tensors):
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
         return cls.from_weights(space, [[value] * m for m in space.sizes], exact)
 
+    @cached_property
+    def _totals(self) -> tuple:
+        return tuple(w.sum() for w in self.weights)
+
     def total(self, player: int):
-        return self.weights[player].sum()
+        """mu^i(S^i), summed once per object."""
+        return self._totals[player]
 
     def product_array(self) -> np.ndarray:
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
@@ -338,7 +371,12 @@ class CoMeasureVector(_Tensors):
 
     def expanded(self, player: int) -> np.ndarray:
         """gamma^i broadcast over the full profile space (own axis inserted)."""
-        return np.expand_dims(self.tensors[player], axis=player)
+        return insert_axis(self.tensors[player], player)
+
+    def _shared_expanded(self, player: int) -> _Shared:
+        """expanded(player) in shared form, from the cached shared gamma^i."""
+        x = self._shared[player]
+        return _Shared(insert_axis(x.num, player), x.den)
 
     def is_player_constant(self, player: int) -> bool:
         flat = self.tensors[player].reshape(-1)
@@ -454,20 +492,20 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
     in that order, which fixes its rounding.
     """
     require_operands(mu, gamma)
-    weights = [_Shared.of(w) for w in mu.weights]
+    weights = mu._shared
     prod = _outer([w.num for w in weights])
     den = math.prod(w.den for w in weights)
     out = []
     for i in mu.space.players:
-        g = _Shared.of(gamma.expanded(i))
+        g = gamma._shared_expanded(i)
         factor = _Shared(g.num ** 2, g.den ** 2).scale(mu.total(i))
         out.append(_Shared(freeze(prod * factor.num), den * factor.den))
     return tuple(out)
 
 
 def shared_payoffs(g: Game) -> tuple[_Shared, ...]:
-    """g's payoff tensors in shared form, one per player; each game converts
-    its payoffs at most once (Game._shared)."""
+    """g's payoff tensors in shared form, one per player: the form a game
+    stores."""
     return g._shared
 
 

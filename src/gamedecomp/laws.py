@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
+from .games import CoMeasureVector, Game, MeasureVector, MixedProfile, shared_payoffs
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
     decompose,
@@ -26,7 +26,7 @@ from .decomposition import (
     is_nonstrategic,
 )
 from .equilibrium import best_response_epsilon, harmonic_equilibrium, pure_regret
-from .numeric import axis_contract, freeze
+from .numeric import _Shared, _object_array, axis_contract, insert_axis, scalar_array
 from .spaces import StrategySpace
 from .transforms import (
     DuplicationSpec,
@@ -67,13 +67,11 @@ def random_space(rng: random.Random, players: tuple[int, int], strategies: tuple
 
 
 def random_game(rng: random.Random, space: StrategySpace) -> Game:
-    return Game.from_payoffs(
-        space,
-        [
-            [rng.randint(-9, 9) for _ in range(space.num_profiles)]
-            for _ in space.players
-        ],
-    )
+    """Integer payoffs in [-9, 9], built as numerators over 1."""
+    return Game._with_shared(space, (
+        _Shared(_object_array([rng.randint(-9, 9) for _ in range(space.num_profiles)], space.sizes), 1)
+        for _ in space.players
+    ))
 
 
 def random_mu(rng: random.Random, space: StrategySpace) -> MeasureVector:
@@ -99,13 +97,14 @@ def random_product_gamma(rng: random.Random, space: StrategySpace) -> CoMeasureV
 
 
 def random_nonstrategic(rng: random.Random, space: StrategySpace) -> Game:
+    """Integer payoffs in [-9, 9] that ignore the player's own strategy,
+    built as a broadcast view of numerators over 1."""
     payoffs = []
     for i in space.players:
-        opp = np.empty(space.opp_sizes(i), dtype=object)
-        flat = [Fraction(rng.randint(-9, 9)) for _ in range(space.num_opp_profiles(i))]
-        opp.reshape(-1)[:] = flat
-        payoffs.append(freeze(np.broadcast_to(np.expand_dims(opp, i), space.sizes).copy()))
-    return Game(space, tuple(payoffs))
+        flat = [rng.randint(-9, 9) for _ in range(space.num_opp_profiles(i))]
+        opp = insert_axis(_object_array(flat, space.opp_sizes(i)), i)
+        payoffs.append(_Shared(np.broadcast_to(opp, space.sizes), 1))
+    return Game._with_shared(space, payoffs)
 
 
 # -- individual law checks -------------------------------------------------------
@@ -241,13 +240,15 @@ def _check_redundant(g, mu, gamma, aux):
     total = sum(raw, Fraction(0))
     alpha = tuple(a / total for a in raw)
 
-    # replace the removable slice by the alpha mixture, for all players
+    # replace the removable slice by the alpha mixture, for all players, on
+    # numerators over the denominators of g^j and alpha
+    shares = _Shared.of(scalar_array(alpha, (len(alpha),)))
     payoffs = []
-    for j in space.players:
-        kept = np.delete(g.payoffs[j], p0, axis=player)
-        mix = axis_contract(kept, alpha, player)
-        payoffs.append(freeze(np.insert(kept, p0, mix, axis=player)))
-    redundant_game = Game(space, tuple(payoffs))
+    for x in shared_payoffs(g):
+        kept = np.delete(x.num, p0, axis=player)
+        mix = axis_contract(kept, shares.num, player)
+        payoffs.append(_Shared(np.insert(kept * shares.den, p0, mix, axis=player), x.den * shares.den))
+    redundant_game = Game._with_shared(space, payoffs)
 
     # uniform in each player's gamma; constants may differ across players
     gamma_u = CoMeasureVector.from_tensors(

@@ -7,10 +7,11 @@ construction time and detected from the numpy dtype (``object`` = exact,
 ``float64`` = float).
 
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
-ints in exact mode and the floats themselves over 1 in float mode.  The
-``decompose`` pipeline runs on it in both modes, and its methods hold that
-pipeline's scalar-mode branches; only the Poisson solve core keeps a body per
-mode (``operators._solve``).
+ints in exact mode and the floats themselves over 1 in float mode.  Games and
+scalar fields store their tensors in this form, the ``decompose`` pipeline
+runs on it in both modes, and its methods hold that pipeline's scalar-mode
+branches; only the Poisson solve core keeps a body per mode
+(``operators._solve``).
 """
 
 from __future__ import annotations
@@ -171,13 +172,48 @@ class _Shared(NamedTuple):
         left, right, _ = self.aligned(other)
         return arrays_equal(left, right, self.exact)
 
+    def is_zero(self) -> bool:
+        """Every entry is 0: exact numerators are, float entries lie within
+        tolerance(their magnitude), as ``equals`` against zeros decides."""
+        if self.exact:
+            return not self.num.any()
+        return is_zero(self.num, False, magnitude(self.num))
+
+    def times(self, other: "_Shared") -> "_Shared":
+        """The entrywise (broadcast) product, over the product of the
+        denominators (float: 1)."""
+        return _Shared(self.num * other.num, self.den * other.den)
+
     def values(self) -> np.ndarray:
-        """The immutable tensor out: ``Fraction`` num / den, or the floats."""
-        if not self.exact:
-            return freeze(self.num)
-        den = self.den
-        flat = [Fraction(v, den) for v in self.num.reshape(-1).tolist()]
-        return freeze(_object_array(flat, self.num.shape))
+        """The immutable tensor out: ``Fraction`` num / den, or the floats.
+
+        A broadcast view (an axis of stride 0, as an average spread along a
+        player's axis) converts only its distinct entries, then is copied out
+        to the full shape."""
+        num = self.num
+        distinct = num[tuple(
+            slice(0, 1) if stride == 0 else slice(None) for stride in num.strides
+        )]
+        out = distinct
+        if self.exact:
+            den = self.den
+            flat = [Fraction(v, den) for v in distinct.reshape(-1).tolist()]
+            out = _object_array(flat, distinct.shape)
+        if distinct.shape != num.shape:
+            out = np.broadcast_to(out, num.shape).copy()
+        return freeze(out)
+
+
+def _add(a: _Shared, b: _Shared) -> _Shared:
+    """a + b over the LCM of the two denominators (float: both are 1)."""
+    left, right, den = a.aligned(b)
+    return _Shared(left + right, den)
+
+
+def _sub(a: _Shared, b: _Shared) -> _Shared:
+    """a - b over the LCM of the two denominators (float: both are 1)."""
+    left, right, den = a.aligned(b)
+    return _Shared(left - right, den)
 
 
 def quotient(num, den, exact: bool):
@@ -192,17 +228,32 @@ def _object_array(items: list, shape) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def axis_view(x: np.ndarray, axis: int) -> np.ndarray:
+    """x as a (pre, m, post) array: the axes before ``axis`` flattened, then
+    ``axis``, then the axes after it flattened; a view when x's memory
+    allows, so per-axis kernels slice it instead of moving axes."""
+    shape = x.shape
+    return x.reshape(math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:]))
+
+
+def insert_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """x with an axis of length 1 inserted at ``axis``: the view
+    ``np.expand_dims`` returns, at the cost of a reshape."""
+    return x.reshape(x.shape[:axis] + (1,) + x.shape[axis:])
+
+
 def axis_contract(values: np.ndarray, weights, axis: int) -> np.ndarray:
     """sum_k weights[k] * values[..., k, ...] along ``axis``, with that axis removed.
 
     ``weights`` is any 1-D sequence as long as that axis.  Terms are added in
     index order, so float rounding is the same for every caller.
     """
+    view = axis_view(values, axis)
     acc = None
     for k, w in enumerate(np.asarray(weights).tolist()):
-        term = np.take(values, k, axis=axis) * w
+        term = view[:, k] * w
         acc = term if acc is None else acc + term
-    return acc
+    return acc.reshape(values.shape[:axis] + values.shape[axis + 1:])
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ W = sum_k m_k into the denominator, where mu^i is scaled to integers m^i by
 the LCM of its denominators, and division by gamma^i is multiplication by
 the numerators of 1/gamma^i.  Denominators are scalars, so each exact kernel
 costs O(|S|) Python-int operations per axis, and the one gcd per entry is
-paid when the result turns back into ``Fraction`` values.
+paid when a result is read out as ``Fraction`` values.
 
 Only the Poisson solve core stays per mode (_solve): exact mode multiplies
 through on integers (_solve_ints), float mode divides in the basis above with
@@ -41,7 +41,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import SolveError, ValidationError
-from .numeric import _Shared, axis_contract, freeze, is_zero, magnitude
+from .numeric import _Shared, _sub, axis_contract, axis_view, insert_axis, is_zero, magnitude
 from .games import (
     Game, MeasureVector, CoMeasureVector, ScalarField, require_operands, shared_payoffs,
 )
@@ -50,11 +50,10 @@ from .games import (
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_operands(g, mu)
-    payoffs, spread = zip(*(
-        _spread(_average(x, _Shared.of(w), i), i, g.space.sizes)
-        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu.weights))
+    return Game._with_shared(g.space, (
+        _spread(_average(x, w, i), g.space.sizes)
+        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared))
     ))
-    return Game._with_shared(g.space, spread, payoffs)
 
 
 def pi_project(g: Game, mu: MeasureVector) -> Game:
@@ -73,10 +72,10 @@ def deviation_divergence(
     require_operands(g, mu, gamma)
     with _float_range("the deviation divergence"):
         normalized = [
-            _deviation(x, _Shared.of(w), i)[1]
-            for i, (x, w) in enumerate(zip(shared_payoffs(g), mu.weights))
+            _deviation(x, w, i)[1]
+            for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared))
         ]
-        return ScalarField(g.space, _divergence(normalized, mu, gamma).values())
+        return ScalarField._with_shared(g.space, (_divergence(normalized, mu, gamma),))
 
 
 @contextmanager
@@ -94,39 +93,26 @@ def _float_range(what: str):
 
 
 def _average(x: _Shared, weights: _Shared, axis: int) -> _Shared:
-    """Lambda^i x along ``axis``, with that axis removed.
+    """Lambda^i x along ``axis``, which is kept with length 1.
 
     With m = weights.num and W = sum_k m_k, A = sum_k m_k x_k gives
     Lambda^i x = A / (W den); weights over any denominator give the same.
     """
-    return x.over(axis_contract(x.num, weights.num, axis), x.den * weights.num.sum())
+    total = insert_axis(axis_contract(x.num, weights.num, axis), axis)
+    return x.over(total, x.den * weights.num.sum())
 
 
 def _deviation(x: _Shared, weights: _Shared, axis: int) -> tuple[_Shared, _Shared]:
-    """Lambda^i x (axis removed) and Pi^i x = x - Lambda^i x along ``axis``."""
+    """Lambda^i x (``axis`` of length 1) and Pi^i x = x - Lambda^i x."""
     avg = _average(x, weights, axis)
-    return avg, _sub(x, _Shared(np.expand_dims(avg.num, axis), avg.den))
+    return avg, _sub(x, avg)
 
 
-def _sub(a: _Shared, b: _Shared) -> _Shared:
-    """a - b over the LCM of the two denominators (float: both are 1)."""
-    left, right, den = a.aligned(b)
-    return _Shared(left - right, den)
-
-
-def _add(a: _Shared, b: _Shared) -> _Shared:
-    """a + b over the LCM of the two denominators (float: both are 1)."""
-    left, right, den = a.aligned(b)
-    return _Shared(left + right, den)
-
-
-def _spread(avg: _Shared, axis: int, shape) -> tuple[np.ndarray, _Shared]:
-    """An average with ``axis`` removed, spread back along that axis to
-    ``shape``: the full immutable tensor, for which only the distinct entries
-    are converted out, and its shared form, a broadcast view of the
-    average's numerators with no copy."""
-    values = freeze(np.broadcast_to(np.expand_dims(avg.values(), axis), shape).copy())
-    return values, _Shared(np.broadcast_to(np.expand_dims(avg.num, axis), shape), avg.den)
+def _spread(avg: _Shared, shape) -> _Shared:
+    """An average spread back along its length-1 axis to ``shape``: a
+    broadcast view of its numerators, with no copy, which
+    ``_Shared.values`` converts at its distinct entries only."""
+    return _Shared(np.broadcast_to(avg.num, shape), avg.den)
 
 
 def _divergence(
@@ -143,7 +129,7 @@ def _divergence(
     terms = []
     for i, part in enumerate(normalized):
         scaled = part.scale(mu.total(i))
-        factor = _Shared.of(gamma.expanded(i))
+        factor = gamma._shared_expanded(i)
         terms.append((scaled.num, factor.num, scaled.den * factor.den))
     den = math.lcm(*(d for _, _, d in terms))
     acc = None
@@ -166,8 +152,7 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     scalar operations and O(|S|) memory; see _solve.
     """
     require_operands(h, mu)
-    weights = [_Shared.of(w) for w in mu.weights]
-    return ScalarField(h.space, _solve(_Shared.of(h.values), weights).values())
+    return ScalarField._with_shared(h.space, (_solve(h._shared[0], mu._shared),))
 
 
 def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
@@ -285,20 +270,20 @@ def _to_axis_ints(x: np.ndarray, weights: _Shared, axis: int) -> np.ndarray:
     These are _to_axis_basis's coefficients times W and W / w_k.  The
     reference is strategy 0: exact results do not depend on it.
     """
-    x = np.moveaxis(x, axis, 0)
-    total = axis_contract(x, weights.num, 0)
-    out = np.concatenate([total[np.newaxis], x[1:] * weights.num.sum() - total])
-    return np.moveaxis(out, 0, axis)
+    view = axis_view(x, axis)
+    total = axis_contract(view, weights.num, 1)[:, np.newaxis]
+    out = np.concatenate([total, view[:, 1:] * weights.num.sum() - total], axis=1)
+    return out.reshape(x.shape)
 
 
 def _from_axis_ints(y: np.ndarray, weights: _Shared, axis: int) -> np.ndarray:
     """Inverse of _to_axis_ints times m_0 W: x_0 = m_0 y_0 - sum_{k>=1} m_k y_k
     and x_k = m_0 (y_0 + y_k)."""
-    y = np.moveaxis(y, axis, 0)
+    view = axis_view(y, axis)
     m0 = weights.num[0]
-    first = y[0] * m0 - axis_contract(y[1:], weights.num[1:], 0)
-    out = np.concatenate([first[np.newaxis], (y[1:] + y[0]) * m0])
-    return np.moveaxis(out, 0, axis)
+    first = view[:, :1] * m0 - axis_contract(view[:, 1:], weights.num[1:], 1)[:, np.newaxis]
+    out = np.concatenate([first, (view[:, 1:] + view[:, :1]) * m0], axis=1)
+    return out.reshape(y.shape)
 
 
 def _inverse_eigen_ints(weights: list[_Shared], shape) -> tuple[np.ndarray, int]:

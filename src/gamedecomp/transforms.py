@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import axis_contract, freeze, scalar_array, unequal_mask
-from .games import CoMeasureVector, Game, MeasureVector, require_operands
+from .numeric import _Shared, axis_contract, freeze, scalar_array, unequal_mask
+from .games import CoMeasureVector, Game, MeasureVector, require_operands, shared_payoffs
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace
 
@@ -28,9 +28,10 @@ from .spaces import StrategySpace
 
 
 def _take_game(g: Game, space: StrategySpace, player: int, idx) -> Game:
-    """g on ``space``, where strategy k of ``player`` is old strategy idx[k]."""
-    return Game(
-        space, tuple(freeze(np.take(p, idx, axis=player)) for p in g.payoffs)
+    """g on ``space``, where strategy k of ``player`` is old strategy idx[k];
+    taken from the numerators, over the same denominators."""
+    return Game._with_shared(
+        space, (_Shared(np.take(x.num, idx, axis=player), x.den) for x in shared_payoffs(g))
     )
 
 
@@ -116,10 +117,9 @@ def scale(g: Game, beta: CoMeasureVector) -> Game:
     """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s); beta is strictly positive
     like every co-measure."""
     require_operands(g, beta)
-    payoffs = tuple(
-        freeze(g.payoffs[i] * beta.expanded(i)) for i in g.space.players
+    return Game._with_shared(
+        g.space, (x.times(beta._shared_expanded(i)) for i, x in enumerate(shared_payoffs(g)))
     )
-    return Game(g.space, payoffs)
 
 
 def co_measure_quotient(
@@ -216,9 +216,10 @@ def reduce_duplicate(
     if p0 == p1:
         raise ValidationError("s0 and s1 must be different strategies")
 
-    for j in space.players:
-        a = np.take(g.payoffs[j], p0, axis=i)
-        b = np.take(g.payoffs[j], p1, axis=i)
+    for j, x in enumerate(shared_payoffs(g)):
+        # one tensor's numerators share its denominator
+        a = np.take(x.num, p0, axis=i)
+        b = np.take(x.num, p1, axis=i)
         diffs = np.argwhere(unequal_mask(a, b, g.exact))
         if diffs.size:
             where = tuple(int(x) for x in diffs[0])
@@ -300,9 +301,11 @@ def reduce_redundant(
 
     new_space = space.delete_strategy(i, p0)
     reduced = _take_game(g, new_space, i, others)
-    for j in space.players:
-        mix = axis_contract(reduced.payoffs[j], spec.alpha, i)
-        actual = np.take(g.payoffs[j], p0, axis=i)
+    alpha = _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), g.exact))
+    for j, (x, r) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
+        # both sides times the denominators of g^j and alpha
+        mix = axis_contract(r.num, alpha.num, i)
+        actual = np.take(x.num, p0, axis=i) * alpha.den
         bad = np.argwhere(unequal_mask(actual, mix, g.exact))
         if bad.size:
             where = tuple(int(x) for x in bad[0])

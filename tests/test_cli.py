@@ -164,54 +164,54 @@ def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fraction
 
 
 def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact classify of the seeded 2^6 game builds 767 Fractions: the
-    # 588 literals it reads, the mu-weighted own-axis sums of the first
-    # player (3 |S| / 2; muNG fails there), the |S| entries of the deviation
-    # divergence and O(n) scalars.  The gamma-potential test integrates on
-    # integer numerators and builds none; in Fraction arithmetic it built
-    # 1152, and classify 1919.
+    # One exact classify of the seeded 2^6 game builds 607 Fractions: the
+    # 588 literals it reads and O(n) scalars.  All four tests run on integer
+    # numerators; with the mu-normalized test and the deviation divergence
+    # on Fraction tensors it built 767, and with the gamma-potential test
+    # in Fraction arithmetic too, 1919.
     path, space = _seeded_2x6(tmp_path)
     code, count = count_fractions(main, ["classify", str(path)])
     assert code == 0
     assert "gamma-potential (gammaPG): no" in capsys.readouterr().out
-    assert count <= _literals(space) + 3 * space.num_profiles + 16 * space.n_players
+    assert count <= _literals(space) + 16 * space.n_players
 
 
 def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact closest-potential of the seeded 2^6 game builds 2054
-    # Fractions: the 588 literals it reads, the parts decompose converts
-    # (1024: the nonstrategic part at its distinct entries), the n |S|
-    # entries of the closest game it prints, and O(n) scalars.  The cap is
-    # what it reads, 3 n |S| + |S| for the parts, n |S| printed and 16 n.
+    # One exact closest-potential of the seeded 2^6 game builds 1024
+    # Fractions: the 588 literals it reads, the n |S| entries of the closest
+    # game it prints, and O(n) scalars.  The parts and phi it does not print
+    # stay integer numerators; converting them eagerly built 2054.
     path, space = _seeded_2x6(tmp_path)
     code, count = count_fractions(main, ["closest-potential", str(path)])
     assert code == 0
     assert "d^2: " in capsys.readouterr().out
     n, size = space.n_players, space.num_profiles
-    assert count <= _literals(space) + 4 * n * size + size + 16 * n
+    assert count <= _literals(space) + n * size + 16 * n
 
 
 def test_exact_verify_all_fraction_constructions(capsys, count_fractions):
-    # the 11 laws at 30 trials each, seed 7, build 148,463 Fractions: every
-    # part, transformed game and comparison goes through Fraction tensors
+    # the 11 laws at 30 trials each, seed 7, build 29,319 Fractions, mostly
+    # in the equilibrium checks and the parameter types; parts, transformed
+    # games and their comparisons stay integer numerators.  With every game
+    # stored as Fraction tensors they built 148,463.
     code, count = count_fractions(main, ["verify", "all", "--trials", "30", "--seed", "7"])
     assert code == 0
     assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
-    assert count <= 150_000
+    assert count <= 32_000
 
 
 def test_exact_decompose_333_fraction_constructions(count_fractions):
-    # one decompose() of a seeded (3,3,3) game builds 228 Fractions: the
-    # three parts (the nonstrategic one at its distinct entries), phi and
-    # O(n) scalars; the cap is 3 n |S| + |S| + 16 n
+    # one decompose() of a seeded (3,3,3) game builds 12 Fractions, O(n)
+    # scalars: the parts and phi stay integer numerators until read.
+    # Converting them eagerly (the nonstrategic part at its distinct
+    # entries) built 228.
     rng = random.Random(3)
     space = StrategySpace(tuple(("a", "b", "c") for _ in range(3)))
     g = laws.random_game(rng, space)
     mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
     parts, count = count_fractions(decomposition.decompose, g, mu, gamma)
     assert parts.reconstructs(g)
-    n, size = space.n_players, space.num_profiles
-    assert count <= 3 * n * size + size + 16 * n
+    assert count <= 16 * space.n_players
 
 
 EXACT_COMMANDS = [
@@ -226,14 +226,15 @@ EXACT_COMMANDS = [
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=[a[0] for a in EXACT_COMMANDS])
 def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
-    # every Game keeps the shared form of its payoffs once it has one, so
-    # no payoff tensor goes through _Shared.of twice
+    # a Game stores its payoffs in shared form: one given its payoffs
+    # converts each tensor once, and the payoffs of a game built in shared
+    # form, a view read out of it, never go back through _Shared.of
     games, converted = [], []
     post_init, of = Game.__post_init__, _Shared.of.__func__
 
     def recording(self):
         post_init(self)
-        games.append(self)
+        games.append((self, "payoffs" not in vars(self)))
 
     def counting(cls, values):
         converted.append(values)  # kept alive, so the ids stay distinct
@@ -246,7 +247,8 @@ def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
     assert code == 0
     assert games
     times = Counter(id(v) for v in converted)
-    assert max(times[id(p)] for g in games for p in g.payoffs) <= 1
+    for g, built_shared in games:
+        assert max(times[id(p)] for p in g.payoffs) <= (0 if built_shared else 1)
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
