@@ -21,7 +21,7 @@ from .decomposition import (
     is_mu_normalized,
     is_nonstrategic,
 )
-from .equilibrium import best_response_epsilon
+from .equilibrium import best_response_epsilon, is_no_gain
 from .laws import LAWS, run_law
 from .transforms import (
     DuplicationSpec,
@@ -121,8 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_document(path: Path, exact: bool) -> GameDocument:
+    """Parse the game document at ``path``; bytes that are not UTF-8 text
+    are a ParseError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_game(text, exact)
+
+
 def _load(args) -> GameDocument:
-    doc = parse_game(args.game.read_text(), exact=not args.float_mode)
+    doc = _read_document(args.game, exact=not args.float_mode)
     mu_text = getattr(args, "mu", None)
     gamma_text = getattr(args, "gamma", None)
     # an empty --mu or --gamma is an override that fails to parse, not an absent one
@@ -242,7 +254,7 @@ def _cmd_transform(args) -> int:
         mu, gamma = permute_params(mu, gamma, spec)
     elif args.op == "translate":
         _require(args.ns, "--op translate needs --ns <document>")
-        ns_doc = parse_game(args.ns.read_text(), exact=exact)
+        ns_doc = _read_document(args.ns, exact)
         game = translate_nonstrategic(game, ns_doc.game)
     elif args.op == "scale":
         _require(args.beta, "--op scale needs --beta")
@@ -284,7 +296,7 @@ def _cmd_check_eq(args) -> int:
     )
     eps = best_response_epsilon(doc.game, doc.profiles[args.profile])
     print(f"epsilon: {format_scalar(eps)}")
-    print(f"nash equilibrium: {'yes' if eps == 0 else 'no'}")
+    print(f"nash equilibrium: {'yes' if is_no_gain(doc.game, eps) else 'no'}")
     return 0
 
 

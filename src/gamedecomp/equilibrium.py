@@ -54,6 +54,13 @@ def best_response_epsilon(g: Game, x: MixedProfile):
     return worst
 
 
+def is_no_gain(g: Game, eps) -> bool:
+    """True iff a best-response epsilon of g is 0: exactly, or in float mode
+    within the tolerance of the magnitude of g's payoffs, whose rounding
+    noise a float epsilon carries."""
+    return is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*g.payoffs))
+
+
 def pure_regret(g: Game) -> np.ndarray:
     """r(s) = max_i (max_t g^i(t, s^{-i}) - g^i(s)) at every pure profile s.
 
@@ -90,7 +97,7 @@ def harmonic_equilibrium(
         raise PreconditionError("gamma not product: no generator stored")
     profile = MixedProfile.from_positive_weights(space, weights, exact=g.exact)
     eps = best_response_epsilon(g, profile)
-    if not is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*g.payoffs)):
+    if not is_no_gain(g, eps):
         raise PreconditionError(
             f"constructed profile fails the equilibrium check (eps = {eps})"
         )

@@ -98,6 +98,32 @@ def test_check_eq(capsys):
     assert "epsilon: 0" in out
 
 
+def test_float_check_eq_allows_rounding_noise(capsys):
+    # the float epsilon of this exact equilibrium is 5.55e-17, rounding noise
+    code, out, _ = run(
+        capsys, "--float", "check-eq", FIXTURES / "mp-dup.game", "--profile", "continuum-x-1-3"
+    )
+    assert code == 0
+    assert "nash equilibrium: yes" in out
+    code, out, _ = run(capsys, "--float", "check-eq", FIXTURES / "mp.game", "--profile", "pure-ss")
+    assert code == 0
+    assert "epsilon: 2.0\nnash equilibrium: no\n" in out
+
+
+@pytest.mark.parametrize("flag", ["game", "--ns"])
+def test_non_utf8_document_fails_cleanly(tmp_path, capsys, flag):
+    bad = tmp_path / "bin.game"
+    bad.write_bytes(b"\xff\xfegamedoc 1\nplayers 2\n")
+    if flag == "game":
+        argv = ["decompose", bad]
+    else:
+        argv = ["transform", FIXTURES / "mp.game", "--op", "translate", "--ns", bad]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: bin.game: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_closest_potential(capsys):
     code, out, _ = run(capsys, "closest-potential", FIXTURES / "mp.game")
     assert code == 0
