@@ -195,8 +195,12 @@ class _SharedTensors(_Tensors):
     def __sub__(self, other):
         return self._combine(other, _sub)
 
+    def __repr__(self) -> str:
+        view = getattr(self, self._field)
+        return f"{type(self).__name__}(space={self.space!r}, {self._field}={view!r})"
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Game(_SharedTensors):
     """Per-player payoff tensors over one shared profile space."""
 
@@ -206,7 +210,8 @@ class Game(_SharedTensors):
     _noun = "payoff tensor"
 
     def __init__(self, space: StrategySpace, payoffs: tuple[np.ndarray, ...]):
-        payoffs = tuple(payoffs)
+        # frozen, so the kept view cannot drift from the stored numerators
+        payoffs = tuple(freeze(p) for p in payoffs)
         self._store(space, (_Shared.of(p) for p in payoffs), payoffs)
 
     @cached_property
@@ -232,15 +237,12 @@ class Game(_SharedTensors):
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self._shared)
 
-    def __repr__(self) -> str:
-        return f"Game(space={self.space!r}, payoffs={self.payoffs!r})"
-
     __add__ = _SharedTensors.__add__
     __sub__ = _SharedTensors.__sub__
     __eq__ = _SharedTensors.__eq__
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ScalarField(_SharedTensors):
     """An element of C0: one scalar per strategy profile."""
 
@@ -250,6 +252,7 @@ class ScalarField(_SharedTensors):
     _noun = "field"
 
     def __init__(self, space: StrategySpace, values: np.ndarray):
+        values = freeze(values)
         self._store(space, (_Shared.of(values),), values)
 
     @cached_property
@@ -271,9 +274,6 @@ class ScalarField(_SharedTensors):
 
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
-
-    def __repr__(self) -> str:
-        return f"ScalarField(space={self.space!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True, eq=False)

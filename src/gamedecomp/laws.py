@@ -68,8 +68,9 @@ def random_space(rng: random.Random, players: tuple[int, int], strategies: tuple
 
 def random_game(rng: random.Random, space: StrategySpace) -> Game:
     """Integer payoffs in [-9, 9], built as numerators over 1."""
+    size = space.num_profiles
     return Game._with_shared(space, (
-        _Shared(_object_array([rng.randint(-9, 9) for _ in range(space.num_profiles)], space.sizes), 1)
+        _Shared(_object_array([rng.randint(-9, 9) for _ in range(size)], space.sizes), 1)
         for _ in space.players
     ))
 
@@ -247,7 +248,8 @@ def _check_redundant(g, mu, gamma, aux):
     for x in shared_payoffs(g):
         kept = np.delete(x.num, p0, axis=player)
         mix = axis_contract(kept, shares.num, player)
-        payoffs.append(_Shared(np.insert(kept * shares.den, p0, mix, axis=player), x.den * shares.den))
+        num = np.insert(kept * shares.den, p0, mix, axis=player)
+        payoffs.append(_Shared(num, x.den * shares.den))
     redundant_game = Game._with_shared(space, payoffs)
 
     # uniform in each player's gamma; constants may differ across players

@@ -179,11 +179,6 @@ class _Shared(NamedTuple):
             return not self.num.any()
         return is_zero(self.num, False, magnitude(self.num))
 
-    def times(self, other: "_Shared") -> "_Shared":
-        """The entrywise (broadcast) product, over the product of the
-        denominators (float: 1)."""
-        return _Shared(self.num * other.num, self.den * other.den)
-
     def values(self) -> np.ndarray:
         """The immutable tensor out: ``Fraction`` num / den, or the floats.
 

@@ -117,9 +117,10 @@ def scale(g: Game, beta: CoMeasureVector) -> Game:
     """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s); beta is strictly positive
     like every co-measure."""
     require_operands(g, beta)
-    return Game._with_shared(
-        g.space, (x.times(beta._shared_expanded(i)) for i, x in enumerate(shared_payoffs(g)))
-    )
+    factors = (beta._shared_expanded(i) for i in g.space.players)
+    return Game._with_shared(g.space, (
+        _Shared(x.num * b.num, x.den * b.den) for x, b in zip(shared_payoffs(g), factors)
+    ))
 
 
 def co_measure_quotient(
@@ -216,10 +217,10 @@ def reduce_duplicate(
     if p0 == p1:
         raise ValidationError("s0 and s1 must be different strategies")
 
-    for j, x in enumerate(shared_payoffs(g)):
+    for j, payoff in enumerate(shared_payoffs(g)):
         # one tensor's numerators share its denominator
-        a = np.take(x.num, p0, axis=i)
-        b = np.take(x.num, p1, axis=i)
+        a = np.take(payoff.num, p0, axis=i)
+        b = np.take(payoff.num, p1, axis=i)
         diffs = np.argwhere(unequal_mask(a, b, g.exact))
         if diffs.size:
             where = tuple(int(x) for x in diffs[0])
@@ -302,10 +303,10 @@ def reduce_redundant(
     new_space = space.delete_strategy(i, p0)
     reduced = _take_game(g, new_space, i, others)
     alpha = _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), g.exact))
-    for j, (x, r) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
+    for j, (payoff, kept) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
         # both sides times the denominators of g^j and alpha
-        mix = axis_contract(r.num, alpha.num, i)
-        actual = np.take(x.num, p0, axis=i) * alpha.den
+        mix = axis_contract(kept.num, alpha.num, i)
+        actual = np.take(payoff.num, p0, axis=i) * alpha.den
         bad = np.argwhere(unequal_mask(actual, mix, g.exact))
         if bad.size:
             where = tuple(int(x) for x in bad[0])

@@ -376,7 +376,7 @@ def test_game_storage_keeps_its_public_behaviour(sizes, seed, exact):
     assert g.exact is exact
     given_payoffs = tuple(p.copy() for p in g.payoffs)
     kept = Game(space, given_payoffs)
-    assert all(a is b for a, b in zip(kept.payoffs, given_payoffs))
+    assert all(a is b and not a.flags.writeable for a, b in zip(kept.payoffs, given_payoffs))
     assert kept == g
 
     assert (g - g).is_zero() and (g + g).is_zero() == g.is_zero()
