@@ -1,9 +1,13 @@
 import hashlib
+import itertools
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamedecomp import (
     CoMeasureVector,
@@ -11,6 +15,7 @@ from gamedecomp import (
     Game,
     GameDocument,
     MeasureVector,
+    MixedProfile,
     PermutationSpec,
     PreconditionError,
     RedundancySpec,
@@ -469,3 +474,194 @@ def test_transform_outputs_match_golden_digest():
             count += 1
     assert count == GOLDEN_COUNT
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# -- public behaviour of the parameter types ---------------------------------------------
+
+
+def _opp_rows(space, gen):
+    """gamma^i of the product co-measure generated by ``gen``, row-major."""
+    return [
+        [math.prod(c) for c in itertools.product(*(gen[j] for j in space.players if j != i))]
+        for i in space.players
+    ]
+
+
+def _first_opp_index(space, i, j, k):
+    """Row-major index in gamma^i of the first entry with player j at k."""
+    opp = [m for p, m in enumerate(space.sizes) if p != i]
+    axis = space.axis_in_opp(i, j)
+    return k * math.prod(opp[axis + 1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 3), min_size=2, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
+    # MeasureVector, CoMeasureVector and MixedProfile, from every constructor,
+    # read their tensors as the eagerly converted ones, keep given tensors,
+    # compare by value, refuse bad entries with the same texts, and keep or
+    # drop a generator as each parameter transform always has
+    rng = random.Random(seed)
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+    scalar = F if exact else float
+
+    def draw(count):
+        return [scalar(F(rng.randint(1, 9), rng.choice([1, 2, 3]))) for _ in range(count)]
+
+    def reads(arrays, rows):
+        assert len(arrays) == len(rows)
+        for arr, row in zip(arrays, rows):
+            assert not arr.flags.writeable
+            assert arr.reshape(-1).tolist() == row
+            assert all(type(v) is scalar for v in arr.reshape(-1).tolist())
+
+    def refuses(build, text):
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            build()
+
+    # -- measures
+    weights = [draw(m) for m in space.sizes]
+    mu = MeasureVector.from_weights(space, weights, exact)
+    reads(mu.weights, weights)
+    assert mu.exact is exact
+    assert [mu.total(i) for i in space.players] == [sum(row) for row in weights]
+    given_weights = tuple(w.copy() for w in mu.weights)
+    kept = MeasureVector(space, given_weights)
+    assert all(a is b for a, b in zip(kept.weights, given_weights)) and kept == mu
+    reads(MeasureVector.uniform(space, 2, exact).weights, [[scalar(2)] * m for m in sizes])
+    reads(MeasureVector.uniform(space, exact=exact).weights, [[scalar(1)] * m for m in sizes])
+    assert mu.scaled(2).scaled(scalar(F(1, 2))) == mu and mu.scaled(3) != mu
+
+    i, k = rng.randrange(len(sizes)), rng.randrange(min(sizes))
+    bad = scalar(rng.choice([F(0), F(-1), F(-1, 2)]))
+    rows = [list(row) for row in weights]
+    rows[i][k] = bad
+    text = f"nonpositive measure: mu^{i + 1}({space.labels[i][k]}) = {bad}"
+    refuses(lambda: MeasureVector.from_weights(space, rows, exact), text)
+    arrays = tuple(np.array(row, dtype=object if exact else float) for row in rows)
+    refuses(lambda: MeasureVector(space, arrays), text)
+    refuses(lambda: mu.scaled(0), f"nonpositive measure: mu^1(a) = {scalar(0)}")
+    refuses(lambda: mu.scaled(-1), f"nonpositive measure: mu^1(a) = {-weights[0][0]}")
+
+    # -- co-measures
+    gen = [draw(m) for m in space.sizes]
+    product = CoMeasureVector.from_generator(space, gen, exact)
+    reads(product.generator, gen)
+    reads(product.tensors, _opp_rows(space, gen))
+    kept = CoMeasureVector(space, product.tensors, product.generator)
+    assert all(a is b for a, b in zip(kept.tensors, product.tensors))
+    assert all(a is b for a, b in zip(kept.generator, product.generator))
+    tensors = [draw(space.num_opp_profiles(j)) for j in space.players]
+    gamma = CoMeasureVector.from_tensors(space, tensors, exact)
+    reads(gamma.tensors, tensors)
+    assert (gamma.generator is None) == any(v != 1 for row in tensors for v in row)
+    assert CoMeasureVector(space, gamma.tensors).generator is None
+    unit = CoMeasureVector.uniform(space, exact=exact)
+    reads(unit.generator, [[scalar(1)] * m for m in sizes])
+    reads(unit.tensors, [[scalar(1)] * space.num_opp_profiles(j) for j in space.players])
+    assert CoMeasureVector.from_tensors(space, [t.tolist() for t in unit.tensors], exact) == unit
+    threes = CoMeasureVector.uniform(space, 3, exact)
+    assert threes.generator is None
+    reads(threes.tensors, [[scalar(3)] * space.num_opp_profiles(j) for j in space.players])
+    assert gamma.scaled(scalar(F(1, 3))).scaled(3) == gamma and gamma.scaled(2) != gamma
+
+    j = rng.randrange(len(sizes))
+    k = rng.randrange(space.num_opp_profiles(j))
+    rows = [list(row) for row in tensors]
+    rows[j][k] = bad
+    text = f"nonpositive co-measure: gamma^{j + 1} entry {k} = {bad}"
+    refuses(lambda: CoMeasureVector.from_tensors(space, rows, exact), text)
+    refuses(lambda: gamma.scaled(0), f"nonpositive co-measure: gamma^1 entry 0 = {scalar(0)}")
+    rows = [list(row) for row in gen]
+    rows[j][0] = scalar(0)
+    first = 1 if j == 0 else 0
+    text = (
+        f"nonpositive co-measure: gamma^{first + 1} entry "
+        f"{_first_opp_index(space, first, j, 0)} = {scalar(0)}"
+    )
+    refuses(lambda: CoMeasureVector.from_generator(space, rows, exact), text)
+
+    # -- which parameter transforms keep a generator
+    beta = CoMeasureVector.from_generator(space, [draw(m) for m in sizes], exact)
+    game = Game.zeros(space, exact)
+    p = rng.randrange(len(sizes))
+    sigma = list(range(sizes[p]))
+    rng.shuffle(sigma)
+    dup = DuplicationSpec(p, space.labels[p][0], "x0", lam=F(1, 3))
+    for c in (product, gamma):
+        has = c.generator is not None
+        c_gen = [row.tolist() for row in c.generator] if has else None
+        results = {
+            "scaled": (c.scaled(2), None),
+            "permute_params": (
+                permute_params(mu, c, PermutationSpec(p, tuple(sigma)))[1],
+                has and [[row[s] for s in sigma] if q == p else row for q, row in enumerate(c_gen)],
+            ),
+            "extend_duplicate": (
+                extend_duplicate(game, mu, c, dup)[2],
+                has and [[row[0], *row] if q == p else row for q, row in enumerate(c_gen)],
+            ),
+            "co_measure_quotient": (
+                co_measure_quotient(c, beta),
+                has and [
+                    [a / b for a, b in zip(ra, rb.tolist())]
+                    for ra, rb in zip(c_gen, beta.generator)
+                ],
+            ),
+            "co_measure_inverse": (
+                co_measure_inverse(c),
+                has and [[1 / a for a in row] for row in c_gen],
+            ),
+        }
+        for name, (result, want) in results.items():
+            if not want:
+                assert result.generator is None, name
+                continue
+            reads(result.generator, want)
+            assert CoMeasureVector.from_generator(result.space, want, exact) == result, name
+    quotient_tensors = co_measure_quotient(gamma, beta).tensors
+    reads(quotient_tensors, [
+        [a / b for a, b in zip(ta.reshape(-1).tolist(), tb.reshape(-1).tolist())]
+        for ta, tb in zip(gamma.tensors, beta.tensors)
+    ])
+    game_e, mu_e, gamma_e = extend_duplicate(game, mu, product, dup)
+    game_r, mu_r, gamma_r = reduce_duplicate(game_e, mu_e, gamma_e, p, "x0", dup.source)
+    assert game_r == game and mu_r == mu and gamma_r == product
+    assert gamma_r.generator is not None
+
+    # -- mixed profiles
+    raw = [[F(rng.randint(1, 9)) for _ in range(m)] for m in sizes]
+    probs = [[scalar(w / sum(row)) for w in row] for row in raw]
+    x = MixedProfile.from_probs(space, probs, exact)
+    reads(x.probs, probs)
+    given_probs = tuple(q.copy() for q in x.probs)
+    kept = MixedProfile(space, given_probs)
+    assert all(a is b for a, b in zip(kept.probs, given_probs)) and kept == x
+    reads(MixedProfile.uniform(space, exact).probs, [[scalar(F(1, m))] * m for m in sizes])
+    pure = tuple(rng.randrange(m) for m in sizes)
+    reads(
+        MixedProfile.pure(space, pure, exact).probs,
+        [[scalar(int(j == k)) for j in range(m)] for k, m in zip(pure, sizes)],
+    )
+    positive = [[scalar(w) for w in row] for row in raw]
+    reads(
+        MixedProfile.from_positive_weights(space, positive, exact).probs,
+        [[w / sum(row) for w in row] for row in positive],
+    )
+    rows = [list(row) for row in probs]
+    rows[i] = [scalar(F(3, 2)), scalar(F(-1, 2)), *[scalar(0)] * (sizes[i] - 2)]
+    refuses(lambda: MixedProfile.from_probs(space, rows, exact),
+            f"negative probability for player {i + 1}")
+    rows[i] = [2 * v for v in probs[i]]
+    refuses(lambda: MixedProfile.from_probs(space, rows, exact),
+            f"probabilities of player {i + 1} sum to {sum(rows[i])}, not 1")
+
+    for obj, field in ((mu, "weights"), (gamma, "tensors"), (gamma, "generator"), (x, "probs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            obj.space = space
