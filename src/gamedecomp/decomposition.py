@@ -184,7 +184,7 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     validate_parameters(mu, gamma)
     h = deviation_divergence(g, mu, gamma)._shared[0]
     scale = 1.0 if g.exact else sum(
-        magnitude(x.num) * magnitude(gamma.tensors[i]) * mu.total(i)
+        magnitude(x.num) * magnitude(gamma._shared[i].num) * mu.total(i)
         for i, x in enumerate(shared_payoffs(g))
     )
     return is_zero(h.num, g.exact, scale)
@@ -232,7 +232,7 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     space = require_operands(g, gamma)
     terms = []
     for i, payoff in enumerate(shared_payoffs(g)):
-        factor = gamma._shared_expanded(i)
+        factor = gamma.expanded(i)
         diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
         terms.append((diff, factor.den * payoff.den))
     den = math.lcm(*(d for _, d in terms))

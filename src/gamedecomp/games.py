@@ -3,36 +3,37 @@
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no locking.
 
-The five types share one private base, ``_Tensors``: a strategy space plus
-one scalar tensor per player (a single tensor for ``ScalarField``).  It holds
-the ``exact`` property, ``==`` (which refuses mixed scalar modes), the shape
-check against each class's ``_shapes``, the count-checked coercion behind
-every ``from_*`` constructor, and each object's tensors in shared form
-(``numeric._Shared``: numerators over one denominator, the floats themselves
-over 1 in float mode), converted once per object; ``==`` compares those.
+The five types share one private base, ``_Tensors``, and one storage rule: a
+strategy space plus one scalar tensor per player (a single tensor for
+``ScalarField``), kept only in shared form (``numeric._Shared``: numerators
+over one denominator, the floats themselves over 1 in float mode).
+``Game.payoffs``, ``ScalarField.values``, ``MeasureVector.weights``,
+``CoMeasureVector.tensors`` and ``generator``, and ``MixedProfile.probs`` are
+views: immutable ``Fraction`` (or float) tensors built on first read and
+cached.  The base ``__init__`` freezes the tensors it is given, keeps them as
+that view and converts each one once; ``_with_shared`` builds an object from
+tensors computed in shared form, so a part, transformed game or parameter
+update that is never read out builds no ``Fraction``.  The base also holds
+the ``exact`` property, ``==`` on numerators (which refuses mixed scalar
+modes), the shape check against each class's ``_shapes`` and the
+count-checked coercion behind every ``from_*`` constructor.
 
-``Game`` and ``ScalarField`` store only the shared form (``_SharedTensors``).
-``Game.payoffs`` and ``ScalarField.values`` are views: immutable ``Fraction``
-(or float) tensors built on first read and cached, and a game given its
-payoffs keeps them as that view.  ``+``, ``-``, ``==`` and ``Game.is_zero``
-run on numerators, and ``_with_shared`` builds an object from tensors
-computed in shared form, so a part or transformed game that is never read
-out builds no ``Fraction``.  ``Game`` still binds ``__add__``, ``__sub__``
-and ``__eq__`` in its own class body: the layer tracer in
-``perfbench/spans.py`` wraps them by reading ``Game.__dict__``, where an
-inherited method is not found.
+``+`` and ``-`` exist on ``Game`` and ``ScalarField`` only.  ``Game`` binds
+``__add__``, ``__sub__`` and ``__eq__`` in its own class body: the layer
+tracer in ``perfbench/spans.py`` wraps them by reading ``Game.__dict__``,
+where an inherited method is not found.
 
 ``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry when
-they are built, so every mu and gamma in the package is strictly positive.
-``require_operands`` is the one operand check of every public function: one
-strategy space, then one scalar mode.
+they are built, reading the sign off the numerators, so every mu and gamma
+in the package is strictly positive.  ``require_operands`` is the one
+operand check of every public function: one strategy space, then one scalar
+mode.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
@@ -43,7 +44,6 @@ from .numeric import (
     _Shared,
     _add,
     _sub,
-    array_is_exact,
     freeze,
     insert_axis,
     quotient,
@@ -87,15 +87,16 @@ def _check_shapes(what: str, arrays, shapes) -> None:
         raise ValidationError(f"{what} shapes {got} do not match the space: expected {shapes}")
 
 
-def _require_positive(arrays, message) -> None:
+def _require_positive(tensors, message) -> None:
     """Raise message(i, k, value) for the first entry k <= 0 in row-major
-    order of the first array i that has one."""
-    for i, arr in enumerate(arrays):
-        flat = arr.reshape(-1)
+    order of the first shared tensor i that has one; decided on numerators,
+    whose denominator is positive, converting only that entry."""
+    for i, x in enumerate(tensors):
+        flat = x.num.reshape(-1)
         bad = flat <= 0
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValidationError(message(i, k, flat[k]))
+            raise ValidationError(message(i, k, quotient(flat[k], x.den, x.exact)))
 
 
 def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
@@ -103,31 +104,58 @@ def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
     return tuple((m,) for m in space.sizes)
 
 
-def _outer(vectors) -> np.ndarray:
-    """The outer product v_1 x v_2 x ... as a tensor, first vector slowest."""
-    return reduce(np.multiply.outer, vectors)
+def _outer(factors) -> _Shared:
+    """The outer product x_1 x x_2 x ... of shared tensors, first slowest."""
+    factors = list(factors)
+    return _Shared(
+        reduce(np.multiply.outer, [x.num for x in factors]), math.prod(x.den for x in factors)
+    )
 
 
 class _Tensors:
-    """A strategy space plus the tuple of scalar tensors named by ``_field``,
-    shaped as ``_shapes(space)`` says; see the module docstring."""
+    """A strategy space plus one scalar tensor per player (one tensor for
+    ``ScalarField``), stored only in shared form; the value tensors named by
+    ``_field`` are a view, built on first read and cached.  See the module
+    docstring."""
 
-    _field = ""  # the dataclass field holding the tensors
+    space: StrategySpace
+    _field = ""  # the name of the value view
     _noun = ""  # what one tensor is, for error messages
+
+    def __init__(self, space: StrategySpace, tensors: tuple[np.ndarray, ...]):
+        # frozen, so the kept view cannot drift from the stored numerators
+        tensors = tuple(freeze(t) for t in tensors)
+        vars(self)[self._field] = tensors
+        self._store(space, (_Shared.of(t) for t in tensors))
 
     @staticmethod
     def _shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
         raise NotImplementedError
 
-    @property
-    def _stored(self) -> tuple[np.ndarray, ...]:
-        """The tensors the object holds: those of its field."""
-        return getattr(self, self._field)
+    @classmethod
+    def _with_shared(cls, space: StrategySpace, shared, **private):
+        """The object whose tensors are ``shared``, converted out on first
+        read; ``private`` sets further stored attributes before the checks."""
+        obj = cls.__new__(cls)
+        vars(obj).update(private)
+        obj._store(space, shared)
+        return obj
 
-    @cached_property
-    def _shared(self) -> tuple[_Shared, ...]:
-        """The tensors in shared form, converted once per object."""
-        return tuple(_Shared.of(a) for a in self._stored)
+    def _store(self, space: StrategySpace, shared) -> None:
+        vars(self).update(space=space, _shared=tuple(shared))
+        self._check()
+
+    def _check(self) -> None:
+        """The shapes against ``_shapes``."""
+        _check_shapes(self._noun, [x.num for x in self._shared], self._shapes(self.space))
+
+    def _values(self) -> tuple[np.ndarray, ...]:
+        return tuple(x.values() for x in self._shared)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None, noun=None):
@@ -140,12 +168,9 @@ class _Tensors:
             )
         return tuple(_coerce_tensor(d, shape, exact) for d, shape in zip(data, shapes))
 
-    def __post_init__(self):
-        _check_shapes(self._noun, self._stored, self._shapes(self.space))
-
     @property
     def exact(self) -> bool:
-        return array_is_exact(self._stored[0])
+        return self._shared[0].exact
 
     def __eq__(self, other) -> bool:
         """Entrywise equality on the shared forms: exact numerators over one
@@ -157,67 +182,27 @@ class _Tensors:
             a.equals(b) for a, b in zip(self._shared, other._shared)
         )
 
-
-class _SharedTensors(_Tensors):
-    """Tensors stored in shared form (``numeric._Shared``, numerators over
-    one denominator); the value tensors named by ``_field`` are a view, built
-    on first read and cached.  ``+``, ``-`` and ``==`` run on numerators."""
-
-    def _store(self, space: StrategySpace, shared, given=None) -> None:
-        """Set the space and the shared tensors; ``given`` is the value view
-        the tensors were converted from, kept so it is not rebuilt."""
-        object.__setattr__(self, "space", space)
-        self.__dict__["_shared"] = tuple(shared)
-        if given is not None:
-            self.__dict__[self._field] = given
-        self.__post_init__()
-
-    @classmethod
-    def _with_shared(cls, space: StrategySpace, shared):
-        """The object whose tensors are ``shared``, converted out on first read."""
-        obj = cls.__new__(cls)
-        obj._store(space, shared)
-        return obj
-
-    @property
-    def _stored(self) -> tuple[np.ndarray, ...]:
-        return tuple(x.num for x in self._shared)
-
     def _combine(self, other, op):
         require_operands(self, other)
         return self._with_shared(
             self.space, tuple(op(a, b) for a, b in zip(self._shared, other._shared))
         )
 
-    def __add__(self, other):
-        return self._combine(other, _add)
-
-    def __sub__(self, other):
-        return self._combine(other, _sub)
-
     def __repr__(self) -> str:
         view = getattr(self, self._field)
         return f"{type(self).__name__}(space={self.space!r}, {self._field}={view!r})"
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class Game(_SharedTensors):
+class Game(_Tensors):
     """Per-player payoff tensors over one shared profile space."""
-
-    space: StrategySpace
 
     _field = "payoffs"
     _noun = "payoff tensor"
 
-    def __init__(self, space: StrategySpace, payoffs: tuple[np.ndarray, ...]):
-        # frozen, so the kept view cannot drift from the stored numerators
-        payoffs = tuple(freeze(p) for p in payoffs)
-        self._store(space, (_Shared.of(p) for p in payoffs), payoffs)
-
     @cached_property
     def payoffs(self) -> tuple[np.ndarray, ...]:
         """The immutable payoff tensors, one per player."""
-        return tuple(x.values() for x in self._shared)
+        return self._values()
 
     @staticmethod
     def _shapes(space):
@@ -237,23 +222,24 @@ class Game(_SharedTensors):
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self._shared)
 
-    __add__ = _SharedTensors.__add__
-    __sub__ = _SharedTensors.__sub__
-    __eq__ = _SharedTensors.__eq__
+    def __add__(self, other):
+        return self._combine(other, _add)
+
+    def __sub__(self, other):
+        return self._combine(other, _sub)
+
+    __eq__ = _Tensors.__eq__
 
 
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class ScalarField(_SharedTensors):
+class ScalarField(_Tensors):
     """An element of C0: one scalar per strategy profile."""
-
-    space: StrategySpace
 
     _field = "values"
     _noun = "field"
 
     def __init__(self, space: StrategySpace, values: np.ndarray):
-        values = freeze(values)
-        self._store(space, (_Shared.of(values),), values)
+        vars(self)["values"] = freeze(values)
+        self._store(space, (_Shared.of(values),))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -275,24 +261,28 @@ class ScalarField(_SharedTensors):
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
 
+    __add__ = Game.__add__
+    __sub__ = Game.__sub__
 
-@dataclass(frozen=True, eq=False)
+
 class MeasureVector(_Tensors):
     """Strictly positive weights on each player's own strategies."""
-
-    space: StrategySpace
-    weights: tuple[np.ndarray, ...]
 
     _field = "weights"
     _noun = "weight vector"
     _shapes = staticmethod(_own_shapes)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self) -> None:
+        super()._check()
         _require_positive(
-            self.weights,
+            self._shared,
             lambda i, k, w: f"nonpositive measure: mu^{i + 1}({self.space.labels[i][k]}) = {w}",
         )
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """The immutable weight vectors, one per player."""
+        return self._values()
 
     @classmethod
     def from_weights(cls, space: StrategySpace, weights, exact: bool = True):
@@ -304,56 +294,72 @@ class MeasureVector(_Tensors):
 
     @cached_property
     def _totals(self) -> tuple:
-        return tuple(w.sum() for w in self.weights)
+        return tuple(quotient(w.num.sum(), w.den, w.exact) for w in self._shared)
 
     def total(self, player: int):
         """mu^i(S^i), summed once per object."""
         return self._totals[player]
 
+    def _product(self) -> _Shared:
+        """mu(s) = prod_i mu^i(s^i) as a full-profile shared tensor."""
+        return _outer(self._shared)
+
     def product_array(self) -> np.ndarray:
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
-        return _outer(self.weights)
+        return self._product().values()
 
     def scaled(self, factor) -> "MeasureVector":
-        return MeasureVector(self.space, tuple(freeze(w * factor) for w in self.weights))
+        return self._with_shared(self.space, (w.scale(factor) for w in self._shared))
 
 
-@dataclass(frozen=True, eq=False)
 class CoMeasureVector(_Tensors):
     """Strictly positive weights gamma^i on each opponent subprofile space.
 
     ``generator`` is set when the vector is known to be a product co-measure
     gamma^i = prod_{j != i} c^j; it is preserved by the transformations that
-    keep the product structure.
+    keep the product structure, and stored in shared form like the tensors.
     """
-
-    space: StrategySpace
-    tensors: tuple[np.ndarray, ...]
-    generator: tuple[np.ndarray, ...] | None = None
 
     _field = "tensors"
     _noun = "co-measure tensor"
+    _generator = None  # the generator in shared form, when one is known
+
+    def __init__(self, space: StrategySpace, tensors, generator=None):
+        if generator is not None:
+            generator = tuple(freeze(c) for c in generator)
+            vars(self).update(generator=generator, _generator=tuple(map(_Shared.of, generator)))
+        super().__init__(space, tensors)
 
     @staticmethod
     def _shapes(space):
         return tuple(space.opp_sizes(i) for i in space.players)
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.generator is not None:
-            _check_shapes("generator", self.generator, _own_shapes(self.space))
+    def _check(self) -> None:
+        super()._check()
+        if self._generator is not None:
+            _check_shapes("generator", [c.num for c in self._generator], _own_shapes(self.space))
         _require_positive(
-            self.tensors,
+            self._shared,
             lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",
         )
 
+    @cached_property
+    def tensors(self) -> tuple[np.ndarray, ...]:
+        """The immutable tensors gamma^i over S^{-i}, one per player."""
+        return self._values()
+
+    @cached_property
+    def generator(self) -> tuple[np.ndarray, ...] | None:
+        """The immutable vectors c^j of a product co-measure, or None."""
+        return None if self._generator is None else tuple(c.values() for c in self._generator)
+
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
-        tensors = cls._coerce(space, tensors, exact)
-        if all(v == 1 for t in tensors for v in t.flat):
+        gamma = cls(space, cls._coerce(space, tensors, exact))
+        if all((x.num == x.den).all() for x in gamma._shared):
             # an all-ones co-measure is the unit product co-measure, generated by ones
             return cls.from_generator(space, [[1] * m for m in space.sizes], exact)
-        return cls(space, tensors)
+        return gamma
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
@@ -364,52 +370,48 @@ class CoMeasureVector(_Tensors):
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
         gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
-        tensors = tuple(
-            freeze(_outer(c for j, c in enumerate(gen) if j != i)) for i in space.players
-        )
-        return cls(space, tensors, generator=gen)
+        shared = tuple(map(_Shared.of, gen))
+        tensors = (_outer(c for j, c in enumerate(shared) if j != i) for i in space.players)
+        return cls._with_shared(space, tensors, _generator=shared)
 
-    def expanded(self, player: int) -> np.ndarray:
-        """gamma^i broadcast over the full profile space (own axis inserted)."""
-        return insert_axis(self.tensors[player], player)
-
-    def _shared_expanded(self, player: int) -> _Shared:
-        """expanded(player) in shared form, from the cached shared gamma^i."""
+    def expanded(self, player: int) -> _Shared:
+        """gamma^i in shared form, broadcast over the full profile space (own
+        axis inserted)."""
         x = self._shared[player]
         return _Shared(insert_axis(x.num, player), x.den)
 
     def is_player_constant(self, player: int) -> bool:
-        flat = self.tensors[player].reshape(-1)
+        flat = self._shared[player].num.reshape(-1)
         return bool(np.all(flat == flat[0]))
 
     def scaled(self, factor) -> "CoMeasureVector":
         # no canonical way to spread the factor over generator entries
-        return CoMeasureVector(
-            self.space, tuple(freeze(t * factor) for t in self.tensors), None
-        )
+        return self._with_shared(self.space, (t.scale(factor) for t in self._shared))
 
 
-@dataclass(frozen=True, eq=False)
 class MixedProfile(_Tensors):
     """Per-player probability vectors; entries nonnegative, each sums to 1."""
-
-    space: StrategySpace
-    probs: tuple[np.ndarray, ...]
 
     _field = "probs"
     _noun = "probability vector"
     _shapes = staticmethod(_own_shapes)
 
-    def __post_init__(self):
-        super().__post_init__()
-        for i, p in enumerate(self.probs):
-            if (p < 0).any():
+    def _check(self) -> None:
+        super()._check()
+        for i, x in enumerate(self._shared):
+            if (x.num < 0).any():
                 raise ValidationError(f"negative probability for player {i + 1}")
-            total = p.sum()
-            if unequal_mask(total, 1, self.exact):
+            total = x.num.sum()
+            if unequal_mask(total, x.den, x.exact):
                 raise ValidationError(
-                    f"probabilities of player {i + 1} sum to {total}, not 1"
+                    f"probabilities of player {i + 1} sum to "
+                    f"{quotient(total, x.den, x.exact)}, not 1"
                 )
+
+    @cached_property
+    def probs(self) -> tuple[np.ndarray, ...]:
+        """The immutable probability vectors, one per player."""
+        return self._values()
 
     @classmethod
     def from_probs(cls, space: StrategySpace, probs, exact: bool = True):
@@ -479,7 +481,8 @@ def validate_parameters(mu: MeasureVector, gamma: CoMeasureVector) -> None:
 def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     """<h, f>_0 = sum_s mu(s) h(s) f(s)."""
     require_operands(h, f, mu)
-    return (mu.product_array() * h.values * f.values).sum()
+    m, a, b = mu._product(), h._shared[0], f._shared[0]
+    return quotient((m.num * a.num * b.num).sum(), m.den * a.den * b.den, m.exact)
 
 
 def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ...]:
@@ -492,14 +495,12 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
     in that order, which fixes its rounding.
     """
     require_operands(mu, gamma)
-    weights = mu._shared
-    prod = _outer([w.num for w in weights])
-    den = math.prod(w.den for w in weights)
+    prod = mu._product()
     out = []
     for i in mu.space.players:
-        g = gamma._shared_expanded(i)
+        g = gamma.expanded(i)
         factor = _Shared(g.num ** 2, g.den ** 2).scale(mu.total(i))
-        out.append(_Shared(freeze(prod * factor.num), den * factor.den))
+        out.append(_Shared(freeze(prod.num * factor.num), prod.den * factor.den))
     return tuple(out)
 
 

@@ -406,8 +406,4 @@ def _minimize(check, g, mu, gamma, aux_seed):
 def _delete_strategy(game, mu, gamma, player, pos):
     space = game.space.delete_strategy(player, pos)
     idx = [k for k in range(game.space.sizes[player]) if k != pos]
-    weights = np.take(mu.weights[player], idx)
-    return (
-        _take_game(game, space, player, idx),
-        *_take_params(mu, gamma, space, player, idx, weights),
-    )
+    return _take_game(game, space, player, idx), *_take_params(mu, gamma, space, player, idx)

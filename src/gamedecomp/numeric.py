@@ -7,11 +7,11 @@ construction time and detected from the numpy dtype (``object`` = exact,
 ``float64`` = float).
 
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
-ints in exact mode and the floats themselves over 1 in float mode.  Games and
-scalar fields store their tensors in this form, the ``decompose`` pipeline
-runs on it in both modes, and its methods hold that pipeline's scalar-mode
-branches; only the Poisson solve core keeps a body per mode
-(``operators._solve``).
+ints in exact mode and the floats themselves over 1 in float mode.  Every
+value type in ``games`` stores its tensors in this form, the ``decompose``
+pipeline and the parameter transforms run on it in both modes, and its
+methods hold their scalar-mode branches; only the Poisson solve core keeps a
+body per mode (``operators._solve``).
 """
 
 from __future__ import annotations
@@ -146,16 +146,16 @@ class _Shared(NamedTuple):
         num = self.num if q.numerator == 1 else self.num * q.numerator
         return _Shared(num, q.denominator)
 
-    def divide(self, t: np.ndarray) -> "_Shared":
-        """This tensor over the tensor t (broadcast); exact mode multiplies by
-        1/t, read off t's numerators and denominators as q/p over the LCM of
-        the numerators p, so no ``Fraction`` is built."""
+    def divide(self, t: "_Shared") -> "_Shared":
+        """This tensor over the tensor t (broadcast, no entry 0); exact mode
+        multiplies by 1/t = t.den / t.num, put over the LCM of t's numerators
+        and reduced against t.den, so no ``Fraction`` is built."""
         if not self.exact:
-            return _Shared(self.num / t, 1)
-        flat = t.reshape(-1).tolist()
-        den = math.lcm(*(v.numerator for v in flat))
-        inverse = _object_array([v.denominator * (den // v.numerator) for v in flat], t.shape)
-        return _Shared(self.num * inverse, self.den * den)
+            return _Shared(self.num / t.num, 1)
+        den = math.lcm(*t.num.reshape(-1).tolist())
+        cancel = math.gcd(den, t.den)
+        inverse = (den // t.num) * (t.den // cancel)
+        return _Shared(self.num * inverse, self.den * (den // cancel))
 
     def aligned(self, other: "_Shared") -> tuple[np.ndarray, np.ndarray, int]:
         """The numerators of this tensor and ``other`` over the LCM of their

@@ -129,7 +129,7 @@ def _divergence(
     terms = []
     for i, part in enumerate(normalized):
         scaled = part.scale(mu.total(i))
-        factor = gamma._shared_expanded(i)
+        factor = gamma.expanded(i)
         terms.append((scaled.num, factor.num, scaled.den * factor.den))
     den = math.lcm(*(d for _, _, d in terms))
     acc = None

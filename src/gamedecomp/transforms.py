@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import _Shared, axis_contract, freeze, scalar_array, unequal_mask
+from .numeric import _Shared, axis_contract, scalar_array, unequal_mask
 from .games import CoMeasureVector, Game, MeasureVector, require_operands, shared_payoffs
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace
@@ -30,9 +30,12 @@ from .spaces import StrategySpace
 def _take_game(g: Game, space: StrategySpace, player: int, idx) -> Game:
     """g on ``space``, where strategy k of ``player`` is old strategy idx[k];
     taken from the numerators, over the same denominators."""
-    return Game._with_shared(
-        space, (_Shared(np.take(x.num, idx, axis=player), x.den) for x in shared_payoffs(g))
-    )
+    return Game._with_shared(space, (_take(x, idx, player) for x in shared_payoffs(g)))
+
+
+def _take(x: _Shared, idx, axis: int = 0) -> _Shared:
+    """x with idx taken along ``axis``, from the numerators."""
+    return _Shared(np.take(x.num, idx, axis=axis), x.den)
 
 
 def _take_params(
@@ -41,27 +44,29 @@ def _take_params(
     space: StrategySpace,
     player: int,
     idx,
-    weights,
+    weights: _Shared | None = None,
 ) -> tuple[MeasureVector, CoMeasureVector]:
-    """mu and gamma on ``space`` under the re-indexing of _take_game.
+    """mu and gamma on ``space`` under the re-indexing of _take_game, on
+    numerators.
 
-    mu^player becomes ``weights``; every gamma^j with j != player, and the
-    generator's entry for player, take idx along player's axis.  gamma^player
-    and the other weights do not see player's strategy and stay as they are.
+    mu^player becomes ``weights``, or takes idx when none are given; every
+    gamma^j with j != player, and the generator's entry for player, take idx
+    along player's axis.  gamma^player and the other weights do not see
+    player's strategy and stay as they are.
     """
-    mu_weights = list(mu.weights)
-    mu_weights[player] = scalar_array(weights, (len(idx),), mu.exact)
-    tensors = tuple(
-        t if j == player else freeze(np.take(t, idx, axis=space.axis_in_opp(j, player)))
-        for j, t in enumerate(gamma.tensors)
+    mu_weights = list(mu._shared)
+    mu_weights[player] = _take(mu_weights[player], idx) if weights is None else weights
+    tensors = (
+        x if j == player else _take(x, idx, space.axis_in_opp(j, player))
+        for j, x in enumerate(gamma._shared)
     )
-    generator = gamma.generator
+    generator = gamma._generator
     if generator is not None:
-        generator = tuple(
-            freeze(np.take(c, idx)) if j == player else c
-            for j, c in enumerate(generator)
-        )
-    return MeasureVector(space, tuple(mu_weights)), CoMeasureVector(space, tensors, generator)
+        generator = tuple(_take(c, idx) if j == player else c for j, c in enumerate(generator))
+    return (
+        MeasureVector._with_shared(space, mu_weights),
+        CoMeasureVector._with_shared(space, tensors, _generator=generator),
+    )
 
 
 # -- permutations ---------------------------------------------------------------
@@ -94,9 +99,7 @@ def permute_params(
     """mu_sigma^i = mu^i o sigma; other gammas permute their player-i axis."""
     space = require_operands(mu, gamma)
     spec.validate(space)
-    idx = list(spec.sigma)
-    weights = np.take(mu.weights[spec.player], idx)
-    return _take_params(mu, gamma, space, spec.player, idx, weights)
+    return _take_params(mu, gamma, space, spec.player, list(spec.sigma))
 
 
 # -- pseudo-translations ----------------------------------------------------------
@@ -117,7 +120,7 @@ def scale(g: Game, beta: CoMeasureVector) -> Game:
     """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s); beta is strictly positive
     like every co-measure."""
     require_operands(g, beta)
-    factors = (beta._shared_expanded(i) for i in g.space.players)
+    factors = (beta.expanded(i) for i in g.space.players)
     return Game._with_shared(g.space, (
         _Shared(x.num * b.num, x.den * b.den) for x, b in zip(shared_payoffs(g), factors)
     ))
@@ -128,24 +131,17 @@ def co_measure_quotient(
 ) -> CoMeasureVector:
     """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure."""
     space = require_operands(gamma, beta)
-    tensors = tuple(
-        freeze(gamma.tensors[i] / beta.tensors[i]) for i in space.players
-    )
     generator = None
-    if gamma.generator is not None and beta.generator is not None:
-        generator = tuple(
-            freeze(cg / cb) for cg, cb in zip(gamma.generator, beta.generator)
-        )
-    return CoMeasureVector(space, tensors, generator)
+    if gamma._generator is not None and beta._generator is not None:
+        generator = tuple(map(_Shared.divide, gamma._generator, beta._generator))
+    return CoMeasureVector._with_shared(
+        space, map(_Shared.divide, gamma._shared, beta._shared), _generator=generator
+    )
 
 
 def co_measure_inverse(beta: CoMeasureVector) -> CoMeasureVector:
-    """1/beta, used to undo a scaling."""
-    tensors = tuple(freeze(1 / t) for t in beta.tensors)
-    generator = None
-    if beta.generator is not None:
-        generator = tuple(freeze(1 / c) for c in beta.generator)
-    return CoMeasureVector(beta.space, tensors, generator)
+    """1/beta, used to undo a scaling: the unit co-measure over beta."""
+    return co_measure_quotient(CoMeasureVector.uniform(beta.space, exact=beta.exact), beta)
 
 
 # -- duplication ------------------------------------------------------------------
@@ -185,8 +181,13 @@ def extend_duplicate(
     pos = src + 1  # deterministic insertion point, directly after the source
     new_space = space.insert_strategy(i, pos, spec.new_label)
     idx = [*range(pos), src, *range(pos, space.sizes[i])]
-    w = mu.weights[i]
-    weights = [*w[:src], (1 - spec.lam) * w[src], spec.lam * w[src], *w[pos:]]
+    # mu^i(src) splits into shares 1 - lam and lam, over the shares' denominator
+    w = mu._shared[i]
+    split = _Shared.of(scalar_array([1 - spec.lam, spec.lam], (2,), mu.exact))
+    weights = _Shared(
+        np.concatenate([w.num[:src] * split.den, split.num * w.num[src], w.num[pos:] * split.den]),
+        w.den * split.den,
+    )
     return (
         _take_game(g, new_space, i, idx),
         *_take_params(mu, gamma, new_space, i, idx, weights),
@@ -232,8 +233,8 @@ def reduce_duplicate(
         if j == i:
             continue
         axis = space.axis_in_opp(j, i)
-        a = np.take(gamma.tensors[j], p0, axis=axis)
-        b = np.take(gamma.tensors[j], p1, axis=axis)
+        a = np.take(gamma._shared[j].num, p0, axis=axis)
+        b = np.take(gamma._shared[j].num, p1, axis=axis)
         if unequal_mask(a, b, g.exact).any():
             raise PreconditionError(
                 f"gamma not coherent: gamma^{j + 1} differs between "
@@ -242,8 +243,10 @@ def reduce_duplicate(
 
     new_space = space.delete_strategy(i, p0)
     others = [k for k in range(space.sizes[i]) if k != p0]
-    w = mu.weights[i]
-    weights = [w[k] + w[p0] if k == p1 else w[k] for k in others]
+    w = mu._shared[i]
+    num = w.num.copy()
+    num[p1] += num[p0]
+    weights = _take(_Shared(num, w.den), others)
     return (
         _take_game(g, new_space, i, others),
         *_take_params(mu, gamma, new_space, i, others, weights),
@@ -315,7 +318,9 @@ def reduce_redundant(
                 f"subprofile {where} misses the alpha mixture"
             )
 
-    w = mu.weights[i]
-    weights = [w[k] + a * w[p0] for a, k in zip(spec.alpha, others)]
+    # mu^i(s0) moves to the others in alpha-shares, over alpha's denominator
+    w = mu._shared[i]
+    kept = np.take(w.num, others)
+    weights = _Shared(kept * alpha.den + alpha.num * w.num[p0], w.den * alpha.den)
     new_mu, new_gamma = _take_params(mu, gamma, new_space, i, others, weights)
-    return reduced, new_mu, CoMeasureVector(new_space, new_gamma.tensors)
+    return reduced, new_mu, CoMeasureVector._with_shared(new_space, new_gamma._shared)

@@ -256,17 +256,17 @@ def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
     # converts each tensor once, and the payoffs of a game built in shared
     # form, a view read out of it, never go back through _Shared.of
     games, converted = [], []
-    post_init, of = Game.__post_init__, _Shared.of.__func__
+    check, of = Game._check, _Shared.of.__func__
 
     def recording(self):
-        post_init(self)
+        check(self)
         games.append((self, "payoffs" not in vars(self)))
 
     def counting(cls, values):
         converted.append(values)  # kept alive, so the ids stay distinct
         return of(cls, values)
 
-    monkeypatch.setattr(Game, "__post_init__", recording)
+    monkeypatch.setattr(Game, "_check", recording)
     monkeypatch.setattr(_Shared, "of", classmethod(counting))
     code, _, _ = run(capsys, *argv)
     monkeypatch.undo()

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -509,7 +510,7 @@ def test_normalized_harmonic_characterization():
         harmonic = decompose(g, mu, gamma).harmonic
         acc = None
         for i in space.players:
-            term = gamma.expanded(i) * harmonic.payoffs[i] * mu.total(i)
+            term = np.expand_dims(gamma.tensors[i], i) * harmonic.payoffs[i] * mu.total(i)
             acc = term if acc is None else acc + term
         assert all(v == 0 for v in acc.reshape(-1).tolist())
 

@@ -44,7 +44,7 @@ from gamedecomp.laws import (
     random_product_gamma,
     random_space,
 )
-from gamedecomp.numeric import axis_contract
+from gamedecomp.numeric import _Shared, axis_contract
 from conftest import load_fixture
 
 
@@ -502,9 +502,10 @@ def _first_opp_index(space, i, j, k):
 )
 def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     # MeasureVector, CoMeasureVector and MixedProfile, from every constructor,
-    # read their tensors as the eagerly converted ones, keep given tensors,
-    # compare by value, refuse bad entries with the same texts, and keep or
-    # drop a generator as each parameter transform always has
+    # read their tensors as the eagerly converted ones, keep given tensors
+    # and freeze them, compare by value whatever denominator they are stored
+    # over, refuse bad entries with the same texts, and keep or drop a
+    # generator as each parameter transform always has
     rng = random.Random(seed)
     space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
     scalar = F if exact else float
@@ -519,6 +520,14 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
             assert arr.reshape(-1).tolist() == row
             assert all(type(v) is scalar for v in arr.reshape(-1).tolist())
 
+    def keeps(views, given):
+        assert all(a is b and not a.flags.writeable for a, b in zip(views, given))
+
+    def over_more(obj):
+        """obj stored over twice its denominators (exact mode only)."""
+        doubled = [_Shared(2 * x.num, 2 * x.den) for x in obj._shared]
+        return type(obj)._with_shared(obj.space, doubled)
+
     def refuses(build, text):
         with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
             build()
@@ -531,7 +540,12 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     assert [mu.total(i) for i in space.players] == [sum(row) for row in weights]
     given_weights = tuple(w.copy() for w in mu.weights)
     kept = MeasureVector(space, given_weights)
-    assert all(a is b for a, b in zip(kept.weights, given_weights)) and kept == mu
+    keeps(kept.weights, given_weights)
+    assert kept == mu
+    if exact:
+        assert over_more(mu) == mu and mu == over_more(mu)
+        reads(over_more(mu).weights, weights)
+        assert [over_more(mu).total(i) for i in space.players] == [sum(r) for r in weights]
     reads(MeasureVector.uniform(space, 2, exact).weights, [[scalar(2)] * m for m in sizes])
     reads(MeasureVector.uniform(space, exact=exact).weights, [[scalar(1)] * m for m in sizes])
     assert mu.scaled(2).scaled(scalar(F(1, 2))) == mu and mu.scaled(3) != mu
@@ -552,9 +566,11 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     product = CoMeasureVector.from_generator(space, gen, exact)
     reads(product.generator, gen)
     reads(product.tensors, _opp_rows(space, gen))
-    kept = CoMeasureVector(space, product.tensors, product.generator)
-    assert all(a is b for a, b in zip(kept.tensors, product.tensors))
-    assert all(a is b for a, b in zip(kept.generator, product.generator))
+    given_tensors = tuple(t.copy() for t in product.tensors)
+    given_gen = tuple(c.copy() for c in product.generator)
+    kept = CoMeasureVector(space, given_tensors, given_gen)
+    keeps(kept.tensors, given_tensors)
+    keeps(kept.generator, given_gen)
     tensors = [draw(space.num_opp_profiles(j)) for j in space.players]
     gamma = CoMeasureVector.from_tensors(space, tensors, exact)
     reads(gamma.tensors, tensors)
@@ -568,6 +584,9 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     assert threes.generator is None
     reads(threes.tensors, [[scalar(3)] * space.num_opp_profiles(j) for j in space.players])
     assert gamma.scaled(scalar(F(1, 3))).scaled(3) == gamma and gamma.scaled(2) != gamma
+    if exact:
+        assert over_more(gamma) == gamma and over_more(product) == product
+        reads(over_more(gamma).tensors, tensors)
 
     j = rng.randrange(len(sizes))
     k = rng.randrange(space.num_opp_profiles(j))
@@ -640,7 +659,11 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     reads(x.probs, probs)
     given_probs = tuple(q.copy() for q in x.probs)
     kept = MixedProfile(space, given_probs)
-    assert all(a is b for a, b in zip(kept.probs, given_probs)) and kept == x
+    keeps(kept.probs, given_probs)
+    assert kept == x
+    if exact:
+        assert over_more(x) == x
+        reads(over_more(x).probs, probs)
     reads(MixedProfile.uniform(space, exact).probs, [[scalar(F(1, m))] * m for m in sizes])
     pure = tuple(rng.randrange(m) for m in sizes)
     reads(
