@@ -15,8 +15,9 @@ that view and converts each one once; ``_with_shared`` builds an object from
 tensors computed in shared form, so a part, transformed game or parameter
 update that is never read out builds no ``Fraction``.  The base also holds
 the ``exact`` property, ``==`` on numerators (which refuses mixed scalar
-modes), the shape check against each class's ``_shapes`` and the
-count-checked coercion behind every ``from_*`` constructor.
+modes), the shape check against each class's ``_shapes``, the refusal of an
+object whose own tensors mix scalar modes, and the count-checked coercion
+behind every ``from_*`` constructor.
 
 ``+`` and ``-`` exist on ``Game`` and ``ScalarField`` only.  ``Game`` binds
 ``__add__``, ``__sub__`` and ``__eq__`` in its own class body: the layer
@@ -146,8 +147,9 @@ class _Tensors:
         self._check()
 
     def _check(self) -> None:
-        """The shapes against ``_shapes``."""
+        """The shapes against ``_shapes``, then one scalar mode."""
         _check_shapes(self._noun, [x.num for x in self._shared], self._shapes(self.space))
+        require_same_mode(*self._shared)
 
     def _values(self) -> tuple[np.ndarray, ...]:
         return tuple(x.values() for x in self._shared)
@@ -338,6 +340,7 @@ class CoMeasureVector(_Tensors):
         super()._check()
         if self._generator is not None:
             _check_shapes("generator", [c.num for c in self._generator], _own_shapes(self.space))
+            require_same_mode(self, *self._generator)
         _require_positive(
             self._shared,
             lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",

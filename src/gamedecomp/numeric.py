@@ -139,9 +139,10 @@ class _Shared(NamedTuple):
 
     def scale(self, c) -> "_Shared":
         """This tensor times the scalar c; exact mode reduces c against the
-        denominator and skips the multiplication when its numerator is 1."""
+        denominator and skips the multiplication when its numerator is 1,
+        float mode multiplies by float(c), so a ``Fraction`` c keeps it float."""
         if not self.exact:
-            return _Shared(self.num * c, 1)
+            return _Shared(self.num * float(c), 1)
         q = Fraction(c) / self.den
         num = self.num if q.numerator == 1 else self.num * q.numerator
         return _Shared(num, q.denominator)

@@ -170,6 +170,38 @@ def test_scalar_modes_never_mix():
         inner_product_c0(h, h, mf)
 
 
+def test_one_object_refuses_mixed_scalar_modes():
+    # an object's tensors, and gamma's generator, share one scalar mode: a
+    # game of one Fraction and one float tensor was taken as exact, and
+    # decompose then died with a TypeError from Fraction arithmetic
+    space = StrategySpace((("s", "t"), ("s", "t")))
+    cells, pair, half = [1, 2, 3, 4], [1, 2], [Fraction(1, 2)] * 2
+    exact_game = Game.from_payoffs(space, [cells, cells]).payoffs[0]
+    float_game = Game.from_payoffs(space, [cells, cells], exact=False).payoffs[0]
+    exact_pair = MeasureVector.from_weights(space, [pair, pair]).weights[0]
+    float_pair = MeasureVector.from_weights(space, [pair, pair], exact=False).weights[0]
+    exact_half = MixedProfile.from_probs(space, [half, half]).probs[0]
+    float_half = MixedProfile.from_probs(space, [half, half], exact=False).probs[0]
+    builds = [
+        lambda: Game(space, (exact_game, float_game)),
+        lambda: MeasureVector(space, (float_pair, exact_pair)),
+        lambda: CoMeasureVector(space, (exact_pair, float_pair)),
+        lambda: CoMeasureVector(space, (exact_pair, exact_pair), (float_pair, float_pair)),
+        lambda: CoMeasureVector(space, (float_pair, float_pair), (float_pair, exact_pair)),
+        lambda: MixedProfile(space, (exact_half, float_half)),
+    ]
+    for build in builds:
+        with pytest.raises(ValidationError, match="^operands mix exact and float scalars$"):
+            build()
+    # a float parameter scaled by a Fraction stays float
+    mf = MeasureVector.uniform(space, exact=False)
+    cf = CoMeasureVector.uniform(space, exact=False)
+    for scaled, views in ((mf.scaled(Fraction(1, 2)), "weights"), (cf.scaled(Fraction(1, 3)), "tensors")):
+        assert not scaled.exact
+        assert all(v.dtype == np.float64 for v in getattr(scaled, views))
+    assert mf.scaled(Fraction(1, 2)).weights[0].tolist() == [0.5, 0.5]
+
+
 def test_float_solver_and_predicates():
     rng = random.Random(56)
     space = random_space(rng, (2, 2), (2, 3))
