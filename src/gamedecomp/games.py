@@ -24,9 +24,10 @@ behind every ``from_*`` constructor.
 tracer in ``perfbench/spans.py`` wraps them by reading ``Game.__dict__``,
 where an inherited method is not found.
 
-``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry when
-they are built, reading the sign off the numerators, so every mu and gamma
-in the package is strictly positive.  ``require_operands`` is the one
+``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry, of a
+co-measure's generator too, when they are built, reading the sign off the
+numerators, so every mu, gamma and generator in the package is strictly
+positive.  ``require_operands`` is the one
 operand check of every public function: one strategy space, then one scalar
 mode.
 """
@@ -344,6 +345,13 @@ class CoMeasureVector(_Tensors):
         _require_positive(
             self._shared,
             lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",
+        )
+        # on 3 or more players, negative generator entries can multiply to
+        # positive tensors
+        _require_positive(
+            self._generator or (),
+            lambda i, k, c: f"nonpositive co-measure generator: c^{i + 1}"
+            f"({self.space.labels[i][k]}) = {c}",
         )
 
     @cached_property

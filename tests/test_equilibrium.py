@@ -143,6 +143,18 @@ def test_map_equilibrium_refuses_an_invalid_generator(depend, generator, message
         map_equilibrium_under_scaling(MixedProfile.uniform(depend.space), generator)
 
 
+def test_map_equilibrium_refuses_a_negative_generator_on_three_players():
+    # the products of these entries are all positive, so the co-measure
+    # tensor check alone let the negative b through
+    space = StrategySpace((("a", "b"),) * 3)
+    with pytest.raises(
+        ValidationError, match=r"^nonpositive co-measure generator: c\^1\(a\) = -1/2$"
+    ):
+        map_equilibrium_under_scaling(
+            MixedProfile.uniform(space), [[F(-1, 2), -2], [-1, -1], [-3, -1]]
+        )
+
+
 def test_map_equilibrium_roundtrip():
     rng = random.Random(41)
     for _ in range(20):

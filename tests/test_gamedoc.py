@@ -102,6 +102,21 @@ def test_parse_errors_are_addressed(mutate, message):
         parse_game(mutate(MINIMAL))
 
 
+def test_nonpositive_generator_fails_to_parse_on_three_players():
+    # on three players, negative generator entries can multiply to
+    # all-positive gamma tensors; such a document parsed, and serialized
+    # back with its negative generator block
+    zeros = " ".join(["0"] * 8)
+    text = (
+        "gamedoc 1\nplayers 3\n"
+        + "".join(f"strategies {i}: a b\n" for i in (1, 2, 3))
+        + "".join(f"payoffs {i}: {zeros}\n" for i in (1, 2, 3))
+        + "generator 1: -1 -2\ngenerator 2: -1 -1\ngenerator 3: -3 -1\n"
+    )
+    with pytest.raises(ParseError, match=r"^nonpositive co-measure generator: c\^1\(a\) = -1$"):
+        parse_game(text)
+
+
 def test_parse_error_carries_line_number():
     bad = MINIMAL.replace("payoffs 2: -1 1 1 -1", "payoffs 2: -1 1 1 q")
     with pytest.raises(ParseError, match="line 6"):
