@@ -224,10 +224,7 @@ def serialize_game(doc: GameDocument, comment: str | None = None) -> str:
         lines.append(f"payoffs {i + 1}: " + _fmt(doc.game.flat(i)))
     for i in space.players:
         lines.append(f"mu {i + 1}: " + _fmt(doc.mu.weights[i].tolist()))
-    all_ones = all(
-        v == 1 for t in doc.gamma.tensors for v in t.reshape(-1).tolist()
-    )
-    if all_ones:
+    if doc.gamma.is_all_ones():
         for i in space.players:
             lines.append(f"gamma {i + 1}: uniform")
     elif doc.gamma.generator is not None:

@@ -367,7 +367,7 @@ class CoMeasureVector(_Tensors):
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
         gamma = cls(space, cls._coerce(space, tensors, exact))
-        if all((x.num == x.den).all() for x in gamma._shared):
+        if gamma.is_all_ones():
             # an all-ones co-measure is the unit product co-measure, generated by ones
             return cls.from_generator(space, [[1] * m for m in space.sizes], exact)
         return gamma
@@ -390,6 +390,10 @@ class CoMeasureVector(_Tensors):
         axis inserted)."""
         x = self._shared[player]
         return _Shared(insert_axis(x.num, player), x.den)
+
+    def is_all_ones(self) -> bool:
+        """Every gamma^i entry is 1: each numerator equals its denominator."""
+        return all((x.num == x.den).all() for x in self._shared)
 
     def is_player_constant(self, player: int) -> bool:
         flat = self._shared[player].num.reshape(-1)
