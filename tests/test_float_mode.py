@@ -194,12 +194,11 @@ def test_one_object_refuses_mixed_scalar_modes():
         with pytest.raises(ValidationError, match="^operands mix exact and float scalars$"):
             build()
     # a float parameter scaled by a Fraction stays float
-    mf = MeasureVector.uniform(space, exact=False)
-    cf = CoMeasureVector.uniform(space, exact=False)
-    for scaled, views in ((mf.scaled(Fraction(1, 2)), "weights"), (cf.scaled(Fraction(1, 3)), "tensors")):
-        assert not scaled.exact
-        assert all(v.dtype == np.float64 for v in getattr(scaled, views))
-    assert mf.scaled(Fraction(1, 2)).weights[0].tolist() == [0.5, 0.5]
+    halved = MeasureVector.uniform(space, exact=False).scaled(Fraction(1, 2))
+    thirds = CoMeasureVector.uniform(space, exact=False).scaled(Fraction(1, 3))
+    assert not halved.exact and not thirds.exact
+    assert halved.weights[0].dtype == thirds.tensors[0].dtype == np.float64
+    assert halved.weights[0].tolist() == [0.5, 0.5]
 
 
 def test_float_solver_and_predicates():
