@@ -383,7 +383,7 @@ class CoMeasureVector(_Tensors):
         gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
         shared = tuple(map(_Shared.of, gen))
         tensors = (_outer(c for j, c in enumerate(shared) if j != i) for i in space.players)
-        return cls._with_shared(space, tensors, _generator=shared)
+        return cls._with_shared(space, tensors, _generator=shared, generator=gen)
 
     def expanded(self, player: int) -> _Shared:
         """gamma^i in shared form, broadcast over the full profile space (own
