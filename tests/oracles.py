@@ -18,6 +18,8 @@
   the payoffs' own scalars: Fraction arithmetic in exact mode, where the
   library integrates integer numerators, and the same float expressions in
   float mode.
+- The equilibrium oracle computes expected payoffs, the best-response
+  epsilon and the pure regret profile by profile in plain Fractions.
 
 The oracles index profiles, enumerate the game-graph edges and form the
 opponent products mu^{-i} with their own helpers below, so they share no
@@ -357,3 +359,48 @@ def integrate_by_fractions(g: Game, gamma: CoMeasureVector):
             target = tuple(int(k) for k in np.unravel_index(flat, g.space.sizes))
             return psi, (target[:i] + (0,) + target[i + 1:], target)
     return psi, None
+
+
+def expected_payoff_by_profiles(g: Game, x, player: int) -> Fraction:
+    """sum_s prod_j x^j(s^j) g^player(s), one profile at a time in plain Fractions."""
+    return sum(
+        (
+            math.prod(Fraction(x.probs[j][k]) for j, k in enumerate(s))
+            * Fraction(g.payoffs[player][s])
+            for s in profiles(g.space)
+        ),
+        Fraction(0),
+    )
+
+
+def best_response_epsilon_by_profiles(g: Game, x) -> Fraction:
+    """max over players i and pure strategies t of u^i(t, x^{-i}) - u^i(x),
+    floored at 0, with every expectation summed profile by profile."""
+    worst = Fraction(0)
+    for i, m in enumerate(g.space.sizes):
+        current = expected_payoff_by_profiles(g, x, i)
+        for t in range(m):
+            deviation = sum(
+                (
+                    math.prod(Fraction(x.probs[j][k]) for j, k in enumerate(s) if j != i)
+                    * Fraction(g.payoffs[i][s])
+                    for s in profiles(g.space)
+                    if s[i] == t
+                ),
+                Fraction(0),
+            )
+            worst = max(worst, deviation - current)
+    return worst
+
+
+def pure_regret_by_profiles(g: Game) -> dict:
+    """{s: max_i (max_t g^i(t, s^{-i}) - g^i(s))} in plain Fractions."""
+    regret = {}
+    for s in profiles(g.space):
+        gains = []
+        for i, m in enumerate(g.space.sizes):
+            here = Fraction(g.payoffs[i][s])
+            best = max(Fraction(g.payoffs[i][s[:i] + (t,) + s[i + 1:]]) for t in range(m))
+            gains.append(best - here)
+        regret[s] = max(gains)
+    return regret

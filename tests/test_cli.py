@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from gamedecomp import (
-    Game, GameDocument, StrategySpace, decomposition, laws, parse_game, serialize_game,
+    Game, GameDocument, StrategySpace, decomposition, games, laws, parse_game, serialize_game,
 )
 from gamedecomp.cli import main
 from gamedecomp.numeric import _Shared
@@ -225,6 +225,23 @@ def test_exact_verify_all_fraction_constructions(capsys, count_fractions):
     assert code == 0
     assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
     assert count <= 25_224
+
+
+def test_exact_verify_all_object_constructions(monkeypatch, capsys):
+    # the 11 laws at 30 trials each, seed 7, build 5,340 games, fields,
+    # measures, co-measures and profiles (one _store call each); a carry or
+    # parameter update that does more work than its law needs shows here
+    count = [0]
+    store = games._Tensors._store
+
+    def counting_store(self, space, shared):
+        count[0] += 1
+        store(self, space, shared)
+
+    monkeypatch.setattr(games._Tensors, "_store", counting_store)
+    assert main(["verify", "all", "--trials", "30", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
+    assert count[0] <= 5_340
 
 
 def test_exact_decompose_333_fraction_constructions(count_fractions):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gamedecomp import (
     CoMeasureVector,
@@ -29,6 +30,11 @@ from gamedecomp.laws import (
 )
 from gamedecomp.equilibrium import pure_regret
 from conftest import load_fixture
+from oracles import (
+    best_response_epsilon_by_profiles,
+    expected_payoff_by_profiles,
+    pure_regret_by_profiles,
+)
 
 
 def test_expected_payoff_examples(matching_pennies):
@@ -248,3 +254,38 @@ def test_pure_regret_matches_best_response_epsilon():
             for profile in space.profiles():
                 candidate = MixedProfile.pure(space, profile, exact=exact)
                 assert regret[profile] == best_response_epsilon(g, candidate)
+
+
+@st.composite
+def exact_games_and_profiles(draw):
+    """A random exact game whose payoffs mix denominators, and a mixed
+    profile whose rows are nonnegative integer weights over their sum: the
+    denominators differ within and across players, and zero entries occur."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
+    entries = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+    payoffs = draw(st.lists(
+        st.lists(entries, min_size=space.num_profiles, max_size=space.num_profiles),
+        min_size=len(sizes), max_size=len(sizes),
+    ))
+    probs = []
+    for m in sizes:
+        weights = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any))
+        probs.append([F(w, sum(weights)) for w in weights])
+    return Game.from_payoffs(space, payoffs), MixedProfile.from_probs(space, probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_games_and_profiles())
+def test_equilibrium_checks_match_the_fraction_oracle(case):
+    g, x = case
+    eps = best_response_epsilon(g, x)
+    assert isinstance(eps, F)
+    assert eps == best_response_epsilon_by_profiles(g, x)
+    for i in g.space.players:
+        payoff = expected_payoff(g, x, i)
+        assert isinstance(payoff, F)
+        assert payoff == expected_payoff_by_profiles(g, x, i)
+    regret = pure_regret(g)
+    assert regret.shape == g.space.sizes
+    assert {s: regret[s] for s in g.space.profiles()} == pure_regret_by_profiles(g)

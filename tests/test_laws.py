@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from gamedecomp import parse_game
+from gamedecomp import CoMeasureVector, MeasureVector, StrategySpace, parse_game
 from gamedecomp.laws import (
     LAWS,
+    PARAM_VALUES,
     _minimize,
     random_game,
     random_gamma,
     random_mu,
+    random_product_gamma,
     random_space,
     run_law,
 )
@@ -67,3 +69,41 @@ def test_player_and_strategy_ranges_are_respected():
         space = random_space(rng, (2, 2), (2, 2))
         assert space.n_players == 2
         assert space.sizes == (2, 2)
+
+
+def _draws(rng, lengths):
+    return [[rng.choice(PARAM_VALUES) for _ in range(k)] for k in lengths]
+
+
+def _generator(gamma):
+    return None if gamma.generator is None else [c.tolist() for c in gamma.generator]
+
+
+def _replay(seed, space):
+    """Draw mu, gamma and a product gamma from Random(seed), and check each
+    against the public constructor fed the same draws from a twin Random;
+    a counterexample replays from (law, seed, trial) only while they agree."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    opp = [space.num_opp_profiles(i) for i in space.players]
+    mu = random_mu(rng, space)
+    assert mu == MeasureVector.from_weights(space, _draws(twin, space.sizes))
+    gamma = random_gamma(rng, space)
+    expected = CoMeasureVector.from_tensors(space, _draws(twin, opp))
+    assert gamma == expected and _generator(gamma) == _generator(expected)
+    product = random_product_gamma(rng, space)
+    expected = CoMeasureVector.from_generator(space, _draws(twin, space.sizes))
+    assert product == expected and _generator(product) == _generator(expected)
+    assert rng.getstate() == twin.getstate()
+    return gamma
+
+
+def test_random_parameters_replay_the_public_constructors():
+    for seed in range(30):
+        _replay(seed, random_space(random.Random(f"space:{seed}"), (2, 3), (2, 4)))
+
+
+def test_an_all_ones_random_gamma_keeps_the_unit_generator():
+    # on 2x2, Random(142) draws mu and then gamma entries that are all 1
+    gamma = _replay(142, StrategySpace((("a", "b"), ("a", "b"))))
+    assert gamma.is_all_ones()
+    assert _generator(gamma) == [[1, 1], [1, 1]]
