@@ -3,37 +3,63 @@
 There is no general Nash solver here: the library only verifies candidate
 profiles, constructs the known equilibrium of harmonic games, maps equilibria
 through product scalings, and searches potential-function argmaxes.
+
+The checks read games and profiles in shared form (``numeric._Shared``):
+exact mode contracts payoff numerators with probability numerators and
+divides once per result, so ``best_response_epsilon`` and
+``expected_payoff`` build one ``Fraction`` per call and ``pure_regret`` one
+per distinct entry it returns.  Float tensors lie over 1, so float mode
+computes the expressions it always did, in the same order.  The profiles
+built here are normalized from weight numerators, since weights over any
+denominator give the same profile.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import math
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import axis_contract, is_zero, magnitude
-from .games import CoMeasureVector, Game, MeasureVector, MixedProfile, require_operands
+from .numeric import _Shared, axis_contract, is_zero, magnitude, quotient
+from .games import (
+    CoMeasureVector,
+    Game,
+    MeasureVector,
+    MixedProfile,
+    require_operands,
+    shared_payoffs,
+)
 from .decomposition import extract_potential, is_harmonic
 
 
-def _opponent_payoff_vector(g: Game, x: MixedProfile, player: int) -> list:
-    """Expected payoff of each pure strategy of ``player`` against x^{-i}."""
-    values = g.payoffs[player]
+def _opponent_payoffs(g: Game, x: MixedProfile, player: int) -> tuple[list, int]:
+    """(v, den): player's expected payoff from each pure strategy t against
+    x^{-i} is v[t] / den, contracted on numerators."""
+    payoff = shared_payoffs(g)[player]
+    values, den = payoff.num, payoff.den
     # contract every axis except the player's own, highest axis first
     for axis in range(g.space.n_players - 1, -1, -1):
         if axis == player:
             continue
-        values = axis_contract(values, x.probs[axis], axis)
-    return list(np.atleast_1d(values).tolist())
+        probs = x._shared[axis]
+        values = axis_contract(values, probs.num, axis)
+        den *= probs.den
+    return np.atleast_1d(values).tolist(), den
+
+
+def _current_payoff(vector: list, probs: _Shared):
+    """sum_t x^i(t) v[t] on numerators, over den * probs.den."""
+    return sum(p * v for p, v in zip(probs.num.tolist(), vector))
 
 
 def expected_payoff(g: Game, x: MixedProfile, player: int):
     """sum_s prod_j x^j(s^j) g^i(s), exactly."""
     player = require_operands(g, x).require_player(player)
-    vector = _opponent_payoff_vector(g, x, player)
-    return sum(p * v for p, v in zip(x.probs[player].tolist(), vector))
+    vector, den = _opponent_payoffs(g, x, player)
+    probs = x._shared[player]
+    return quotient(_current_payoff(vector, probs), den * probs.den, g.exact)
 
 
 def best_response_epsilon(g: Game, x: MixedProfile):
@@ -41,17 +67,19 @@ def best_response_epsilon(g: Game, x: MixedProfile):
 
     x is a Nash equilibrium iff the result is exactly 0; scanning pure
     deviations suffices because a best response to fixed opponents is pure.
+    Each player's gain max_t v[t] x^i.den - sum_t x^i(t) v[t] lies over its
+    own denominator, so gains are compared by cross-multiplying.
     """
     require_operands(g, x)
-    zero = Fraction(0) if g.exact else 0.0
-    worst = zero
+    worst, worst_den = 0, 1
     for i in g.space.players:
-        vector = _opponent_payoff_vector(g, x, i)
-        current = sum(p * v for p, v in zip(x.probs[i].tolist(), vector))
-        gain = max(vector) - current
-        if gain > worst:
-            worst = gain
-    return worst
+        vector, den = _opponent_payoffs(g, x, i)
+        probs = x._shared[i]
+        gain = max(vector) * probs.den - _current_payoff(vector, probs)
+        den *= probs.den
+        if gain * worst_den > worst * den:
+            worst, worst_den = gain, den
+    return quotient(worst, worst_den, g.exact)
 
 
 def is_no_gain(g: Game, eps) -> bool:
@@ -61,17 +89,26 @@ def is_no_gain(g: Game, eps) -> bool:
     return is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*g.payoffs))
 
 
+def _pure_regret(g: Game) -> _Shared:
+    """pure_regret in shared form: every player's gains put over the LCM of
+    the payoff denominators (float: 1, nothing is scaled)."""
+    payoffs = shared_payoffs(g)
+    den = math.lcm(*(x.den for x in payoffs))
+    gains = (
+        (np.max(x.num, axis=i, keepdims=True) - x.num) * (den // x.den)
+        for i, x in enumerate(payoffs)
+    )
+    return _Shared(functools.reduce(np.maximum, gains), den)
+
+
 def pure_regret(g: Game) -> np.ndarray:
     """r(s) = max_i (max_t g^i(t, s^{-i}) - g^i(s)) at every pure profile s.
 
     Equals best_response_epsilon at each pure profile, as one tensor: a max
     along each player's own axis, one subtraction, and an elementwise max over
-    players, O(n |S|) scalar operations in all.
+    players, O(n |S|) scalar operations in all, on numerators.
     """
-    gains = (
-        np.max(p, axis=i, keepdims=True) - p for i, p in enumerate(g.payoffs)
-    )
-    return functools.reduce(np.maximum, gains)
+    return _pure_regret(g).values()
 
 
 def harmonic_equilibrium(
@@ -86,16 +123,15 @@ def harmonic_equilibrium(
     space = require_operands(g, mu, gamma)
     if not is_harmonic(g, mu, gamma):
         raise PreconditionError("not harmonic")
-    if gamma.generator is not None:
+    if gamma._generator is not None:
         weights = [
-            [m * c for m, c in zip(mu.weights[i].tolist(), gamma.generator[i].tolist())]
-            for i in space.players
+            _Shared(w.num * c.num, w.den * c.den) for w, c in zip(mu._shared, gamma._generator)
         ]
     elif all(gamma.is_player_constant(i) for i in space.players):
-        weights = [mu.weights[i].tolist() for i in space.players]
+        weights = mu._shared
     else:
         raise PreconditionError("gamma not product: no generator stored")
-    profile = MixedProfile.from_positive_weights(space, weights, exact=g.exact)
+    profile = MixedProfile._normalized(space, weights)
     eps = best_response_epsilon(g, profile)
     if not is_no_gain(g, eps):
         raise PreconditionError(
@@ -112,11 +148,8 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     strictly positive vector per player, in x's scalar mode.
     """
     space = x.space
-    gen = CoMeasureVector.from_generator(space, b_generator, x.exact).generator
-    weights = [
-        [p / c for p, c in zip(x.probs[i].tolist(), gen[i].tolist())] for i in space.players
-    ]
-    return MixedProfile.from_positive_weights(space, weights, exact=x.exact)
+    gen = CoMeasureVector.from_generator(space, b_generator, x.exact)._generator
+    return MixedProfile._normalized(space, map(_Shared.divide, x._shared, gen))
 
 
 def pure_equilibrium_from_potential(

@@ -366,11 +366,14 @@ class CoMeasureVector(_Tensors):
 
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
-        gamma = cls(space, cls._coerce(space, tensors, exact))
-        if gamma.is_all_ones():
-            # an all-ones co-measure is the unit product co-measure, generated by ones
-            return cls.from_generator(space, [[1] * m for m in space.sizes], exact)
-        return gamma
+        return cls(space, cls._coerce(space, tensors, exact))._unit_if_all_ones()
+
+    def _unit_if_all_ones(self) -> "CoMeasureVector":
+        """This co-measure, or, when every entry is 1, the unit product
+        co-measure, generated by ones."""
+        if not self.is_all_ones():
+            return self
+        return self.from_generator(self.space, [[1] * m for m in self.space.sizes], self.exact)
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
@@ -381,9 +384,15 @@ class CoMeasureVector(_Tensors):
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
         gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
-        shared = tuple(map(_Shared.of, gen))
+        return cls._generated(space, tuple(map(_Shared.of, gen)), generator=gen)
+
+    @classmethod
+    def _generated(cls, space: StrategySpace, shared, **view):
+        """The product co-measure gamma^i = prod_{j != i} c^j of the
+        generator c in shared form; ``view`` may set the generator view."""
+        shared = tuple(shared)
         tensors = (_outer(c for j, c in enumerate(shared) if j != i) for i in space.players)
-        return cls._with_shared(space, tensors, _generator=shared, generator=gen)
+        return cls._with_shared(space, tensors, _generator=shared, **view)
 
     def expanded(self, player: int) -> _Shared:
         """gamma^i in shared form, broadcast over the full profile space (own
@@ -446,15 +455,24 @@ class MixedProfile(_Tensors):
         """Normalize strictly positive weight vectors into a profile.
 
         The weights are coerced to the scalar mode first, so exact weights
-        given as Python ints are divided exactly.
+        given as Python ints are divided exactly; a nonpositive entry is
+        refused.
         """
-        probs = []
-        for w in weights:
-            vec = list(w)
-            vec = scalar_array(vec, (len(vec),), exact).tolist()
-            total = sum(vec)
-            probs.append([x / total for x in vec])
-        return cls.from_probs(space, probs, exact)
+        shared = tuple(map(_Shared.of, cls._coerce(space, weights, exact)))
+        _require_positive(
+            shared,
+            lambda i, k, w: f"nonpositive weight for player {i + 1}: "
+            f"w({space.labels[i][k]}) = {w}",
+        )
+        return cls._normalized(space, shared)
+
+    @classmethod
+    def _normalized(cls, space: StrategySpace, weights) -> "MixedProfile":
+        """The profile w^i / sum_k w^i(k) from shared weight tensors, each
+        nonnegative with a positive sum: exact mode keeps the numerators over
+        their sum, since the weights' own denominator cancels; float mode
+        divides by the sum, added in index order."""
+        return cls._with_shared(space, (w.over(w.num, sum(w.num.tolist())) for w in weights))
 
 
 # -- parameter validation ----------------------------------------------------

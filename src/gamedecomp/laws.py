@@ -4,10 +4,17 @@ Each law draws its instances from a deterministic per-trial RNG, so a failure
 replays exactly from (law, seed, trial).  Payoffs are integers in [-9, 9] and
 parameters come from {1/3, 1/2, 1, 2, 3}, which keeps every check rational and
 the suites reproducible across runs.
+
+Instances are built in shared form (``numeric._Shared``) straight from the
+draws, equal to what the public constructors build from the same draws.  The
+checks stay on numerators: a commutation law carries each part through the
+game half of its transform only (see ``transforms``), and the equilibrium
+laws normalize mu's numerators and compare regrets with B^2 on integers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass
@@ -25,13 +32,17 @@ from .decomposition import (
     is_mu_normalized,
     is_nonstrategic,
 )
-from .equilibrium import best_response_epsilon, harmonic_equilibrium, pure_regret
+from .equilibrium import _pure_regret, best_response_epsilon, harmonic_equilibrium
 from .numeric import _Shared, _object_array, axis_contract, insert_axis, scalar_array
 from .spaces import StrategySpace
 from .transforms import (
     DuplicationSpec,
     PermutationSpec,
     RedundancySpec,
+    _deleted,
+    _extend_game,
+    _redundant_game,
+    _reduce_game,
     _take_game,
     _take_params,
     co_measure_quotient,
@@ -75,26 +86,32 @@ def random_game(rng: random.Random, space: StrategySpace) -> Game:
     ))
 
 
+def _draw_params(rng: random.Random, shape) -> _Shared:
+    """rng.choice(PARAM_VALUES) per entry of ``shape``, in row-major order,
+    as numerators over their LCM."""
+    flat = [rng.choice(PARAM_VALUES) for _ in range(math.prod(shape))]
+    return _Shared.of(_object_array(flat, shape))
+
+
 def random_mu(rng: random.Random, space: StrategySpace) -> MeasureVector:
-    return MeasureVector.from_weights(
-        space, [[rng.choice(PARAM_VALUES) for _ in range(m)] for m in space.sizes]
-    )
+    """Weights drawn from PARAM_VALUES, built in shared form: equal to
+    ``MeasureVector.from_weights`` on the same draws."""
+    return MeasureVector._with_shared(space, [_draw_params(rng, (m,)) for m in space.sizes])
 
 
 def random_gamma(rng: random.Random, space: StrategySpace) -> CoMeasureVector:
-    return CoMeasureVector.from_tensors(
-        space,
-        [
-            [rng.choice(PARAM_VALUES) for _ in range(space.num_opp_profiles(i))]
-            for i in space.players
-        ],
-    )
+    """Co-measure entries drawn from PARAM_VALUES, built in shared form:
+    equal to ``CoMeasureVector.from_tensors`` on the same draws, the unit
+    generator of an all-ones draw included."""
+    tensors = [_draw_params(rng, space.opp_sizes(i)) for i in space.players]
+    return CoMeasureVector._with_shared(space, tensors)._unit_if_all_ones()
 
 
 def random_product_gamma(rng: random.Random, space: StrategySpace) -> CoMeasureVector:
-    return CoMeasureVector.from_generator(
-        space, [[rng.choice(PARAM_VALUES) for _ in range(m)] for m in space.sizes]
-    )
+    """A product co-measure whose generator is drawn from PARAM_VALUES,
+    built in shared form: equal to ``CoMeasureVector.from_generator`` on the
+    same draws."""
+    return CoMeasureVector._generated(space, [_draw_params(rng, (m,)) for m in space.sizes])
 
 
 def random_nonstrategic(rng: random.Random, space: StrategySpace) -> Game:
@@ -209,7 +226,7 @@ def _check_extend(g, mu, gamma, aux):
     spec = _duplication_spec(aux, g.space)
     return _commutes(
         (g, mu, gamma), extend_duplicate(g, mu, gamma, spec),
-        lambda c: extend_duplicate(c, mu, gamma, spec)[0],
+        lambda c: _extend_game(c, spec),
         "duplication does not commute on the {} component",
     )
 
@@ -217,15 +234,12 @@ def _check_extend(g, mu, gamma, aux):
 def _check_reduce(g, mu, gamma, aux):
     spec = _duplication_spec(aux, g.space)
     extended, mu_e, gamma_e = extend_duplicate(g, mu, gamma, spec)
-
-    def shrink(game):
-        return reduce_duplicate(game, mu_e, gamma_e, spec.player, spec.new_label, spec.source)
-
-    reduced, mu_r, gamma_r = shrink(extended)
+    pair = (spec.player, spec.new_label, spec.source)
+    reduced, mu_r, gamma_r = reduce_duplicate(extended, mu_e, gamma_e, *pair)
     if reduced != g or mu_r != mu or gamma_r != gamma:
         return "reduce is not the right-inverse of extend"
     return _commutes(
-        (extended, mu_e, gamma_e), (g, mu, gamma), lambda c: shrink(c)[0],
+        (extended, mu_e, gamma_e), (g, mu, gamma), lambda c: _reduce_game(c, *pair),
         "reduction does not commute on the {} component",
     )
 
@@ -264,16 +278,14 @@ def _check_redundant(g, mu, gamma, aux):
 
     return _commutes(
         (redundant_game, mu, gamma_u), reduce_redundant(redundant_game, mu, gamma_u, spec),
-        lambda c: reduce_redundant(c, mu, gamma_u, spec)[0],
+        lambda c: _redundant_game(c, spec),
         "redundancy reduction does not commute on the {} component",
     )
 
 
 def _check_harmonic_eq(g, mu, gamma, aux):
     harmonic = decompose(g, mu, gamma).harmonic
-    profile = MixedProfile.from_positive_weights(
-        g.space, [mu.weights[i].tolist() for i in g.space.players]
-    )
+    profile = MixedProfile._normalized(g.space, mu._shared)
     eps = best_response_epsilon(scale(harmonic, gamma), profile)
     if eps != 0:
         return f"normalized mu is not an equilibrium of gamma.g_Har (eps = {eps})"
@@ -291,12 +303,16 @@ def _check_epsilon_bound(g, mu, gamma, aux):
     parts = decompose(g, mu, gamma)
     closest, _ = parts.closest_potential()
     bound_sq = parts.epsilon_bound()
-    regret = pure_regret(g)
-    failing = (pure_regret(closest) == 0) & (regret * regret > bound_sq)
+    regret = _pure_regret(g)
+    # r^2 > B^2 on integers: r = regret.num / regret.den, B^2 a Fraction
+    failing = (_pure_regret(closest).num == 0) & (
+        regret.num * regret.num * bound_sq.denominator
+        > bound_sq.numerator * regret.den * regret.den
+    )
     if not failing.any():
         return None
     profile = g.space.profile(int(np.argmax(failing)))
-    eps = regret[profile]
+    eps = Fraction(regret.num[profile], regret.den)
     return (
         f"pure equilibrium {g.space.profile_labels(profile)} of the closest "
         f"potential game has eps^2 = {eps * eps} > B^2 = {bound_sq}"
@@ -404,6 +420,5 @@ def _minimize(check, g, mu, gamma, aux_seed):
 
 
 def _delete_strategy(game, mu, gamma, player, pos):
-    space = game.space.delete_strategy(player, pos)
-    idx = [k for k in range(game.space.sizes[player]) if k != pos]
+    space, idx = _deleted(game.space, player, pos)
     return _take_game(game, space, player, idx), *_take_params(mu, gamma, space, player, idx)

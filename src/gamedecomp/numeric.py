@@ -241,10 +241,15 @@ def insert_axis(x: np.ndarray, axis: int) -> np.ndarray:
 def axis_contract(values: np.ndarray, weights, axis: int) -> np.ndarray:
     """sum_k weights[k] * values[..., k, ...] along ``axis``, with that axis removed.
 
-    ``weights`` is any 1-D sequence as long as that axis.  Terms are added in
-    index order, so float rounding is the same for every caller.
+    ``weights`` is any 1-D sequence as long as that axis.  Exact mode is one
+    object-dtype matmul of the weights with the (pre, m, post) view.  Float
+    mode adds the terms in index order, so its rounding is the same for
+    every caller.
     """
     view = axis_view(values, axis)
+    if array_is_exact(values):
+        out = np.asarray(weights, dtype=object) @ view
+        return out.reshape(values.shape[:axis] + values.shape[axis + 1:])
     acc = None
     for k, w in enumerate(np.asarray(weights).tolist()):
         term = view[:, k] * w

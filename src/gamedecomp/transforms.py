@@ -8,6 +8,11 @@ strategy idx[k], taken along axis i of every payoff tensor, along i's axis
 inside every other gamma^j, and from the generator's entry for i.  Only the
 new mu^i differs between them: permuted, split by lam, merged into s1, or
 given alpha-shares.  Scalings divide gamma by the scaling co-measure.
+
+Duplications and both reductions have two private halves: a game half (the
+checks on the game, then ``_take_game``) and a parameter half (the checks
+on mu and gamma, then their update).  The public function calls both; the
+law suite carries each part of a decomposition through the game half alone.
 """
 
 from __future__ import annotations
@@ -174,24 +179,36 @@ def extend_duplicate(
     spec: DuplicationSpec,
 ) -> tuple[Game, MeasureVector, CoMeasureVector]:
     """Insert a duplicate strategy right after its source and split parameters."""
-    space = require_operands(g, mu, gamma)
+    require_operands(g, mu, gamma)
     spec.validate()
+    return (_extend_game(g, spec), *_extend_params(mu, gamma, spec))
+
+
+def _duplicated(space: StrategySpace, spec: DuplicationSpec):
+    """(new space, source index, idx) of the duplication: the copy sits
+    directly after its source, a deterministic insertion point."""
     i = spec.player
     src = space.strategy_index(i, spec.source)
-    pos = src + 1  # deterministic insertion point, directly after the source
+    pos = src + 1
     new_space = space.insert_strategy(i, pos, spec.new_label)
-    idx = [*range(pos), src, *range(pos, space.sizes[i])]
-    # mu^i(src) splits into shares 1 - lam and lam, over the shares' denominator
-    w = mu._shared[i]
+    return new_space, src, [*range(pos), src, *range(pos, space.sizes[i])]
+
+
+def _extend_game(g: Game, spec: DuplicationSpec) -> Game:
+    """The game half of extend_duplicate, for a validated spec."""
+    new_space, _, idx = _duplicated(g.space, spec)
+    return _take_game(g, new_space, spec.player, idx)
+
+
+def _extend_params(mu: MeasureVector, gamma: CoMeasureVector, spec: DuplicationSpec):
+    """The parameter half of extend_duplicate: mu^i(src) splits into shares
+    1 - lam and lam, over the shares' denominator."""
+    new_space, src, idx = _duplicated(mu.space, spec)
+    w = mu._shared[spec.player]
     split = _Shared.of(scalar_array([1 - spec.lam, spec.lam], (2,), mu.exact))
-    weights = _Shared(
-        np.concatenate([w.num[:src] * split.den, split.num * w.num[src], w.num[pos:] * split.den]),
-        w.den * split.den,
-    )
-    return (
-        _take_game(g, new_space, i, idx),
-        *_take_params(mu, gamma, new_space, i, idx, weights),
-    )
+    parts = [w.num[:src] * split.den, split.num * w.num[src], w.num[src + 1:] * split.den]
+    weights = _Shared(np.concatenate(parts), w.den * split.den)
+    return _take_params(mu, gamma, new_space, spec.player, idx, weights)
 
 
 # -- reduction of duplicates --------------------------------------------------------
@@ -211,13 +228,28 @@ def reduce_duplicate(
     coherent with the duplication (equal slices at s0 and s1); the reduced
     gamma keeps the common slice value.
     """
-    space = require_operands(g, mu, gamma)
-    i = player
-    p0 = space.strategy_index(i, s0)
-    p1 = space.strategy_index(i, s1)
+    require_operands(g, mu, gamma)
+    return (_reduce_game(g, player, s0, s1), *_reduce_params(mu, gamma, player, s0, s1))
+
+
+def _duplicate_pair(space: StrategySpace, player: int, s0: str, s1: str) -> tuple[int, int]:
+    p0 = space.strategy_index(player, s0)
+    p1 = space.strategy_index(player, s1)
     if p0 == p1:
         raise ValidationError("s0 and s1 must be different strategies")
+    return p0, p1
 
+
+def _deleted(space: StrategySpace, player: int, p0: int):
+    """(new space, idx) with strategy p0 of ``player`` deleted."""
+    return space.delete_strategy(player, p0), [k for k in range(space.sizes[player]) if k != p0]
+
+
+def _reduce_game(g: Game, player: int, s0: str, s1: str) -> Game:
+    """The game half of reduce_duplicate: check that s0 duplicates s1 for
+    every player, then delete s0."""
+    i = player
+    p0, p1 = _duplicate_pair(g.space, i, s0, s1)
     for j, payoff in enumerate(shared_payoffs(g)):
         # one tensor's numerators share its denominator
         a = np.take(payoff.num, p0, axis=i)
@@ -229,28 +261,31 @@ def reduce_duplicate(
                 f"not a duplicate: payoff of player {j + 1} differs at "
                 f"opponent subprofile {where}"
             )
+    new_space, others = _deleted(g.space, i, p0)
+    return _take_game(g, new_space, i, others)
+
+
+def _reduce_params(mu: MeasureVector, gamma: CoMeasureVector, player: int, s0: str, s1: str):
+    """The parameter half of reduce_duplicate: check that gamma is coherent
+    with the duplication, then fold mu^i(s0) into s1 and delete s0."""
+    space, i = mu.space, player
+    p0, p1 = _duplicate_pair(space, i, s0, s1)
     for j in space.players:
         if j == i:
             continue
         axis = space.axis_in_opp(j, i)
         a = np.take(gamma._shared[j].num, p0, axis=axis)
         b = np.take(gamma._shared[j].num, p1, axis=axis)
-        if unequal_mask(a, b, g.exact).any():
+        if unequal_mask(a, b, mu.exact).any():
             raise PreconditionError(
                 f"gamma not coherent: gamma^{j + 1} differs between "
                 f"{s0!r} and {s1!r} slices"
             )
-
-    new_space = space.delete_strategy(i, p0)
-    others = [k for k in range(space.sizes[i]) if k != p0]
+    new_space, others = _deleted(space, i, p0)
     w = mu._shared[i]
     num = w.num.copy()
     num[p1] += num[p0]
-    weights = _take(_Shared(num, w.den), others)
-    return (
-        _take_game(g, new_space, i, others),
-        *_take_params(mu, gamma, new_space, i, others, weights),
-    )
+    return _take_params(mu, gamma, new_space, i, others, _take(_Shared(num, w.den), others))
 
 
 # -- reduction of redundant strategies -----------------------------------------------
@@ -293,19 +328,25 @@ def reduce_redundant(
     opponent subprofiles; the constants may differ across players), restricted
     unchanged to the smaller space and returned without a generator.
     """
-    space = require_operands(g, mu, gamma)
-    spec.validate(space)
+    require_operands(g, mu, gamma)
+    spec.validate(g.space)
+    # the parameter half first, so gamma's check still comes before the game's
+    new_mu, new_gamma = _redundant_params(mu, gamma, spec)
+    return _redundant_game(g, spec), new_mu, new_gamma
+
+
+def _alpha_shares(spec: RedundancySpec, exact: bool) -> _Shared:
+    return _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), exact))
+
+
+def _redundant_game(g: Game, spec: RedundancySpec) -> Game:
+    """The game half of reduce_redundant, for a validated spec: delete s0,
+    then check that its payoffs are the alpha mixture of the rest."""
     i = spec.player
-    p0 = space.strategy_index(i, spec.s0)
-    others = [k for k in range(space.sizes[i]) if k != p0]
-
-    for j in space.players:
-        if not gamma.is_player_constant(j):
-            raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
-
-    new_space = space.delete_strategy(i, p0)
+    p0 = g.space.strategy_index(i, spec.s0)
+    new_space, others = _deleted(g.space, i, p0)
     reduced = _take_game(g, new_space, i, others)
-    alpha = _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), g.exact))
+    alpha = _alpha_shares(spec, g.exact)
     for j, (payoff, kept) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
         # both sides times the denominators of g^j and alpha
         mix = axis_contract(kept.num, alpha.num, i)
@@ -317,10 +358,22 @@ def reduce_redundant(
                 f"not alpha-redundant: player {j + 1} payoff at opponent "
                 f"subprofile {where} misses the alpha mixture"
             )
+    return reduced
 
-    # mu^i(s0) moves to the others in alpha-shares, over alpha's denominator
+
+def _redundant_params(mu: MeasureVector, gamma: CoMeasureVector, spec: RedundancySpec):
+    """The parameter half of reduce_redundant, for a validated spec: check
+    that gamma is uniform, then move mu^i(s0) to the other strategies in
+    alpha-shares, over alpha's denominator."""
+    space, i = mu.space, spec.player
+    p0 = space.strategy_index(i, spec.s0)
+    for j in space.players:
+        if not gamma.is_player_constant(j):
+            raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
+    new_space, others = _deleted(space, i, p0)
+    alpha = _alpha_shares(spec, mu.exact)
     w = mu._shared[i]
     kept = np.take(w.num, others)
     weights = _Shared(kept * alpha.den + alpha.num * w.num[p0], w.den * alpha.den)
     new_mu, new_gamma = _take_params(mu, gamma, new_space, i, others, weights)
-    return reduced, new_mu, CoMeasureVector._with_shared(new_space, new_gamma._shared)
+    return new_mu, CoMeasureVector._with_shared(new_space, new_gamma._shared)

@@ -104,6 +104,24 @@ def test_from_positive_weights_divides_in_the_scalar_mode():
     assert inexact.probs[1].tolist() == [1 / 6, 2 / 6, 3 / 6]
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # (1/4, 3/4) was returned for player 1
+        ([[-1, -3], [1, 1]], r"player 1: w\(a\) = -1"),
+        # a raw ZeroDivisionError in both modes
+        ([[1, 1], [0, 0]], r"player 2: w\(a\) = 0"),
+        ([[2, 1], [1, 0]], r"player 2: w\(b\) = 0"),
+    ],
+    ids=["negative", "all-zero", "zero"],
+)
+def test_from_positive_weights_refuses_a_nonpositive_weight(weights, message, exact):
+    space = StrategySpace((("a", "b"), ("a", "b")))
+    with pytest.raises(ValidationError, match=rf"^nonpositive weight for {message}(\.0)?$"):
+        MixedProfile.from_positive_weights(space, weights, exact=exact)
+
+
 def test_map_equilibrium_depend_example(depend):
     parts = decompose(depend.game, depend.mu, depend.gamma)
     beta_gen = [[1, 3], [2, 1]]
