@@ -9,9 +9,10 @@ construction time and detected from the numpy dtype (``object`` = exact,
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
 ints in exact mode and the floats themselves over 1 in float mode.  Every
 value type in ``games`` stores its tensors in this form, the ``decompose``
-pipeline and the parameter transforms run on it in both modes, and its
-methods hold their scalar-mode branches; only the Poisson solve core keeps a
-body per mode (``operators._solve``).
+pipeline, the parameter transforms and the equilibrium checks run on it in
+both modes, and its methods hold their scalar-mode branches; only the
+Poisson solve core (``operators._solve``) and ``axis_contract`` keep a body
+per mode.
 """
 
 from __future__ import annotations

@@ -233,6 +233,7 @@ def reduce_duplicate(
 
 
 def _duplicate_pair(space: StrategySpace, player: int, s0: str, s1: str) -> tuple[int, int]:
+    """The indices of s0 and s1, which must be different strategies."""
     p0 = space.strategy_index(player, s0)
     p1 = space.strategy_index(player, s1)
     if p0 == p1:
@@ -336,6 +337,7 @@ def reduce_redundant(
 
 
 def _alpha_shares(spec: RedundancySpec, exact: bool) -> _Shared:
+    """spec.alpha in shared form, in the given scalar mode."""
     return _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), exact))
 
 
