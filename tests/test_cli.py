@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -10,6 +11,8 @@ from gamedecomp import (
 from gamedecomp.cli import main
 from gamedecomp.numeric import _Shared
 from conftest import FIXTURES
+
+VERIFY_FAILURE_DIGEST = "6928ed2b3f39ee620d0df51b27133157b69b4dc9ef21e5dc9c99c4ca4c5ba8c6"
 
 
 def run(capsys, *argv):
@@ -385,6 +388,50 @@ def test_transform_error_exit_code(capsys):
     )
     assert code == 1
     assert "not a duplicate" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+def test_transform_translate(tmp_path, capsys, mode):
+    ns = tmp_path / "ns.game"
+    ns.write_text(
+        "gamedoc 1\nplayers 2\nstrategies 1: s t\nstrategies 2: s t\n"
+        "payoffs 1: 5 7 5 7\npayoffs 2: 2 2 -3 -3\n"
+    )
+    code, out, err = run(
+        capsys, *mode, "transform", FIXTURES / "mp.game", "--op", "translate", "--ns", ns
+    )
+    assert code == 0 and err == ""
+    doc = parse_game(out, exact=not mode)
+    assert doc.game.flat(0) == [6, 6, 4, 8]
+    assert doc.game.flat(1) == [1, 3, -2, -4]
+    assert out.startswith("# translate of mp.game\n")
+    mp = parse_game((FIXTURES / "mp.game").read_text(), exact=not mode)
+    assert doc.mu == mp.mu and doc.gamma == mp.gamma
+
+    code, out, err = run(
+        capsys, *mode, "transform", FIXTURES / "mp.game", "--op", "translate",
+        "--ns", FIXTURES / "mp.game",
+    )
+    assert (code, out, err) == (1, "", "error: translation not nonstrategic\n")
+
+
+def test_verify_reports_a_failing_law(monkeypatch, capsys):
+    # a law that fails while player 1 has a nonzero payoff: exit 2, the
+    # failure line, and a minimized counterexample that parses back; the
+    # digest pins the whole output, the strategy deletions of the minimizer
+    # (game, mu and gamma) included
+    def bogus_check(g, mu, gamma, aux):
+        return "player 1 has a nonzero payoff" if any(g.flat(0)) else None
+
+    monkeypatch.setitem(laws.LAWS, "permute", bogus_check)
+    code, out, err = run(capsys, "verify", "permute", "--trials", "3", "--seed", "1")
+    assert code == 2 and err == ""
+    head, rest = out.split("minimized counterexample:\n")
+    assert head == "permute: FAIL at trial 0: player 1 has a nonzero payoff\n"
+    assert rest.startswith("# counterexample: law=permute seed=1 trial=0\n")
+    doc = parse_game(rest)
+    assert sum(v != 0 for v in doc.game.flat(0)) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAILURE_DIGEST
 
 
 @pytest.mark.parametrize(

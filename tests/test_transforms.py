@@ -304,6 +304,103 @@ def test_reduce_redundant_errors():
         RedundancySpec(0, "r", (F(1, 2), F(1, 3))).validate(doc.space)
 
 
+# -- error paths, with their order -----------------------------------------------------------
+
+
+def _raises(error, message, call):
+    """call() raises ``error`` with exactly ``message``."""
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_duplicate_pair_errors(matching_pennies):
+    g, mu, gamma = matching_pennies.game, matching_pennies.mu, matching_pennies.gamma
+    _raises(ValidationError, "s0 and s1 must be different strategies",
+            lambda: reduce_duplicate(g, mu, gamma, 0, "s", "s"))
+    # s and t duplicate each other for both players, but player 1 keeps one
+    # strategy: the duplicate check passes, the smaller space is refused
+    dup = Game.from_payoffs(g.space, [[1, 2, 1, 2], [3, 4, 3, 4]])
+    _raises(ValidationError, "player 1 needs at least 2 strategies",
+            lambda: reduce_duplicate(dup, mu, gamma, 0, "s", "t"))
+
+
+def test_redundancy_spec_errors(matching_pennies):
+    g, mu, gamma = matching_pennies.game, matching_pennies.mu, matching_pennies.gamma
+    _raises(ValidationError, "alpha needs 1 entries, got 2",
+            lambda: reduce_redundant(g, mu, gamma, RedundancySpec(0, "s", (F(1, 2), F(1, 2)))))
+    doc = load_fixture("redscale.game")
+    _raises(ValidationError, "alpha entries must be nonnegative",
+            lambda: RedundancySpec(0, "r", (F(3, 2), F(-1, 2))).validate(doc.space))
+    _raises(ValidationError, "alpha entries must be nonnegative",
+            lambda: reduce_redundant(doc.game, doc.mu, doc.gamma,
+                                     RedundancySpec(0, "r", (F(3, 2), F(-1, 2)))))
+    # a 2-strategy player: mu and gamma pass, the smaller space is refused
+    _raises(ValidationError, "player 1 needs at least 2 strategies",
+            lambda: reduce_redundant(g, mu, gamma, RedundancySpec(0, "s", (F(1),))))
+
+
+def test_unknown_strategy_labels(matching_pennies):
+    g, mu, gamma = matching_pennies.game, matching_pennies.mu, matching_pennies.gamma
+    message = "player 1 has no strategy 'zz'"
+    calls = [
+        lambda: extend_duplicate(g, mu, gamma, DuplicationSpec(0, "zz", "t1")),
+        # the source is looked up before the new label is checked
+        lambda: extend_duplicate(g, mu, gamma, DuplicationSpec(0, "zz", "s")),
+        lambda: reduce_duplicate(g, mu, gamma, 0, "zz", "s"),
+        lambda: reduce_duplicate(g, mu, gamma, 0, "s", "zz"),
+        lambda: reduce_redundant(g, mu, gamma, RedundancySpec(0, "zz", (F(1),))),
+    ]
+    for call in calls:
+        _raises(ValidationError, message, call)
+    # the split is checked before the source
+    _raises(ValidationError, "measure split must lie in (0,1), got 2",
+            lambda: extend_duplicate(g, mu, gamma, DuplicationSpec(0, "zz", "t1", lam=F(2))))
+    # the label before gamma's uniformity
+    doc = load_fixture("redscale.game")
+    nonuniform = CoMeasureVector.from_tensors(doc.space, [[1, 2], [1, 1, 1]])
+    _raises(ValidationError, "player 1 has no strategy 'zz'",
+            lambda: reduce_redundant(doc.game, doc.mu, nonuniform,
+                                     RedundancySpec(0, "zz", (F(1, 3), F(2, 3)))))
+
+
+def test_precondition_order():
+    # reduce_duplicate checks the game before gamma; reduce_redundant checks
+    # gamma before the game
+    doc = load_fixture("multi.game")
+    bad_gamma = CoMeasureVector.from_tensors(doc.space, [[1, 1, 1], [1, 2, 3]])
+    _raises(PreconditionError, "not a duplicate: payoff of player 1 differs at "
+            "opponent subprofile (0,)",
+            lambda: reduce_duplicate(doc.game, doc.mu, bad_gamma, 0, "s0", "t"))
+    _raises(PreconditionError, "gamma not coherent: gamma^2 differs between 's0' and 's1' slices",
+            lambda: reduce_duplicate(doc.game, doc.mu, bad_gamma, 0, "s0", "s1"))
+    red = load_fixture("redscale.game")
+    nonuniform = CoMeasureVector.from_tensors(red.space, [[1, 2], [1, 1, 1]])
+    bad_alpha = RedundancySpec(0, "r", (F(1, 2), F(1, 2)))
+    _raises(PreconditionError, "gamma not uniform: gamma^1 varies",
+            lambda: reduce_redundant(red.game, red.mu, nonuniform, bad_alpha))
+    _raises(PreconditionError, "not alpha-redundant: player 1 payoff at opponent "
+            "subprofile (0,) misses the alpha mixture",
+            lambda: reduce_redundant(red.game, red.mu, red.gamma, bad_alpha))
+
+
+def test_transforms_refuse_operands_on_different_spaces(matching_pennies):
+    # the operand check comes first, before any check of the spec
+    g, mu, gamma = matching_pennies.game, matching_pennies.mu, matching_pennies.gamma
+    other = load_fixture("redscale.game")
+    bad_sigma = PermutationSpec(0, (0, 0))
+    calls = [
+        lambda: permute_params(mu, other.gamma, bad_sigma),
+        lambda: translate_nonstrategic(g, Game.zeros(other.space)),
+        lambda: scale(g, other.gamma),
+        lambda: co_measure_quotient(gamma, other.gamma),
+        lambda: extend_duplicate(g, other.mu, gamma, DuplicationSpec(0, "zz", "s", lam=F(2))),
+        lambda: reduce_duplicate(g, mu, other.gamma, 0, "s", "s"),
+        lambda: reduce_redundant(other.game, mu, gamma, RedundancySpec(0, "zz", (F(1, 2),))),
+    ]
+    for call in calls:
+        _raises(ValidationError, "arguments live on different strategy spaces", call)
+
+
 # -- the two-transformations example ------------------------------------------------------
 
 
