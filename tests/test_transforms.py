@@ -322,6 +322,10 @@ def test_duplicate_pair_errors(matching_pennies):
     dup = Game.from_payoffs(g.space, [[1, 2, 1, 2], [3, 4, 3, 4]])
     _raises(ValidationError, "player 1 needs at least 2 strategies",
             lambda: reduce_duplicate(dup, mu, gamma, 0, "s", "t"))
+    # ... before gamma's coherence is checked
+    incoherent = CoMeasureVector.from_tensors(g.space, [[1, 1], [1, 2]])
+    _raises(ValidationError, "player 1 needs at least 2 strategies",
+            lambda: reduce_duplicate(dup, mu, incoherent, 0, "s", "t"))
 
 
 def test_redundancy_spec_errors(matching_pennies):
