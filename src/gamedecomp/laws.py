@@ -7,9 +7,11 @@ the suites reproducible across runs.
 
 Instances are built in shared form (``numeric._Shared``) straight from the
 draws, equal to what the public constructors build from the same draws.  The
-checks stay on numerators: a commutation law carries each part through the
-game half of its transform only (see ``transforms``), and the equilibrium
-laws normalize mu's numerators and compare regrets with B^2 on integers.
+checks stay on numerators: a commutation law builds the strategy-axis edit
+of its transform once per trial and carries each part through that edit and
+the transform's check on the game, without the parameters (see
+``transforms``); the equilibrium laws normalize mu's numerators and compare
+regrets with B^2 on integers.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from .transforms import (
     DuplicationSpec,
     PermutationSpec,
     RedundancySpec,
-    _deleted,
-    _extend_game,
-    _redundant_game,
-    _reduce_game,
-    _take_game,
-    _take_params,
+    _deletion,
+    _duplicate_checked,
+    _duplication,
+    _mixture_reduced,
+    _permutation,
     co_measure_quotient,
     extend_duplicate,
     permute,
@@ -189,7 +190,7 @@ def _check_permute(g, mu, gamma, aux):
     spec = PermutationSpec(player, tuple(sigma))
     return _commutes(
         (g, mu, gamma), (permute(g, spec), *permute_params(mu, gamma, spec)),
-        lambda c: permute(c, spec),
+        _permutation(g.space, spec).game,
         "permutation does not commute on the {} component",
     )
 
@@ -224,9 +225,9 @@ def _duplication_spec(aux, space) -> DuplicationSpec:
 
 def _check_extend(g, mu, gamma, aux):
     spec = _duplication_spec(aux, g.space)
+    edit, _ = _duplication(g.space, spec)
     return _commutes(
-        (g, mu, gamma), extend_duplicate(g, mu, gamma, spec),
-        lambda c: _extend_game(c, spec),
+        (g, mu, gamma), extend_duplicate(g, mu, gamma, spec), edit.game,
         "duplication does not commute on the {} component",
     )
 
@@ -238,8 +239,11 @@ def _check_reduce(g, mu, gamma, aux):
     reduced, mu_r, gamma_r = reduce_duplicate(extended, mu_e, gamma_e, *pair)
     if reduced != g or mu_r != mu or gamma_r != gamma:
         return "reduce is not the right-inverse of extend"
+    i, src = spec.player, g.space.strategy_index(spec.player, spec.source)
+    edit = _deletion(extended.space, i, src + 1)  # the copy sits right after its source
     return _commutes(
-        (extended, mu_e, gamma_e), (g, mu, gamma), lambda c: _reduce_game(c, *pair),
+        (extended, mu_e, gamma_e), (g, mu, gamma),
+        lambda c: edit.game(_duplicate_checked(c, i, src + 1, src)),
         "reduction does not commute on the {} component",
     )
 
@@ -275,10 +279,11 @@ def _check_redundant(g, mu, gamma, aux):
         ],
     )
     spec = RedundancySpec(player, space.labels[player][p0], alpha)
+    edit = _deletion(space, player, p0)
 
     return _commutes(
         (redundant_game, mu, gamma_u), reduce_redundant(redundant_game, mu, gamma_u, spec),
-        lambda c: _redundant_game(c, spec),
+        lambda c: _mixture_reduced(c, edit, p0, shares),
         "redundancy reduction does not commute on the {} component",
     )
 
@@ -420,5 +425,5 @@ def _minimize(check, g, mu, gamma, aux_seed):
 
 
 def _delete_strategy(game, mu, gamma, player, pos):
-    space, idx = _deleted(game.space, player, pos)
-    return _take_game(game, space, player, idx), *_take_params(mu, gamma, space, player, idx)
+    edit = _deletion(game.space, player, pos)
+    return edit.game(game), *edit.params(mu, gamma)

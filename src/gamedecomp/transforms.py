@@ -2,23 +2,24 @@
 
 Each transformation comes with the parameter transformation that makes it
 commute with the decomposition map.  Permutations, duplications and
-reductions all edit one player's strategy axis, and they share one rule
-(``_take_game`` and ``_take_params``): new strategy k of player i is old
-strategy idx[k], taken along axis i of every payoff tensor, along i's axis
-inside every other gamma^j, and from the generator's entry for i.  Only the
-new mu^i differs between them: permuted, split by lam, merged into s1, or
-given alpha-shares.  Scalings divide gamma by the scaling co-measure.
+reductions all edit one player's strategy axis, and each public transform
+builds one ``_Edit`` for it: new strategy k of player i is old strategy
+idx[k], taken along axis i of every payoff tensor (``_Edit.game``), along
+i's axis inside every other gamma^j and from the generator's entry for i
+(``_Edit.params``).  Only the new mu^i differs between them: permuted, split
+by lam, merged into s1, or given alpha-shares; each transform computes it
+inline, after its checks.  Scalings divide gamma by the scaling co-measure.
 
-Duplications and both reductions have two private halves: a game half (the
-checks on the game, then ``_take_game``) and a parameter half (the checks
-on mu and gamma, then their update).  The public function calls both; the
-law suite carries each part of a decomposition through the game half alone.
+The reductions check the game with ``_duplicate_checked`` and
+``_mixture_reduced``.  The law suite carries each part of a decomposition
+through the same edit and check, without the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,46 +33,62 @@ from .spaces import StrategySpace
 # -- the strategy-axis re-indexing rule --------------------------------------------
 
 
-def _take_game(g: Game, space: StrategySpace, player: int, idx) -> Game:
-    """g on ``space``, where strategy k of ``player`` is old strategy idx[k];
-    taken from the numerators, over the same denominators."""
-    return Game._with_shared(space, (_take(x, idx, player) for x in shared_payoffs(g)))
-
-
 def _take(x: _Shared, idx, axis: int = 0) -> _Shared:
     """x with idx taken along ``axis``, from the numerators."""
     return _Shared(np.take(x.num, idx, axis=axis), x.den)
 
 
-def _take_params(
-    mu: MeasureVector,
-    gamma: CoMeasureVector,
-    space: StrategySpace,
-    player: int,
-    idx,
-    weights: _Shared | None = None,
-) -> tuple[MeasureVector, CoMeasureVector]:
-    """mu and gamma on ``space`` under the re-indexing of _take_game, on
-    numerators.
+class _Edit(NamedTuple):
+    """One player's strategy axis re-indexed: on ``space``, strategy k of
+    ``player`` is old strategy idx[k]."""
 
-    mu^player becomes ``weights``, or takes idx when none are given; every
-    gamma^j with j != player, and the generator's entry for player, take idx
-    along player's axis.  gamma^player and the other weights do not see
-    player's strategy and stay as they are.
-    """
-    mu_weights = list(mu._shared)
-    mu_weights[player] = _take(mu_weights[player], idx) if weights is None else weights
-    tensors = (
-        x if j == player else _take(x, idx, space.axis_in_opp(j, player))
-        for j, x in enumerate(gamma._shared)
-    )
-    generator = gamma._generator
-    if generator is not None:
-        generator = tuple(_take(c, idx) if j == player else c for j, c in enumerate(generator))
-    return (
-        MeasureVector._with_shared(space, mu_weights),
-        CoMeasureVector._with_shared(space, tensors, _generator=generator),
-    )
+    space: StrategySpace
+    player: int
+    idx: list
+
+    def game(self, g: Game) -> Game:
+        """g under this edit, taken from the numerators, over the same
+        denominators."""
+        taken = (_take(x, self.idx, self.player) for x in shared_payoffs(g))
+        return Game._with_shared(self.space, taken)
+
+    def params(
+        self, mu: MeasureVector, gamma: CoMeasureVector, weights: _Shared | None = None
+    ) -> tuple[MeasureVector, CoMeasureVector]:
+        """mu and gamma under this edit, on numerators.
+
+        mu^player becomes ``weights``, or takes idx when none are given; every
+        gamma^j with j != player, and the generator's entry for player, take
+        idx along player's axis.  gamma^player and the other weights do not
+        see player's strategy and stay as they are.
+        """
+        space, i, idx = self
+        mu_weights = list(mu._shared)
+        mu_weights[i] = _take(mu_weights[i], idx) if weights is None else weights
+        tensors = (
+            x if j == i else _take(x, idx, space.axis_in_opp(j, i))
+            for j, x in enumerate(gamma._shared)
+        )
+        generator = gamma._generator
+        if generator is not None:
+            generator = tuple(_take(c, idx) if j == i else c for j, c in enumerate(generator))
+        return (
+            MeasureVector._with_shared(space, mu_weights),
+            CoMeasureVector._with_shared(space, tensors, _generator=generator),
+        )
+
+
+def _deletion(space: StrategySpace, player: int, p0: int) -> _Edit:
+    """The edit that deletes strategy p0 of ``player``."""
+    others = [k for k in range(space.sizes[player]) if k != p0]
+    return _Edit(space.delete_strategy(player, p0), player, others)
+
+
+def _first_difference(a: np.ndarray, b: np.ndarray, exact: bool) -> tuple[int, ...] | None:
+    """The first opponent subprofile, in row-major order, where the slices a
+    and b differ, or None; the slices have at least one axis."""
+    diffs = np.argwhere(unequal_mask(a, b, exact))
+    return tuple(int(x) for x in diffs[0]) if diffs.size else None
 
 
 # -- permutations ---------------------------------------------------------------
@@ -92,19 +109,23 @@ class PermutationSpec:
             )
 
 
+def _permutation(space: StrategySpace, spec: PermutationSpec) -> _Edit:
+    """The edit that relabels the player's strategies by sigma, once sigma is
+    checked."""
+    spec.validate(space)
+    return _Edit(space, spec.player, list(spec.sigma))
+
+
 def permute(g: Game, spec: PermutationSpec) -> Game:
     """(T g)^j(s^i, s^{-i}) = g^j(sigma(s^i), s^{-i}) for every player j."""
-    spec.validate(g.space)
-    return _take_game(g, g.space, spec.player, list(spec.sigma))
+    return _permutation(g.space, spec).game(g)
 
 
 def permute_params(
     mu: MeasureVector, gamma: CoMeasureVector, spec: PermutationSpec
 ) -> tuple[MeasureVector, CoMeasureVector]:
     """mu_sigma^i = mu^i o sigma; other gammas permute their player-i axis."""
-    space = require_operands(mu, gamma)
-    spec.validate(space)
-    return _take_params(mu, gamma, space, spec.player, list(spec.sigma))
+    return _permutation(require_operands(mu, gamma), spec).params(mu, gamma)
 
 
 # -- pseudo-translations ----------------------------------------------------------
@@ -178,37 +199,27 @@ def extend_duplicate(
     gamma: CoMeasureVector,
     spec: DuplicationSpec,
 ) -> tuple[Game, MeasureVector, CoMeasureVector]:
-    """Insert a duplicate strategy right after its source and split parameters."""
-    require_operands(g, mu, gamma)
+    """Insert a duplicate strategy right after its source and split
+    parameters: mu^i(src) splits into shares 1 - lam and lam, over the
+    shares' denominator."""
+    space = require_operands(g, mu, gamma)
     spec.validate()
-    return (_extend_game(g, spec), *_extend_params(mu, gamma, spec))
-
-
-def _duplicated(space: StrategySpace, spec: DuplicationSpec):
-    """(new space, source index, idx) of the duplication: the copy sits
-    directly after its source, a deterministic insertion point."""
-    i = spec.player
-    src = space.strategy_index(i, spec.source)
-    pos = src + 1
-    new_space = space.insert_strategy(i, pos, spec.new_label)
-    return new_space, src, [*range(pos), src, *range(pos, space.sizes[i])]
-
-
-def _extend_game(g: Game, spec: DuplicationSpec) -> Game:
-    """The game half of extend_duplicate, for a validated spec."""
-    new_space, _, idx = _duplicated(g.space, spec)
-    return _take_game(g, new_space, spec.player, idx)
-
-
-def _extend_params(mu: MeasureVector, gamma: CoMeasureVector, spec: DuplicationSpec):
-    """The parameter half of extend_duplicate: mu^i(src) splits into shares
-    1 - lam and lam, over the shares' denominator."""
-    new_space, src, idx = _duplicated(mu.space, spec)
+    edit, src = _duplication(space, spec)
     w = mu._shared[spec.player]
     split = _Shared.of(scalar_array([1 - spec.lam, spec.lam], (2,), mu.exact))
     parts = [w.num[:src] * split.den, split.num * w.num[src], w.num[src + 1:] * split.den]
     weights = _Shared(np.concatenate(parts), w.den * split.den)
-    return _take_params(mu, gamma, new_space, spec.player, idx, weights)
+    return (edit.game(g), *edit.params(mu, gamma, weights))
+
+
+def _duplication(space: StrategySpace, spec: DuplicationSpec) -> tuple[_Edit, int]:
+    """The edit that inserts the copy of spec.source directly after it, a
+    deterministic insertion point, and the source's index."""
+    i = spec.player
+    src = space.strategy_index(i, spec.source)
+    pos = src + 1
+    new_space = space.insert_strategy(i, pos, spec.new_label)
+    return _Edit(new_space, i, [*range(pos), src, *range(pos, space.sizes[i])]), src
 
 
 # -- reduction of duplicates --------------------------------------------------------
@@ -228,65 +239,46 @@ def reduce_duplicate(
     coherent with the duplication (equal slices at s0 and s1); the reduced
     gamma keeps the common slice value.
     """
-    require_operands(g, mu, gamma)
-    return (_reduce_game(g, player, s0, s1), *_reduce_params(mu, gamma, player, s0, s1))
-
-
-def _duplicate_pair(space: StrategySpace, player: int, s0: str, s1: str) -> tuple[int, int]:
-    """The indices of s0 and s1, which must be different strategies."""
+    space = require_operands(g, mu, gamma)
     p0 = space.strategy_index(player, s0)
     p1 = space.strategy_index(player, s1)
     if p0 == p1:
         raise ValidationError("s0 and s1 must be different strategies")
-    return p0, p1
-
-
-def _deleted(space: StrategySpace, player: int, p0: int):
-    """(new space, idx) with strategy p0 of ``player`` deleted."""
-    return space.delete_strategy(player, p0), [k for k in range(space.sizes[player]) if k != p0]
-
-
-def _reduce_game(g: Game, player: int, s0: str, s1: str) -> Game:
-    """The game half of reduce_duplicate: check that s0 duplicates s1 for
-    every player, then delete s0."""
-    i = player
-    p0, p1 = _duplicate_pair(g.space, i, s0, s1)
-    for j, payoff in enumerate(shared_payoffs(g)):
-        # one tensor's numerators share its denominator
-        a = np.take(payoff.num, p0, axis=i)
-        b = np.take(payoff.num, p1, axis=i)
-        diffs = np.argwhere(unequal_mask(a, b, g.exact))
-        if diffs.size:
-            where = tuple(int(x) for x in diffs[0])
-            raise PreconditionError(
-                f"not a duplicate: payoff of player {j + 1} differs at "
-                f"opponent subprofile {where}"
-            )
-    new_space, others = _deleted(g.space, i, p0)
-    return _take_game(g, new_space, i, others)
-
-
-def _reduce_params(mu: MeasureVector, gamma: CoMeasureVector, player: int, s0: str, s1: str):
-    """The parameter half of reduce_duplicate: check that gamma is coherent
-    with the duplication, then fold mu^i(s0) into s1 and delete s0."""
-    space, i = mu.space, player
-    p0, p1 = _duplicate_pair(space, i, s0, s1)
+    _duplicate_checked(g, player, p0, p1)
+    # built after the duplicate check: deleting from 2 strategies is refused
+    edit = _deletion(space, player, p0)
     for j in space.players:
-        if j == i:
+        if j == player:
             continue
-        axis = space.axis_in_opp(j, i)
+        axis = space.axis_in_opp(j, player)
         a = np.take(gamma._shared[j].num, p0, axis=axis)
         b = np.take(gamma._shared[j].num, p1, axis=axis)
+        # .any(), not _first_difference: on 2 players the slices are 0-d
         if unequal_mask(a, b, mu.exact).any():
             raise PreconditionError(
                 f"gamma not coherent: gamma^{j + 1} differs between "
                 f"{s0!r} and {s1!r} slices"
             )
-    new_space, others = _deleted(space, i, p0)
-    w = mu._shared[i]
+    w = mu._shared[player]
     num = w.num.copy()
     num[p1] += num[p0]
-    return _take_params(mu, gamma, new_space, i, others, _take(_Shared(num, w.den), others))
+    return (edit.game(g), *edit.params(mu, gamma, _take(_Shared(num, w.den), edit.idx)))
+
+
+def _duplicate_checked(g: Game, player: int, p0: int, p1: int) -> Game:
+    """g, after checking that strategy p0 of ``player`` duplicates p1 for
+    every player; compared on numerators, which share one tensor's
+    denominator."""
+    for j, payoff in enumerate(shared_payoffs(g)):
+        a = np.take(payoff.num, p0, axis=player)
+        b = np.take(payoff.num, p1, axis=player)
+        where = _first_difference(a, b, g.exact)
+        if where is not None:
+            raise PreconditionError(
+                f"not a duplicate: payoff of player {j + 1} differs at "
+                f"opponent subprofile {where}"
+            )
+    return g
 
 
 # -- reduction of redundant strategies -----------------------------------------------
@@ -327,55 +319,40 @@ def reduce_redundant(
 
     Requires a uniform co-measure vector (each gamma^j constant over the
     opponent subprofiles; the constants may differ across players), restricted
-    unchanged to the smaller space and returned without a generator.
+    unchanged to the smaller space and returned without a generator.  gamma is
+    checked before the game.
     """
-    require_operands(g, mu, gamma)
-    spec.validate(g.space)
-    # the parameter half first, so gamma's check still comes before the game's
-    new_mu, new_gamma = _redundant_params(mu, gamma, spec)
-    return _redundant_game(g, spec), new_mu, new_gamma
-
-
-def _alpha_shares(spec: RedundancySpec, exact: bool) -> _Shared:
-    """spec.alpha in shared form, in the given scalar mode."""
-    return _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), exact))
-
-
-def _redundant_game(g: Game, spec: RedundancySpec) -> Game:
-    """The game half of reduce_redundant, for a validated spec: delete s0,
-    then check that its payoffs are the alpha mixture of the rest."""
+    space = require_operands(g, mu, gamma)
+    spec.validate(space)
     i = spec.player
-    p0 = g.space.strategy_index(i, spec.s0)
-    new_space, others = _deleted(g.space, i, p0)
-    reduced = _take_game(g, new_space, i, others)
-    alpha = _alpha_shares(spec, g.exact)
+    p0 = space.strategy_index(i, spec.s0)
+    for j in space.players:
+        if not gamma.is_player_constant(j):
+            raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
+    edit = _deletion(space, i, p0)
+    alpha = _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), g.exact))
+    reduced = _mixture_reduced(g, edit, p0, alpha)
+    # mu^i(s0) moves to the other strategies in alpha-shares, over alpha's denominator
+    w = mu._shared[i]
+    kept = np.take(w.num, edit.idx)
+    weights = _Shared(kept * alpha.den + alpha.num * w.num[p0], w.den * alpha.den)
+    new_mu, new_gamma = edit.params(mu, gamma, weights)
+    return reduced, new_mu, CoMeasureVector._with_shared(edit.space, new_gamma._shared)
+
+
+def _mixture_reduced(g: Game, edit: _Edit, p0: int, alpha: _Shared) -> Game:
+    """edit.game(g), for the edit that deletes strategy p0, after checking
+    that g's payoffs at p0 are the alpha mixture of the strategies kept."""
+    reduced = edit.game(g)
+    i = edit.player
     for j, (payoff, kept) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
         # both sides times the denominators of g^j and alpha
         mix = axis_contract(kept.num, alpha.num, i)
         actual = np.take(payoff.num, p0, axis=i) * alpha.den
-        bad = np.argwhere(unequal_mask(actual, mix, g.exact))
-        if bad.size:
-            where = tuple(int(x) for x in bad[0])
+        where = _first_difference(actual, mix, g.exact)
+        if where is not None:
             raise PreconditionError(
                 f"not alpha-redundant: player {j + 1} payoff at opponent "
                 f"subprofile {where} misses the alpha mixture"
             )
     return reduced
-
-
-def _redundant_params(mu: MeasureVector, gamma: CoMeasureVector, spec: RedundancySpec):
-    """The parameter half of reduce_redundant, for a validated spec: check
-    that gamma is uniform, then move mu^i(s0) to the other strategies in
-    alpha-shares, over alpha's denominator."""
-    space, i = mu.space, spec.player
-    p0 = space.strategy_index(i, spec.s0)
-    for j in space.players:
-        if not gamma.is_player_constant(j):
-            raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
-    new_space, others = _deleted(space, i, p0)
-    alpha = _alpha_shares(spec, mu.exact)
-    w = mu._shared[i]
-    kept = np.take(w.num, others)
-    weights = _Shared(kept * alpha.den + alpha.num * w.num[p0], w.den * alpha.den)
-    new_mu, new_gamma = _take_params(mu, gamma, new_space, i, others, weights)
-    return new_mu, CoMeasureVector._with_shared(new_space, new_gamma._shared)
