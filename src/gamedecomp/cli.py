@@ -10,6 +10,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import GameDecompError, ParseError
 from .numeric import format_scalar, parse_scalar
 from .games import CoMeasureVector, MeasureVector, validate_parameters
@@ -42,7 +44,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # a float result out of range is an error, never a warning or an inf
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except FloatingPointError as exc:
+        print(f"error: a float result leaves the float range ({exc}); use exact mode",
+              file=sys.stderr)
+        return 1
     except GameDecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -101,6 +101,21 @@ def _require_positive(tensors, message) -> None:
             raise ValidationError(message(i, k, quotient(flat[k], x.den, x.exact)))
 
 
+def _require_finite(tensors, noun: str) -> None:
+    """Raise, pointing to exact mode, at the first float entry that is inf or
+    nan, in row-major order of the first tensor that has one; exact tensors
+    have none."""
+    for x in tensors:
+        if not x.exact:
+            flat = x.num.reshape(-1)
+            bad = ~np.isfinite(flat)
+            if bad.any():
+                raise ValidationError(
+                    f"a {noun} entry leaves the float range "
+                    f"({float(flat[int(np.argmax(bad))])!r}); use exact mode"
+                )
+
+
 def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
     """One vector per player over that player's own strategies."""
     return tuple((m,) for m in space.sizes)
@@ -148,9 +163,11 @@ class _Tensors:
         self._check()
 
     def _check(self) -> None:
-        """The shapes against ``_shapes``, then one scalar mode."""
+        """The shapes against ``_shapes``, then one scalar mode, then finite
+        float entries."""
         _check_shapes(self._noun, [x.num for x in self._shared], self._shapes(self.space))
         require_same_mode(*self._shared)
+        _require_finite(self._shared, self._noun)
 
     def _values(self) -> tuple[np.ndarray, ...]:
         return tuple(x.values() for x in self._shared)
@@ -342,6 +359,7 @@ class CoMeasureVector(_Tensors):
         if self._generator is not None:
             _check_shapes("generator", [c.num for c in self._generator], _own_shapes(self.space))
             require_same_mode(self, *self._generator)
+            _require_finite(self._generator, "generator")
         _require_positive(
             self._shared,
             lambda i, k, w: f"nonpositive co-measure: gamma^{i + 1} entry {k} = {w}",

@@ -300,6 +300,53 @@ def test_cli_float_rejects_weights_out_of_range(capsys, command, mu):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def _game_doc(path, row1, row2):
+    path.write_text(
+        "gamedoc 1\nplayers 2\nstrategies 1: s t\nstrategies 2: s t\n"
+        f"payoffs 1: {row1}\npayoffs 2: {row2}\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["scale", "translate", "decompose", "classify", "closest-potential"],
+)
+def test_cli_float_rejects_results_out_of_range(tmp_path, capsys, case):
+    # each wrote an inf that parse_game refuses, or warned before its error
+    g = _game_doc(tmp_path / "g.game", "10 1 2 3", "1 2 3 4")
+    big = "1e308 1e308 1e308 1e308"
+    ns = _game_doc(tmp_path / "ns.game", big, big)
+    signed = _game_doc(tmp_path / "big.game", "1e308 -1e308 -1e308 1e308",
+                       "-1e308 1e308 1e308 -1e308")
+    argv = {
+        "scale": ["transform", g, "--op", "scale", "--beta", "1e308,1e308;1e308,1e308"],
+        "translate": ["transform", ns, "--op", "translate", "--ns", ns],
+    }.get(case, [case, signed])
+    code = main(["--float", *map(str, argv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("; use exact mode")
+
+
+def test_float_objects_refuse_entries_out_of_range():
+    space = StrategySpace((("a", "b"),) * 2)
+    g = Game.from_payoffs(space, [[1e308] * 4] * 2, exact=False)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValidationError,
+        match=r"^a payoff tensor entry leaves the float range \(inf\); use exact mode$",
+    ):
+        g + g
+    with pytest.raises(
+        ValidationError,
+        match=r"^a generator entry leaves the float range \(nan\); use exact mode$",
+    ):
+        CoMeasureVector(space, [np.ones(2)] * 2, [np.array([np.nan, 1.0]), np.ones(2)])
+
+
 def test_float_solve_under_one_huge_weight_per_axis():
     # mu(s) reaches 10^600, but the solve's basis takes each axis's heaviest
     # strategy as reference and stays in range; the consistency sum must too,
