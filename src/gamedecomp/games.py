@@ -349,6 +349,16 @@ class CoMeasureVector(_Tensors):
             generator = tuple(freeze(c) for c in generator)
             vars(self).update(generator=generator, _generator=tuple(map(_Shared.of, generator)))
         super().__init__(space, tensors)
+        # the only constructor given both: the others build the tensors from
+        # the generator, or keep one that generates them
+        if generator is not None:
+            products = self._products(space, self._generator)
+            for i, (x, product) in enumerate(zip(self._shared, products)):
+                if not x.equals(product):
+                    raise ValidationError(
+                        f"the generator does not generate gamma^{i + 1}: it differs from "
+                        "the product of the other players' generator vectors"
+                    )
 
     @staticmethod
     def _shapes(space):
@@ -409,8 +419,12 @@ class CoMeasureVector(_Tensors):
         """The product co-measure gamma^i = prod_{j != i} c^j of the
         generator c in shared form; ``view`` may set the generator view."""
         shared = tuple(shared)
-        tensors = (_outer(c for j, c in enumerate(shared) if j != i) for i in space.players)
-        return cls._with_shared(space, tensors, _generator=shared, **view)
+        return cls._with_shared(space, cls._products(space, shared), _generator=shared, **view)
+
+    @staticmethod
+    def _products(space: StrategySpace, generator) -> tuple[_Shared, ...]:
+        """gamma^i = prod_{j != i} c^j for every player i, in shared form."""
+        return tuple(_outer(c for j, c in enumerate(generator) if j != i) for i in space.players)
 
     def expanded(self, player: int) -> _Shared:
         """gamma^i in shared form, broadcast over the full profile space (own

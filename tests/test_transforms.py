@@ -789,3 +789,27 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
             setattr(obj, field, getattr(obj, field))
         with pytest.raises(AttributeError):
             obj.space = space
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_co_measure_refuses_a_generator_that_does_not_generate_its_tensors(
+    matching_pennies, exact
+):
+    # serialize_game wrote the generator, so d^2 was 36 for such an object and
+    # 25 for the document parsed back; harmonic_equilibrium read the
+    # generator while decompose read the tensors
+    space = matching_pennies.space
+
+    def vec(*row):
+        values = [F(v) if exact else float(v) for v in row]
+        return np.array(values, dtype=object if exact else float)
+
+    with pytest.raises(
+        ValidationError,
+        match=r"^the generator does not generate gamma\^1: it differs from the product "
+        r"of the other players' generator vectors$",
+    ):
+        CoMeasureVector(space, (vec(1, 3), vec(1, 1)), (vec(2, 1), vec(1, 1)))
+    kept = CoMeasureVector(space, (vec(1, 1), vec(2, 1)), (vec(2, 1), vec(1, 1)))
+    assert kept == CoMeasureVector.from_generator(space, [[2, 1], [1, 1]], exact)
+    assert [c.tolist() for c in kept.generator] == [[2, 1], [1, 1]]
