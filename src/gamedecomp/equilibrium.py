@@ -28,6 +28,7 @@ from .games import (
     Game,
     MeasureVector,
     MixedProfile,
+    _own_shapes,
     require_operands,
     shared_payoffs,
 )
@@ -145,11 +146,16 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
 
     y^i is x^i / b^i renormalized; Nash equilibria map onto Nash equilibria
     for product scalings.  b is checked as a co-measure generator: one
-    strictly positive vector per player, in x's scalar mode.
+    strictly positive vector per player, in x's scalar mode.  The product
+    co-measure of b is built only to raise ``from_generator``'s message for
+    a nonpositive entry.
     """
     space = x.space
-    gen = CoMeasureVector.from_generator(space, b_generator, x.exact)._generator
-    return MixedProfile._normalized(space, map(_Shared.divide, x._shared, gen))
+    b = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
+    b = tuple(map(_Shared.of, b))
+    if any((c.num <= 0).any() for c in b):
+        CoMeasureVector._generated(space, b)  # raises
+    return MixedProfile._normalized(space, map(_Shared.divide, x._shared, b))
 
 
 def pure_equilibrium_from_potential(

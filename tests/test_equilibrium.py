@@ -20,6 +20,7 @@ from gamedecomp import (
     pure_equilibrium_from_potential,
     scale,
 )
+from gamedecomp import games
 from gamedecomp.decomposition import closest_potential, epsilon_bound
 from gamedecomp.laws import (
     random_game,
@@ -177,6 +178,24 @@ def test_map_equilibrium_refuses_a_negative_generator_on_three_players():
         map_equilibrium_under_scaling(
             MixedProfile.uniform(space), [[F(-1, 2), -2], [-1, -1], [-3, -1]]
         )
+
+
+def test_map_equilibrium_builds_only_the_profile(monkeypatch):
+    # b is checked as a generator, without its product co-measure: on 2^12
+    # that co-measure was 24,576 tensor entries, built and dropped per call
+    space = StrategySpace((("a", "b"),) * 12)
+    x = MixedProfile.uniform(space)
+    count = [0]
+    store = games._Tensors._store
+
+    def counting_store(self, space, shared):
+        count[0] += 1
+        store(self, space, shared)
+
+    monkeypatch.setattr(games._Tensors, "_store", counting_store)
+    mapped = map_equilibrium_under_scaling(x, [[1, 3]] * 12)
+    assert count[0] == 1
+    assert mapped.probs[0].tolist() == [F(3, 4), F(1, 4)]
 
 
 def test_map_equilibrium_roundtrip():
