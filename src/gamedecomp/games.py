@@ -27,9 +27,10 @@ where an inherited method is not found.
 ``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry, of a
 co-measure's generator too, when they are built, reading the sign off the
 numerators, so every mu, gamma and generator in the package is strictly
-positive.  ``require_operands`` is the one
-operand check of every public function: one strategy space, then one scalar
-mode.
+positive.  A float object refuses an ``inf`` or ``nan`` entry the same way,
+and ``CoMeasureVector(space, tensors, generator)`` refuses a generator that
+does not generate its tensors.  ``require_operands`` is the one operand
+check of every public function: one strategy space, then one scalar mode.
 """
 
 from __future__ import annotations
