@@ -151,8 +151,8 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     a nonpositive entry.
     """
     space = x.space
-    b = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
-    b = tuple(map(_Shared.of, b))
+    gen = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
+    b = tuple(map(_Shared.of, gen))
     if any((c.num <= 0).any() for c in b):
         CoMeasureVector._generated(space, b)  # raises
     return MixedProfile._normalized(space, map(_Shared.divide, x._shared, b))
