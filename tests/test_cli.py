@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from gamedecomp import (
-    Game, GameDocument, StrategySpace, decomposition, games, laws, parse_game, serialize_game,
+    CoMeasureVector, Game, GameDocument, MeasureVector, StrategySpace, cli, decomposition,
+    games, laws, parse_game, serialize_game,
 )
 from gamedecomp.cli import main
 from gamedecomp.numeric import _Shared
@@ -555,6 +556,20 @@ def test_result_too_long_to_print_fails_cleanly(tmp_path, capsys, command):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_decompose_of_an_integer_too_long_to_print_fails_cleanly(monkeypatch, capsys):
+    # 10^4400 has more digits than any literal can, so the game is built
+    # from an int and handed to the command as if read from a document
+    space = StrategySpace((("s", "t"),) * 2)
+    game = Game.from_payoffs(space, [[10 ** 4400, 1, -1, 0], [0, 1, -1, 0]])
+    doc = GameDocument(game, MeasureVector.uniform(space), CoMeasureVector.uniform(space))
+    monkeypatch.setattr(cli, "_read_document", lambda path, exact: doc)
+    code, out, err = run(capsys, "decompose", FIXTURES / "mp.game")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: result too long to print: ")
 
 
 def test_result_over_float_range_fails_cleanly(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from gamedecomp import (
     CoMeasureVector,
     Game,
+    GameDecompError,
     GameDocument,
     MeasureVector,
     MixedProfile,
@@ -239,3 +242,39 @@ def test_roundtrip_property(exact):
         assert serialize_game(again, comment=comment) == text
 
     check()
+
+
+# -- byte-level guards on the serializer ---------------------------------------------
+
+SERIALIZED_FIXTURES_DIGEST = "578e0870acd6a1c9460d2f11c32b1a6b104a6ad7023f9c76fbd58e6a1a312782"
+
+
+def test_serialized_fixtures_match_digest():
+    # every fixture parsed and written back in both scalar modes, profiles,
+    # generators and 'gamma i: uniform' lines included, pinned byte for byte
+    fixtures = sorted(FIXTURES.glob("*.game"))
+    assert len(fixtures) == 10
+    digest = hashlib.sha256()
+    for path in fixtures:
+        for exact in (True, False):
+            doc = parse_game(path.read_text(), exact=exact)
+            digest.update(serialize_game(doc, comment=f"{path.name} {exact}").encode() + b"\0")
+    assert digest.hexdigest() == SERIALIZED_FIXTURES_DIGEST
+
+
+def test_serialize_refuses_an_integer_too_long_to_print():
+    space = StrategySpace((("s", "t"),) * 2)
+    game = Game.from_payoffs(space, [[10 ** 4400, 1, -1, 0], [0, 1, -1, 0]])
+    doc = GameDocument(game, MeasureVector.uniform(space), CoMeasureVector.uniform(space))
+    with pytest.raises(GameDecompError, match="^result too long to print: "):
+        serialize_game(doc)
+
+
+def test_float_negative_zero_literals():
+    # the integer literal -0 is the rational 0, so it reads as 0.0; the
+    # decimal -0.0 is the float -0.0 and is written back as such
+    doc = parse_game(MINIMAL.replace("payoffs 1: 1 -1 -1 1", "payoffs 1: -0 -0.0 0 1"),
+                     exact=False)
+    first = doc.game.flat(0)
+    assert [math.copysign(1, v) for v in first[:2]] == [1, -1]
+    assert "payoffs 1: 0.0 -0.0 0.0 1.0\n" in serialize_game(doc)
