@@ -1,0 +1,27 @@
+import importlib.util
+from pathlib import Path
+
+from gamedecomp.cli import main
+from test_cli import _seeded_2x6
+
+TOOL = Path(__file__).parent.parent / "tools" / "object_counts.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("object_counts", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_object_counts_measure_the_game_the_caps_are_set_on(tmp_path, capsys, count_fractions):
+    tool = _tool()
+    path = tool.seeded_2x6(tmp_path / "tool.game")
+    expected, _ = _seeded_2x6(tmp_path)
+    assert path.read_bytes() == expected.read_bytes()
+    fractions, objects = tool.count(["classify", str(path)])
+    assert capsys.readouterr().out == ""  # the tool discards the command's output
+    code, counted = count_fractions(main, ["classify", str(path)])
+    assert code == 0
+    assert fractions == counted
+    assert objects == 4  # the game, mu, gamma and the divergence field

@@ -1,0 +1,98 @@
+"""Count the ``Fraction``s and value objects that CLI commands build.
+
+Runs each command in-process and prints one row per command:
+
+    <Fractions> <objects> <command>
+
+``Fractions`` counts ``Fraction.__new__`` and, where the Python version has
+it, ``Fraction._from_coprime_ints``, which builds without ``__new__``.
+``objects`` counts ``games._Tensors._store`` calls: one per game, field,
+measure, co-measure and profile.  The commands are exact ``decompose``,
+``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
+game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
+30 --seed 7``.  Stdlib only, apart from the package itself:
+
+    PYTHONPATH=src python3 tools/object_counts.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from gamedecomp import GameDocument, StrategySpace, games, laws, serialize_game
+from gamedecomp.cli import main as cli_main
+
+
+def seeded_2x6(path: Path) -> Path:
+    """Write the seeded random game on 2^6, with its mu and gamma, to ``path``."""
+    rng = random.Random(21)
+    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
+    g = laws.random_game(rng, space)
+    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
+    path.write_text(serialize_game(GameDocument(g, mu, gamma)))
+    return path
+
+
+def count(argv: list[str]) -> tuple[int, int]:
+    """(Fractions, objects) built while the CLI runs ``argv``, whose output
+    is discarded; raises unless it exits 0."""
+    counts = [0, 0]
+    new, store = Fraction.__new__, games._Tensors._store
+
+    def counting_new(cls, *args, **kwargs):
+        counts[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_store(self, space, shared):
+        counts[1] += 1
+        store(self, space, shared)
+
+    patches = [(Fraction, "__new__", staticmethod(counting_new)),
+               (games._Tensors, "_store", counting_store)]
+    if "_from_coprime_ints" in vars(Fraction):
+        built = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            counts[0] += 1
+            return built(*args)
+
+        patches.append((Fraction, "_from_coprime_ints", classmethod(counting_coprime)))
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    for owner, name, value in patches:
+        setattr(owner, name, value)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return counts[0], counts[1]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        game = str(seeded_2x6(Path(tmp) / "g.game"))
+        commands = [
+            ["decompose", game],
+            ["classify", game],
+            ["closest-potential", game],
+            ["--float", "decompose", game],
+            ["verify", "all", "--trials", "30", "--seed", "7"],
+        ]
+        for argv in commands:
+            fractions, objects = count(argv)
+            shown = ["2^6" if arg == game else arg for arg in argv]
+            print(f"{fractions:6d} {objects:6d} {' '.join(shown)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
