@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input or validation error, 2 law violation found.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -205,11 +206,11 @@ def _cmd_decompose(args) -> int:
     report.append(f"reconstruction exact: {parts.reconstructs(doc.game)}")
     report_text = "\n".join(report) + "\n"
 
-    phi_lines = [
-        " ".join(doc.space.profile_labels(profile)) + ": " + format_scalar(value)
-        for profile, value in zip(doc.space.profiles(), parts.phi.flat())
-    ]
-    phi_text = "\n".join(phi_lines) + "\n"
+    profiles = itertools.product(*doc.space.labels)  # row-major, as phi's entries
+    phi_text = "".join(
+        " ".join(labels) + ": " + value + "\n"
+        for labels, value in zip(profiles, parts.phi._shared[0].texts())
+    )
     # every text is built before any is written, so an error leaves no partial output
     source = f" of {args.game.name}" if args.out else ""
     texts = {

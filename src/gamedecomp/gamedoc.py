@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .numeric import format_scalar, parse_scalar
+from .numeric import parse_scalar
 from .games import (
     CoMeasureVector,
     Game,
@@ -210,7 +210,10 @@ def _parse_values(text: str, lineno: int, exact: bool) -> list:
 
 
 def serialize_game(doc: GameDocument, comment: str | None = None) -> str:
-    """Canonical text for a document: parse(serialize(d)) == d, byte-stable."""
+    """Canonical text for a document: parse(serialize(d)) == d, byte-stable.
+
+    Every entry is written from its tensor's shared form by
+    ``numeric._Shared.texts``, so no ``Fraction`` view is built."""
     space = doc.space
     lines = []
     if comment:
@@ -220,26 +223,20 @@ def serialize_game(doc: GameDocument, comment: str | None = None) -> str:
     lines.append(f"players {space.n_players}")
     for i in space.players:
         lines.append(f"strategies {i + 1}: " + " ".join(space.labels[i]))
-    for i in space.players:
-        lines.append(f"payoffs {i + 1}: " + _fmt(doc.game.flat(i)))
-    for i in space.players:
-        lines.append(f"mu {i + 1}: " + _fmt(doc.mu.weights[i].tolist()))
-    if doc.gamma.is_all_ones():
-        for i in space.players:
-            lines.append(f"gamma {i + 1}: uniform")
-    elif doc.gamma.generator is not None:
-        for i in space.players:
-            lines.append(
-                f"generator {i + 1}: " + _fmt(doc.gamma.generator[i].tolist())
-            )
+    def rows(kind: str, tensors) -> None:
+        """One line per player: each shared tensor's entry texts, row-major."""
+        lines.extend(f"{kind} {i + 1}: " + " ".join(t.texts()) for i, t in enumerate(tensors))
+
+    gamma = doc.gamma
+    rows("payoffs", doc.game._shared)
+    rows("mu", doc.mu._shared)
+    if gamma.is_all_ones():
+        lines.extend(f"gamma {i + 1}: uniform" for i in space.players)
+    elif gamma._generator is not None:
+        rows("generator", gamma._generator)
     else:
-        for i in space.players:
-            lines.append(f"gamma {i + 1}: " + _fmt(doc.gamma.tensors[i].reshape(-1).tolist()))
+        rows("gamma", gamma._shared)
     for name, profile in doc.profiles.items():
-        blocks = " | ".join(_fmt(p.tolist()) for p in profile.probs)
+        blocks = " | ".join(" ".join(p.texts()) for p in profile._shared)
         lines.append(f"profile {name}: {blocks}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(values) -> str:
-    return " ".join(format_scalar(v) for v in values)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,15 +58,25 @@ def parse_scalar(text: str, exact: bool = True):
 
 
 def format_scalar(value) -> str:
+    """The canonical text of one scalar: ``str`` of an exact value, ``repr``
+    of a float.  A tensor's entries get the same text from ``_Shared.texts``."""
     if isinstance(value, (Fraction, int)):
-        try:
+        with _printable():
             return str(value)
-        except ValueError:  # an integer over sys.get_int_max_str_digits()
-            raise GameDecompError(
-                "result too long to print: an integer in it has over "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
     return repr(float(value))
+
+
+@contextmanager
+def _printable():
+    """Raise a GameDecompError where an integer in the block is over
+    sys.get_int_max_str_digits() and ``str`` refuses it."""
+    try:
+        yield
+    except ValueError:
+        raise GameDecompError(
+            "result too long to print: an integer in it has over "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
@@ -187,18 +198,50 @@ class _Shared(NamedTuple):
         A broadcast view (an axis of stride 0, as an average spread along a
         player's axis) converts only its distinct entries, then is copied out
         to the full shape."""
-        num = self.num
-        distinct = num[tuple(
-            slice(0, 1) if stride == 0 else slice(None) for stride in num.strides
-        )]
+        distinct = self._distinct()
         out = distinct
         if self.exact:
             den = self.den
             flat = [Fraction(v, den) for v in distinct.reshape(-1).tolist()]
             out = _object_array(flat, distinct.shape)
-        if distinct.shape != num.shape:
-            out = np.broadcast_to(out, num.shape).copy()
+        if distinct.shape != self.num.shape:
+            out = np.broadcast_to(out, self.num.shape).copy()
         return freeze(out)
+
+    def texts(self) -> list[str]:
+        """The canonical text of every entry, in row-major order: what
+        ``format_scalar`` prints for the entry of ``values()``, built
+        without it.
+
+        Float mode takes ``repr`` of each float.  Exact mode writes num / den
+        reduced with one gcd per entry against den, as ``p/q``, or as ``p``
+        where the reduced denominator is 1 (so 0 is ``0``): the text of the
+        reduced ``Fraction``, and none is built.  An integer too long for
+        ``str`` raises what ``format_scalar`` raises.  A broadcast view
+        writes only its distinct entries, as ``values()`` converts them."""
+        distinct = self._distinct()
+        flat = distinct.reshape(-1).tolist()
+        den = self.den
+        with _printable():
+            if not self.exact:
+                out = list(map(repr, flat))
+            elif den == 1:
+                out = list(map(str, flat))
+            else:
+                out = []
+                for v in flat:
+                    g = math.gcd(v, den)
+                    out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        if distinct.shape != self.num.shape:
+            spread = np.broadcast_to(_object_array(out, distinct.shape), self.num.shape)
+            out = spread.reshape(-1).tolist()
+        return out
+
+    def _distinct(self) -> np.ndarray:
+        """num without the repeats of a broadcast view: each axis of stride
+        0 cut to length 1."""
+        num = self.num
+        return num[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in num.strides)]
 
 
 def _add(a: _Shared, b: _Shared) -> _Shared:

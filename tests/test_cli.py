@@ -177,20 +177,17 @@ def _literals(space):
 
 
 def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact decompose of a seeded 2^6 game builds 1721 Fractions: the
-    # 588 literals it reads, one per converted result entry (the
-    # nonstrategic part only at its 192 distinct entries) and O(n) scalars.
-    # The cap is what it reads plus what it prints (3 n |S| payoffs, |S|
-    # phi values and 6 report lines, 1810 together) plus 16 n.  The report
+    # One exact decompose of a seeded 2^6 game builds 691 Fractions: the
+    # 588 literals it reads and O(n) scalars, the 6 report lines among
+    # them.  The parts and phi are written from their numerators; reading
+    # each printed entry through a Fraction view built 1715, and the report
     # on Fraction arrays, with Fraction norm weights and total() == game,
-    # built 10401.
+    # 10401.
     path, space = _seeded_2x6(tmp_path)
     code, count = count_fractions(main, ["decompose", str(path)])
     assert code == 0
     assert "reconstruction exact: True" in capsys.readouterr().out
-    n, size = space.n_players, space.num_profiles
-    printed = 3 * n * size + size + 6
-    assert count <= _literals(space) + printed + 16 * n
+    assert count <= _literals(space) + 32 * space.n_players
 
 
 def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions):
@@ -207,16 +204,26 @@ def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions
 
 
 def test_exact_closest_potential_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact closest-potential of the seeded 2^6 game builds 1024
-    # Fractions: the 588 literals it reads, the n |S| entries of the closest
-    # game it prints, and O(n) scalars.  The parts and phi it does not print
-    # stay integer numerators; converting them eagerly built 2054.
+    # One exact closest-potential of the seeded 2^6 game builds 640
+    # Fractions: the 588 literals it reads and O(n) scalars.  The closest
+    # game is written from its numerators; reading it through its Fraction
+    # view built 1024, and converting the parts and phi eagerly 2054.
     path, space = _seeded_2x6(tmp_path)
     code, count = count_fractions(main, ["closest-potential", str(path)])
     assert code == 0
     assert "d^2: " in capsys.readouterr().out
-    n, size = space.n_players, space.num_profiles
-    assert count <= _literals(space) + n * size + 16 * n
+    assert count <= _literals(space) + 16 * space.n_players
+
+
+def test_serializing_decomposition_parts_builds_no_fraction(count_fractions):
+    rng = random.Random(5)
+    space = StrategySpace((("a", "b", "c"), ("a", "b"), ("a", "b", "c")))
+    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
+    parts = decomposition.decompose(laws.random_game(rng, space), mu, gamma)
+    for part in parts.components():
+        text, count = count_fractions(serialize_game, GameDocument(part, mu, gamma))
+        assert count == 0
+        assert parse_game(text).game == part
 
 
 def test_exact_verify_all_fraction_constructions(capsys, count_fractions):

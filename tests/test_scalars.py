@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gamedecomp.errors import ParseError, ValidationError
-from gamedecomp.numeric import format_scalar, parse_scalar, scalar_array
+from gamedecomp.numeric import _Shared, _object_array, format_scalar, parse_scalar, scalar_array
 from oracles import rational_sqrt
 
 nonzero_rationals = st.fractions().filter(lambda f: f != 0)
@@ -58,3 +59,19 @@ def test_rational_sqrt_irrational():
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(1, 3)) is None
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+
+
+@given(
+    st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
+    st.integers(1, 10**12),
+    st.booleans(),
+)
+def test_shared_texts_are_the_format_of_each_value(nums, den, broadcast):
+    # exact: num / den, reduced, and over 1 as well; float: the same values
+    # as floats; a broadcast view (stride 0 along an axis) as a spread part is
+    exact = _Shared(_object_array(nums, (len(nums),)), den)
+    floats = _Shared(np.asarray(nums, dtype=np.float64) / den, 1)
+    for x in (exact, _Shared(exact.num, 1), floats):
+        if broadcast:
+            x = _Shared(np.broadcast_to(x.num[:, None], (len(nums), 3)), x.den)
+        assert x.texts() == [format_scalar(v) for v in x.values().reshape(-1).tolist()]
