@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GameDecompError, ValidationError
 from .games import CoMeasureVector, Game, MeasureVector, MixedProfile, shared_payoffs
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
@@ -368,9 +368,9 @@ def run_law(
         mu = random_mu(rng, space)
         gamma = random_gamma(rng, space)
         aux_seed = f"{seed}:{trial}:aux"
-        message = check(g, mu, gamma, random.Random(aux_seed))
+        message = _failure(check, g, mu, gamma, aux_seed)
         if message is not None:
-            minimized = _minimize(check, g, mu, gamma, aux_seed)
+            minimized = _minimize(check, g, mu, gamma, aux_seed, message.startswith(_RAISED))
             doc = serialize_game(
                 GameDocument(*minimized),
                 comment=f"counterexample: law={law} seed={seed} trial={trial}",
@@ -382,15 +382,31 @@ def run_law(
     return LawReport(law, trials, seed, ok=True)
 
 
-def _minimize(check, g, mu, gamma, aux_seed):
-    """Shrink a counterexample: greedy payoff zeroing, then strategy deletion."""
+_RAISED = "the check raised "
+
+
+def _failure(check, g, mu, gamma, aux_seed: str) -> str | None:
+    """The check's failure message, None where the law holds.  A check that
+    raises a GameDecompError fails too, with a message that starts with
+    ``_RAISED``: a part refused by a transform's game check breaks the law,
+    it is not an input error."""
+    try:
+        return check(g, mu, gamma, random.Random(aux_seed))
+    except GameDecompError as exc:
+        return f"{_RAISED}{type(exc).__name__}: {exc}"
+
+
+def _minimize(check, g, mu, gamma, aux_seed, raised: bool = False):
+    """Shrink a counterexample: greedy payoff zeroing, then strategy deletion.
+    A candidate is kept while it fails as the original did: by raising where
+    ``raised``, else by returning a message."""
 
     def still_fails(candidate):
-        game, mv, cv = candidate
         try:
-            return check(game, mv, cv, random.Random(aux_seed)) is not None
+            message = _failure(check, *candidate, aux_seed)
         except Exception:  # noqa: BLE001 - shrunk aux draws may go out of range
             return False
+        return message is not None and message.startswith(_RAISED) == raised
 
     current = (g, mu, gamma)
     changed = True

@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from gamedecomp import (
-    CoMeasureVector, Game, GameDocument, MeasureVector, StrategySpace, cli, decomposition,
-    games, laws, parse_game, serialize_game,
+    CoMeasureVector, Game, GameDocument, MeasureVector, PreconditionError, StrategySpace, cli,
+    decomposition, games, laws, parse_game, serialize_game,
 )
 from gamedecomp.cli import main
 from gamedecomp.numeric import _Shared
@@ -441,6 +441,27 @@ def test_verify_reports_a_failing_law(monkeypatch, capsys):
     assert sum(v != 0 for v in doc.game.flat(0)) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAILURE_DIGEST
 
+
+
+def test_verify_reports_a_law_whose_check_raises(monkeypatch, capsys):
+    # a carry refused by a transform's game check breaks the law: exit 2,
+    # the failure line naming the error, and a counterexample that parses
+    def raising_check(g, mu, gamma, aux):
+        if any(g.flat(0)):
+            raise PreconditionError("not a duplicate: a part of the extended game")
+        return None
+
+    monkeypatch.setitem(laws.LAWS, "reduce", raising_check)
+    code, out, err = run(capsys, "verify", "reduce", "--trials", "2", "--seed", "1")
+    assert code == 2 and err == ""
+    head, rest = out.split("minimized counterexample:\n")
+    assert head == (
+        "reduce: FAIL at trial 0: the check raised PreconditionError: "
+        "not a duplicate: a part of the extended game\n"
+    )
+    assert rest.startswith("# counterexample: law=reduce seed=1 trial=0\n")
+    doc = parse_game(rest)
+    assert sum(v != 0 for v in doc.game.flat(0)) == 1
 
 @pytest.mark.parametrize(
     "argv",
