@@ -21,7 +21,9 @@ from .games import (
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import _deviation, _divergence, _solve, _spread, deviation_divergence
+from .operators import (
+    _deviation, _divergence, _float_range, _solve, _spread, deviation_divergence,
+)
 
 
 @dataclass(frozen=True)
@@ -149,21 +151,23 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
 def is_nonstrategic(g: Game) -> bool:
     """True iff every player's payoff ignores her own coordinate; decided on
     each tensor's numerators, which share one denominator."""
-    return not any(
-        unequal_mask(x.num, x.num[(slice(None),) * i + (slice(0, 1),)], g.exact).any()
-        for i, x in enumerate(shared_payoffs(g))
-    )
+    with _float_range("the nonstrategic test"):
+        return not any(
+            unequal_mask(x.num, x.num[(slice(None),) * i + (slice(0, 1),)], g.exact).any()
+            for i, x in enumerate(shared_payoffs(g))
+        )
 
 
 def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     """True iff the mu-weighted own-coordinate sum vanishes everywhere;
     exact mode sums numerators, weighted by mu^i's numerators."""
     require_operands(g, mu)
-    for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared)):
-        acc = axis_contract(x.num, w.num, i)
-        scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
-        if not is_zero(acc, g.exact, scale):
-            return False
+    with _float_range("the mu-normalized test"):
+        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared)):
+            acc = axis_contract(x.num, w.num, i)
+            scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
+            if not is_zero(acc, g.exact, scale):
+                return False
     return True
 
 
@@ -175,7 +179,8 @@ def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
     axis into a candidate psi, and g is gamma-potential iff psi reproduces
     every D_i (see _integrate).  Costs O(n |S|) array operations.
     """
-    return _integrate(g, gamma)[1] is None
+    with _float_range("the gamma-potential test"):
+        return _integrate(g, gamma)[1] is None
 
 
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:

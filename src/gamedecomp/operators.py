@@ -70,7 +70,7 @@ def deviation_divergence(
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
     require_operands(g, mu, gamma)
-    with _float_range("the deviation divergence"):
+    with _float_range("the deviation divergence under these weights"):
         normalized = [
             _deviation(x, w, i)[1]
             for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared))
@@ -88,7 +88,7 @@ def _float_range(what: str):
             yield
     except FloatingPointError:
         raise ValidationError(
-            f"{what} leaves the float range under these weights; use exact mode"
+            f"{what} leaves the float range; use exact mode"
         ) from None
 
 
@@ -169,7 +169,7 @@ def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
     if h.exact:
         return _solve_ints(h, weights)
     weights = [w.num for w in weights]
-    with _float_range("the Poisson solve"):
+    with _float_range("the Poisson solve under these weights"):
         _check_consistent(h.num, weights)
         coeffs, eigen = h.num, 0
         for i, w in enumerate(weights):

@@ -157,12 +157,28 @@ def co_measure_quotient(
 ) -> CoMeasureVector:
     """(gamma/beta)^i = gamma^i / beta^i entrywise; preserves product structure."""
     space = require_operands(gamma, beta)
+    tensors = _quotients("co-measure tensor", gamma._shared, beta._shared)
     generator = None
     if gamma._generator is not None and beta._generator is not None:
-        generator = tuple(map(_Shared.divide, gamma._generator, beta._generator))
-    return CoMeasureVector._with_shared(
-        space, map(_Shared.divide, gamma._shared, beta._shared), _generator=generator
-    )
+        generator = _quotients("generator", gamma._generator, beta._generator)
+    return CoMeasureVector._with_shared(space, tensors, _generator=generator)
+
+
+def _quotients(noun: str, tops, bottoms) -> tuple[_Shared, ...]:
+    """top / bottom entrywise for each pair of positive shared tensors.  A
+    float entry of 0 is an underflow, refused pointing to exact mode, as an
+    entry that overflows to inf is when the co-measure is built."""
+    out = tuple(map(_Shared.divide, tops, bottoms))
+    for x, top, bottom in zip(out, tops, bottoms):
+        zero = x.num.reshape(-1) == 0
+        if not x.exact and zero.any():
+            k = int(np.argmax(zero))
+            a, b = float(top.num.reshape(-1)[k]), float(bottom.num.reshape(-1)[k])
+            raise ValidationError(
+                f"a {noun} entry leaves the float range ({a!r} / {b!r} underflows "
+                "to 0.0); use exact mode"
+            )
+    return out
 
 
 def co_measure_inverse(beta: CoMeasureVector) -> CoMeasureVector:

@@ -25,6 +25,7 @@ from gamedecomp import (
 from gamedecomp.games import inner_product_c0
 from gamedecomp.operators import deviation_divergence, solve_poisson
 from gamedecomp.cli import main
+from gamedecomp.transforms import co_measure_inverse, co_measure_quotient
 from gamedecomp.laws import (
     random_game,
     random_gamma,
@@ -380,6 +381,49 @@ def test_float_divergence_out_of_range_points_to_exact_mode():
     with pytest.raises(ValidationError, match="float range.*use exact mode"):
         deviation_divergence(g, mu, gamma)
 
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        lambda g, mu, gamma: is_nonstrategic(g),
+        lambda g, mu, gamma: is_mu_normalized(g, mu),
+        lambda g, mu, gamma: is_gamma_potential(g, gamma),
+    ],
+    ids=["nonstrategic", "mu-normalized", "gamma-potential"],
+)
+def test_float_predicates_out_of_range_point_to_exact_mode(predicate):
+    # matching pennies at +-1e308: differences and the mu-normalized test's
+    # tolerance scale overflow; unguarded they warned six times, and the
+    # mu-normalized test answered from an inf scale (pytest turns a
+    # RuntimeWarning into an error, so none may appear)
+    space = StrategySpace((("a", "b"),) * 2)
+    big = 1e308
+    g = Game.from_payoffs(space, [[big, -big, -big, big], [-big, big, big, -big]], exact=False)
+    mu = MeasureVector.uniform(space, exact=False)
+    gamma = CoMeasureVector.uniform(space, exact=False)
+    with pytest.raises(ValidationError, match=r"^the .* test leaves the float range; use exact mode$"):
+        predicate(g, mu, gamma)
+
+
+def test_float_co_measure_quotient_underflow_points_to_exact_mode():
+    # both operands are positive; the quotient 1e-300 / 1e300 underflows to
+    # 0.0, which was refused as a nonpositive co-measure
+    space = StrategySpace((("a", "b"),) * 2)
+    gamma = CoMeasureVector.from_tensors(space, [[1e-300, 1e-300], [1, 1]], exact=False)
+    beta = CoMeasureVector.from_tensors(space, [[1e300, 1e300], [1, 1]], exact=False)
+    with pytest.raises(
+        ValidationError,
+        match=r"^a co-measure tensor entry leaves the float range "
+        r"\(1e-300 / 1e\+300 underflows to 0\.0\); use exact mode$",
+    ):
+        co_measure_quotient(gamma, beta)
+    gen_gamma = CoMeasureVector.from_generator(space, [[1, 1], [1e-300, 1e-300]], exact=False)
+    gen_beta = CoMeasureVector.from_generator(space, [[1, 1], [1e300, 1e300]], exact=False)
+    with pytest.raises(ValidationError, match=r"^a co-measure tensor entry .* underflows"):
+        co_measure_quotient(gen_gamma, gen_beta)  # its generator's quotient underflows too
+    exact = CoMeasureVector.from_tensors(space, [[10**300, 10**300], [1, 1]])
+    assert co_measure_quotient(co_measure_inverse(exact), exact).tensors[0][0] == Fraction(1, 10**600)
 
 SPACE_2X2 = StrategySpace((("a", "b"), ("a", "b")))
 FLOAT_INTO_EXACT = {
