@@ -1,9 +1,10 @@
 """Seeded randomized verification of the decomposition and commutation laws.
 
 Each law draws its instances from a deterministic per-trial RNG, so a failure
-replays exactly from (law, seed, trial).  Payoffs are integers in [-9, 9] and
-parameters come from {1/3, 1/2, 1, 2, 3}, which keeps every check rational and
-the suites reproducible across runs.
+replays exactly from (law, seed, trial); a check fails by returning a
+message or by raising a ``GameDecompError``.  Payoffs are integers in
+[-9, 9] and parameters come from {1/3, 1/2, 1, 2, 3}, which keeps every
+check rational and the suites reproducible across runs.
 
 Instances are built in shared form (``numeric._Shared``) straight from the
 draws, equal to what the public constructors build from the same draws.  The

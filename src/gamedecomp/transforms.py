@@ -170,8 +170,10 @@ def _quotients(noun: str, tops, bottoms) -> tuple[_Shared, ...]:
     entry that overflows to inf is when the co-measure is built."""
     out = tuple(map(_Shared.divide, tops, bottoms))
     for x, top, bottom in zip(out, tops, bottoms):
+        if x.exact:
+            continue  # an exact quotient of positive entries is positive
         zero = x.num.reshape(-1) == 0
-        if not x.exact and zero.any():
+        if zero.any():
             k = int(np.argmax(zero))
             a, b = float(top.num.reshape(-1)[k]), float(bottom.num.reshape(-1)[k])
             raise ValidationError(
