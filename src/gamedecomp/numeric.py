@@ -226,8 +226,6 @@ class _Shared(NamedTuple):
         with _printable():
             if not self.exact:
                 out = list(map(repr, flat))
-            elif den == 1:
-                out = list(map(str, flat))
             else:
                 out = []
                 for v in flat:
