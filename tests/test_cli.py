@@ -442,7 +442,6 @@ def test_verify_reports_a_failing_law(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAILURE_DIGEST
 
 
-
 def test_verify_reports_a_law_whose_check_raises(monkeypatch, capsys):
     # a carry refused by a transform's game check breaks the law: exit 2,
     # the failure line naming the error, and a counterexample that parses
@@ -462,6 +461,7 @@ def test_verify_reports_a_law_whose_check_raises(monkeypatch, capsys):
     assert rest.startswith("# counterexample: law=reduce seed=1 trial=0\n")
     doc = parse_game(rest)
     assert sum(v != 0 for v in doc.game.flat(0)) == 1
+
 
 @pytest.mark.parametrize(
     "argv",

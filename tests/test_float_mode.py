@@ -382,7 +382,6 @@ def test_float_divergence_out_of_range_points_to_exact_mode():
         deviation_divergence(g, mu, gamma)
 
 
-
 @pytest.mark.parametrize(
     "predicate",
     [
