@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gamedecomp import parse_game
+from gamedecomp import games, parse_game
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,6 +33,21 @@ def mp_duplicated():
 @pytest.fixture
 def depend():
     return load_fixture("depend.game")
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Run the full ``_check`` of its type on every object stored while the
+    test runs, also on those that internal kernels build from checked
+    inputs: a kernel whose output breaks an invariant of its type raises
+    here instead of passing it on."""
+    store = games._Tensors._store
+
+    def checking_store(self, space, shared):
+        store(self, space, shared)
+        self._check()
+
+    monkeypatch.setattr(games._Tensors, "_store", checking_store)
 
 
 @pytest.fixture
