@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,10 +7,14 @@ from gamedecomp import (
     CoMeasureVector,
     Game,
     MeasureVector,
+    MixedProfile,
+    ParseError,
     ScalarField,
     StrategySpace,
     ValidationError,
+    parse_game,
 )
+from gamedecomp.equilibrium import map_equilibrium_under_scaling
 from gamedecomp.games import (
     game_norm_sq,
     inner_product_c0,
@@ -133,6 +138,72 @@ def test_parameters_refuse_nonpositive_entries_when_built(build, message, exact)
     """Strict positivity is an invariant of both parameter types, in both modes."""
     with pytest.raises(ValidationError, match=rf"^{message}(\.0)?$"):
         build(exact)
+
+
+SPACE3 = StrategySpace((("a", "b"),) * 3)
+_DOC = "gamedoc 1\nplayers 2\nstrategies 1: s t\nstrategies 2: s t\npayoffs 1: 1 2 3 4\n" \
+    "payoffs 2: 1 2 3 4\n"
+
+# With NONPOSITIVE_PARAMETERS, every entry point where outside data becomes a
+# checked object, each with a bad input and the exact text it is refused
+# with: (build, error, text, value), the value printed in the scalar mode.
+BOUNDARY_REFUSALS = {
+    "CoMeasureVector.from_generator-tensor": (
+        lambda exact: CoMeasureVector.from_generator(SPACE, [[1, -1], [1, 1]], exact),
+        ValidationError, "nonpositive co-measure: gamma^2 entry 1 = {}", -1,
+    ),
+    "CoMeasureVector.from_generator-generator": (
+        lambda exact: CoMeasureVector.from_generator(SPACE3, [[-1, -1]] * 3, exact),
+        ValidationError, "nonpositive co-measure generator: c^1(a) = {}", -1,
+    ),
+    "CoMeasureVector.from_tensors": (
+        lambda exact: CoMeasureVector.from_tensors(SPACE, [[1, 0], [3, 4]], exact),
+        ValidationError, "nonpositive co-measure: gamma^1 entry 1 = {}", 0,
+    ),
+    "MeasureVector.scaled": (
+        lambda exact: MeasureVector.uniform(SPACE, exact=exact).scaled(0),
+        ValidationError, "nonpositive measure: mu^1(s) = {}", 0,
+    ),
+    "CoMeasureVector.scaled": (
+        lambda exact: CoMeasureVector.from_tensors(SPACE, [[1, 2], [3, 4]], exact).scaled(-2),
+        ValidationError, "nonpositive co-measure: gamma^1 entry 0 = {}", -2,
+    ),
+    "map_equilibrium_under_scaling-zero": (
+        lambda exact: map_equilibrium_under_scaling(
+            MixedProfile.uniform(SPACE, exact), [[1, 1], [0, 2]]
+        ),
+        ValidationError, "nonpositive co-measure: gamma^1 entry 0 = {}", 0,
+    ),
+    "map_equilibrium_under_scaling-negative": (
+        lambda exact: map_equilibrium_under_scaling(
+            MixedProfile.uniform(SPACE, exact), [[1, -1], [1, 2]]
+        ),
+        ValidationError, "nonpositive co-measure: gamma^2 entry 1 = {}", -1,
+    ),
+    "MixedProfile.from_positive_weights": (
+        lambda exact: MixedProfile.from_positive_weights(SPACE, [[1, 1], [0, 2]], exact),
+        ValidationError, "nonpositive weight for player 2: w(s) = {}", 0,
+    ),
+    "parse_game-gamma": (
+        lambda exact: parse_game(_DOC + "gamma 2: 1 0\n", exact),
+        ParseError, "nonpositive co-measure: gamma^2 entry 1 = {}", 0,
+    ),
+    "parse_game-generator": (
+        lambda exact: parse_game(_DOC + "generator 1: 1 -1\ngenerator 2: 1 1\n", exact),
+        ParseError, "nonpositive co-measure: gamma^2 entry 1 = {}", -1,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "build, error, text, value", BOUNDARY_REFUSALS.values(), ids=BOUNDARY_REFUSALS.keys()
+)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_entry_points_refuse_bad_input_with_their_text(build, error, text, value, exact):
+    with pytest.raises(error) as raised:
+        build(exact)
+    assert type(raised.value) is error
+    assert str(raised.value) == text.format(Fraction(value) if exact else float(value))
 
 
 def test_measure_product_arrays():
