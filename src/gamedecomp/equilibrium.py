@@ -154,7 +154,7 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     gen = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
     b = tuple(map(_Shared.of, gen))
     if any((c.num <= 0).any() for c in b):
-        CoMeasureVector._generated(space, b)  # raises
+        CoMeasureVector._generated(space, b)._checked()  # raises
     return MixedProfile._normalized(space, map(_Shared.divide, x._shared, b))
 
 

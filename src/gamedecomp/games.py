@@ -145,6 +145,7 @@ class _Tensors:
         tensors = tuple(freeze(t) for t in tensors)
         vars(self)[self._field] = tensors
         self._store(space, (_Shared.of(t) for t in tensors))
+        self._checked()
 
     @staticmethod
     def _shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
@@ -153,19 +154,32 @@ class _Tensors:
     @classmethod
     def _with_shared(cls, space: StrategySpace, shared, **private):
         """The object whose tensors are ``shared``, converted out on first
-        read; ``private`` sets further stored attributes before the checks."""
+        read; ``private`` sets further stored attributes before ``_store``.
+        A build from a kernel's output is trusted (see ``_store``); one from
+        outside data ends in ``_checked``."""
         obj = cls.__new__(cls)
         vars(obj).update(private)
         obj._store(space, shared)
         return obj
 
     def _store(self, space: StrategySpace, shared) -> None:
+        """Keep the tensors.  Every float object is checked here: rounding
+        can take a kernel's result out of the float range or to 0.  An exact
+        object is checked by ``_checked``, where outside data enters."""
         vars(self).update(space=space, _shared=tuple(shared))
-        self._check()
+        if not self.exact:
+            self._check()
+
+    def _checked(self):
+        """This object after the full check (``_store`` ran it on a float
+        object)."""
+        if self.exact:
+            self._check()
+        return self
 
     def _check(self) -> None:
-        """The shapes against ``_shapes``, then one scalar mode, then finite
-        float entries."""
+        """The full check: the shapes against ``_shapes``, then one scalar
+        mode, then finite float entries."""
         _check_shapes(self._noun, [x.num for x in self._shared], self._shapes(self.space))
         require_same_mode(*self._shared)
         _require_finite(self._shared, self._noun)
@@ -261,6 +275,7 @@ class ScalarField(_Tensors):
     def __init__(self, space: StrategySpace, values: np.ndarray):
         vars(self)["values"] = freeze(values)
         self._store(space, (_Shared.of(values),))
+        self._checked()
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -330,7 +345,7 @@ class MeasureVector(_Tensors):
         return self._product().values()
 
     def scaled(self, factor) -> "MeasureVector":
-        return self._with_shared(self.space, (w.scale(factor) for w in self._shared))
+        return self._with_shared(self.space, (w.scale(factor) for w in self._shared))._checked()
 
 
 class CoMeasureVector(_Tensors):
@@ -413,7 +428,7 @@ class CoMeasureVector(_Tensors):
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
         gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
-        return cls._generated(space, tuple(map(_Shared.of, gen)), generator=gen)
+        return cls._generated(space, tuple(map(_Shared.of, gen)), generator=gen)._checked()
 
     @classmethod
     def _generated(cls, space: StrategySpace, shared, **view):
@@ -443,7 +458,7 @@ class CoMeasureVector(_Tensors):
 
     def scaled(self, factor) -> "CoMeasureVector":
         # no canonical way to spread the factor over generator entries
-        return self._with_shared(self.space, (t.scale(factor) for t in self._shared))
+        return self._with_shared(self.space, (t.scale(factor) for t in self._shared))._checked()
 
 
 class MixedProfile(_Tensors):

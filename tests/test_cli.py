@@ -10,6 +10,7 @@ from gamedecomp import (
     decomposition, games, laws, parse_game, serialize_game,
 )
 from gamedecomp.cli import main
+from gamedecomp.games import _Tensors
 from gamedecomp.numeric import _Shared
 from conftest import FIXTURES
 
@@ -257,6 +258,25 @@ def test_exact_verify_all_object_constructions(monkeypatch, capsys):
     assert count[0] <= 4_710
 
 
+def test_exact_verify_all_full_checks(monkeypatch, capsys):
+    # of the 4,710 objects above, 90 run the full _check: those built from
+    # a user's factor or tensors, here the scaled mu and gamma of
+    # param-equivalence and the redundancy law's from_tensors gamma.  Parts,
+    # carried games, parameter updates and draws are computed from checked
+    # objects and stored unchecked; checking every object ran 4,710.
+    count = [0]
+    check = games._Tensors._check
+
+    def counting_check(self):
+        count[0] += 1
+        check(self)
+
+    monkeypatch.setattr(games._Tensors, "_check", counting_check)
+    assert main(["verify", "all", "--trials", "30", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
+    assert count[0] <= 90
+
+
 def test_exact_decompose_333_fraction_constructions(count_fractions):
     # one decompose() of a seeded (3,3,3) game builds 12 Fractions, O(n)
     # scalars: the parts and phi stay integer numerators until read.
@@ -287,17 +307,18 @@ def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
     # converts each tensor once, and the payoffs of a game built in shared
     # form, a view read out of it, never go back through _Shared.of
     games, converted = [], []
-    check, of = Game._check, _Shared.of.__func__
+    store, of = _Tensors._store, _Shared.of.__func__
 
-    def recording(self):
-        check(self)
-        games.append((self, "payoffs" not in vars(self)))
+    def recording(self, space, shared):
+        store(self, space, shared)
+        if isinstance(self, Game):
+            games.append((self, "payoffs" not in vars(self)))
 
     def counting(cls, values):
         converted.append(values)  # kept alive, so the ids stay distinct
         return of(cls, values)
 
-    monkeypatch.setattr(Game, "_check", recording)
+    monkeypatch.setattr(_Tensors, "_store", recording)
     monkeypatch.setattr(_Shared, "of", classmethod(counting))
     code, _, _ = run(capsys, *argv)
     monkeypatch.undo()

@@ -19,9 +19,10 @@ def test_object_counts_measure_the_game_the_caps_are_set_on(tmp_path, capsys, co
     path = tool.seeded_2x6(tmp_path / "tool.game")
     expected, _ = _seeded_2x6(tmp_path)
     assert path.read_bytes() == expected.read_bytes()
-    fractions, objects = tool.count(["classify", str(path)])
+    fractions, objects, checks = tool.count(["classify", str(path)])
     assert capsys.readouterr().out == ""  # the tool discards the command's output
     code, counted = count_fractions(main, ["classify", str(path)])
     assert code == 0
     assert fractions == counted
     assert objects == 4  # the game, mu, gamma and the divergence field
+    assert checks == 3  # the field is computed from the checked three

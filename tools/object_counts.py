@@ -2,12 +2,14 @@
 
 Runs each command in-process and prints one row per command:
 
-    <Fractions> <objects> <command>
+    <Fractions> <objects> <checks> <command>
 
 ``Fractions`` counts ``Fraction.__new__`` and, where the Python version has
 it, ``Fraction._from_coprime_ints``, which builds without ``__new__``.
 ``objects`` counts ``games._Tensors._store`` calls: one per game, field,
-measure, co-measure and profile.  The commands are exact ``decompose``,
+measure, co-measure and profile.  ``checks`` counts full
+``games._Tensors._check`` runs: one per object built from outside data, and
+one per float object.  The commands are exact ``decompose``,
 ``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
 game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
 30 --seed 7``.  Stdlib only, apart from the package itself:
@@ -39,11 +41,11 @@ def seeded_2x6(path: Path) -> Path:
     return path
 
 
-def count(argv: list[str]) -> tuple[int, int]:
-    """(Fractions, objects) built while the CLI runs ``argv``, whose output
-    is discarded; raises unless it exits 0."""
-    counts = [0, 0]
-    new, store = Fraction.__new__, games._Tensors._store
+def count(argv: list[str]) -> tuple[int, int, int]:
+    """(Fractions, objects, full checks) while the CLI runs ``argv``, whose
+    output is discarded; raises unless it exits 0."""
+    counts = [0, 0, 0]
+    new, store, check = Fraction.__new__, games._Tensors._store, games._Tensors._check
 
     def counting_new(cls, *args, **kwargs):
         counts[0] += 1
@@ -53,8 +55,13 @@ def count(argv: list[str]) -> tuple[int, int]:
         counts[1] += 1
         store(self, space, shared)
 
+    def counting_check(self):
+        counts[2] += 1
+        check(self)
+
     patches = [(Fraction, "__new__", staticmethod(counting_new)),
-               (games._Tensors, "_store", counting_store)]
+               (games._Tensors, "_store", counting_store),
+               (games._Tensors, "_check", counting_check)]
     if "_from_coprime_ints" in vars(Fraction):
         built = Fraction._from_coprime_ints
 
@@ -74,7 +81,7 @@ def count(argv: list[str]) -> tuple[int, int]:
             setattr(owner, name, value)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return counts[0], counts[1]
+    return counts[0], counts[1], counts[2]
 
 
 def main() -> int:
@@ -88,9 +95,9 @@ def main() -> int:
             ["verify", "all", "--trials", "30", "--seed", "7"],
         ]
         for argv in commands:
-            fractions, objects = count(argv)
+            fractions, objects, checks = count(argv)
             shown = ["2^6" if arg == game else arg for arg in argv]
-            print(f"{fractions:6d} {objects:6d} {' '.join(shown)}")
+            print(f"{fractions:6d} {objects:6d} {checks:6d} {' '.join(shown)}")
     return 0
 
 
