@@ -124,21 +124,21 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     space = require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
     weights = mu._shared
-    averages, normalized = zip(*(
-        _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
-    ))
-    phi = _solve(_divergence(normalized, mu, gamma), weights)
-    potential = [
-        _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
-    ]
+    with _float_range("the decomposition"):
+        averages, normalized = zip(*(
+            _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
+        ))
+        phi = _solve(_divergence(normalized, mu, gamma), weights)
+        potential = [
+            _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
+        ]
+        harmonic = [_sub(pi, part) for pi, part in zip(normalized, potential)]
     return Decomposition(
         nonstrategic=Game._with_shared(
             space, (_spread(avg, space.sizes) for avg in averages)
         ),
         potential=Game._with_shared(space, potential),
-        harmonic=Game._with_shared(
-            space, (_sub(pi, part) for pi, part in zip(normalized, potential))
-        ),
+        harmonic=Game._with_shared(space, harmonic),
         phi=ScalarField._with_shared(space, (phi,)),
         mu=mu,
         gamma=gamma,
@@ -179,8 +179,7 @@ def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
     axis into a candidate psi, and g is gamma-potential iff psi reproduces
     every D_i (see _integrate).  Costs O(n |S|) array operations.
     """
-    with _float_range("the gamma-potential test"):
-        return _integrate(g, gamma)[1] is None
+    return _integrate(g, gamma)[1] is None
 
 
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
@@ -211,8 +210,9 @@ def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
             "not gamma-potential: inconsistent cycle at profiles "
             f"{g.space.profile_labels(source)} -> {g.space.profile_labels(target)}"
         )
-    mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
-    return ScalarField._with_shared(g.space, (_sub(psi, mean),))
+    with _float_range("the mean-zero potential"):
+        mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
+        return ScalarField._with_shared(g.space, (_sub(psi, mean),))
 
 
 def _integrate(g: Game, gamma: CoMeasureVector):
@@ -235,24 +235,25 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     row-major order; psi is a shared tensor.
     """
     space = require_operands(g, gamma)
-    terms = []
-    for i, payoff in enumerate(shared_payoffs(g)):
-        factor = gamma.expanded(i)
-        diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
-        terms.append((diff, factor.den * payoff.den))
-    den = math.lcm(*(d for _, d in terms))
-    diffs = [num if d == den else num * (den // d) for num, d in terms]
-    psi = None
-    for i, diff in enumerate(diffs):
-        pinned = diff[(slice(0, 1),) * i]
-        psi = pinned if psi is None else psi + pinned
-    for i in space.players[1:]:
-        mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
-        if mismatch.any():
-            target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
-            target = tuple(int(k) for k in target)
-            source = target[:i] + (0,) + target[i + 1:]
-            return _Shared(psi, den), (source, target)
+    with _float_range("the gamma-potential test"):
+        terms = []
+        for i, payoff in enumerate(shared_payoffs(g)):
+            factor = gamma.expanded(i)
+            diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
+            terms.append((diff, factor.den * payoff.den))
+        den = math.lcm(*(d for _, d in terms))
+        diffs = [num if d == den else num * (den // d) for num, d in terms]
+        psi = None
+        for i, diff in enumerate(diffs):
+            pinned = diff[(slice(0, 1),) * i]
+            psi = pinned if psi is None else psi + pinned
+        for i in space.players[1:]:
+            mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
+            if mismatch.any():
+                target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
+                target = tuple(int(k) for k in target)
+                source = target[:i] + (0,) + target[i + 1:]
+                return _Shared(psi, den), (source, target)
     return _Shared(psi, den), None
 
 

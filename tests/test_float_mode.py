@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,14 @@ from gamedecomp import (
     is_mu_normalized,
     is_nonstrategic,
 )
+from gamedecomp.decomposition import extract_potential
+from gamedecomp.equilibrium import pure_equilibrium_from_potential
 from gamedecomp.games import inner_product_c0
 from gamedecomp.operators import deviation_divergence, solve_poisson
 from gamedecomp.cli import main
-from gamedecomp.transforms import co_measure_inverse, co_measure_quotient
+from gamedecomp.transforms import (
+    DuplicationSpec, co_measure_inverse, co_measure_quotient, extend_duplicate,
+)
 from gamedecomp.laws import (
     random_game,
     random_gamma,
@@ -403,6 +408,55 @@ def test_float_predicates_out_of_range_point_to_exact_mode(predicate):
     gamma = CoMeasureVector.uniform(space, exact=False)
     with pytest.raises(ValidationError, match=r"^the .* test leaves the float range; use exact mode$"):
         predicate(g, mu, gamma)
+
+
+_PENNIES = ([1, -1, -1, 1], [-1, 1, 1, -1])
+_FLOAT_KERNEL_CASES = {
+    # matching pennies at +-1e308: the divergence and the differences overflow
+    "decompose": (lambda g, mu, gamma: decompose(g, mu, gamma), _PENNIES, "decomposition"),
+    "extract_potential": (
+        lambda g, mu, gamma: extract_potential(g, gamma), _PENNIES, "gamma-potential test",
+    ),
+    "pure_equilibrium_from_potential": (
+        lambda g, mu, gamma: pure_equilibrium_from_potential(g, gamma), _PENNIES,
+        "gamma-potential test",
+    ),
+    # a potential game whose potential sums out of range on the way to mean zero
+    "extract_potential-mean": (
+        lambda g, mu, gamma: extract_potential(g, gamma), ([0, 1, 1, 1.5],) * 2,
+        "mean-zero potential",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "run, rows, what", _FLOAT_KERNEL_CASES.values(), ids=_FLOAT_KERNEL_CASES.keys()
+)
+def test_float_kernels_out_of_range_point_to_exact_mode(run, rows, what):
+    # outside the CLI's errstate these computed from inf and nan: decompose
+    # warned three times and raised a SolveError on sum_s mu(s) h(s) = nan,
+    # extract_potential warned and answered "not gamma-potential"
+    space = StrategySpace((("a", "b"),) * 2)
+    g = Game.from_payoffs(space, [[1e308 * v for v in row] for row in rows], exact=False)
+    mu = MeasureVector.uniform(space, exact=False)
+    gamma = CoMeasureVector.uniform(space, exact=False)
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(
+        ValidationError, match=rf"^the {what} leaves the float range; use exact mode$"
+    ):
+        warnings.simplefilter("always")
+        run(g, mu, gamma)
+    assert caught == []
+
+
+def test_float_parameter_update_that_underflows_is_refused():
+    # a float update rounds: lam * mu^1(s) underflows to 0.0 here, so float
+    # objects built from checked inputs still run the full check
+    space = StrategySpace((("s", "t"),) * 2)
+    g = Game.zeros(space, exact=False)
+    mu = MeasureVector.from_weights(space, [[5e-324, 1.0], [1.0, 1.0]], exact=False)
+    gamma = CoMeasureVector.uniform(space, exact=False)
+    with pytest.raises(ValidationError, match=r"^nonpositive measure: mu\^1\(x\) = 0\.0$"):
+        extend_duplicate(g, mu, gamma, DuplicationSpec(0, "s", "x", Fraction(1, 4)))
 
 
 def test_float_co_measure_quotient_underflow_points_to_exact_mode():
