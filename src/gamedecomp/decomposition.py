@@ -104,6 +104,7 @@ class Decomposition:
         return 4 * self.distance_sq * (1 / smallest)
 
 
+@_float_range("the decomposition")
 def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decomposition:
     """Split g into nonstrategic, gamma-potential, and (mu,gamma)-harmonic parts.
 
@@ -119,26 +120,28 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     in.  The three parts and phi are built in that form and converted to
     ``Fraction`` values only where they are read, so exact mode pays the
     gcds of ``Fraction`` arithmetic once per entry read out.  Only the
-    Poisson solve core differs per mode (_solve).
+    Poisson solve core differs per mode (_solve).  A float kernel that
+    leaves the float range raises one ValidationError pointing to exact
+    mode.
     """
     space = require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
     weights = mu._shared
-    with _float_range("the decomposition"):
-        averages, normalized = zip(*(
-            _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
-        ))
-        phi = _solve(_divergence(normalized, mu, gamma), weights)
-        potential = [
-            _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
-        ]
-        harmonic = [_sub(pi, part) for pi, part in zip(normalized, potential)]
+    averages, normalized = zip(*(
+        _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
+    ))
+    phi = _solve(_divergence(normalized, mu, gamma), weights)
+    potential = [
+        _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
+    ]
     return Decomposition(
         nonstrategic=Game._with_shared(
             space, (_spread(avg, space.sizes) for avg in averages)
         ),
         potential=Game._with_shared(space, potential),
-        harmonic=Game._with_shared(space, harmonic),
+        harmonic=Game._with_shared(
+            space, (_sub(pi, part) for pi, part in zip(normalized, potential))
+        ),
         phi=ScalarField._with_shared(space, (phi,)),
         mu=mu,
         gamma=gamma,
@@ -194,6 +197,7 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     return is_zero(h.num, g.exact, scale)
 
 
+@_float_range("the mean-zero potential")
 def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
     """Recover a potential function by axis-by-axis integration.
 
@@ -201,7 +205,8 @@ def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
     players' coordinates from 0 to s one axis at a time (see _integrate); the
     checks psi(s) - psi(0_i, s^{-i}) == D_i(s) then cover every edge, and a
     failure means the game is not gamma-potential.  The result is normalized
-    to mean zero under the uniform measure.
+    to mean zero under the uniform measure.  Float integration or a mean
+    out of the float range raises a ValidationError pointing to exact mode.
     """
     psi, bad = _integrate(g, gamma)
     if bad is not None:
@@ -210,11 +215,11 @@ def extract_potential(g: Game, gamma: CoMeasureVector) -> ScalarField:
             "not gamma-potential: inconsistent cycle at profiles "
             f"{g.space.profile_labels(source)} -> {g.space.profile_labels(target)}"
         )
-    with _float_range("the mean-zero potential"):
-        mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
-        return ScalarField._with_shared(g.space, (_sub(psi, mean),))
+    mean = psi.over(psi.num.sum(), psi.den * g.space.num_profiles)
+    return ScalarField._with_shared(g.space, (_sub(psi, mean),))
 
 
+@_float_range("the gamma-potential test")
 def _integrate(g: Game, gamma: CoMeasureVector):
     """Integrate the gamma-rescaled payoff differences of g; find a bad edge.
 
@@ -235,25 +240,24 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     row-major order; psi is a shared tensor.
     """
     space = require_operands(g, gamma)
-    with _float_range("the gamma-potential test"):
-        terms = []
-        for i, payoff in enumerate(shared_payoffs(g)):
-            factor = gamma.expanded(i)
-            diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
-            terms.append((diff, factor.den * payoff.den))
-        den = math.lcm(*(d for _, d in terms))
-        diffs = [num if d == den else num * (den // d) for num, d in terms]
-        psi = None
-        for i, diff in enumerate(diffs):
-            pinned = diff[(slice(0, 1),) * i]
-            psi = pinned if psi is None else psi + pinned
-        for i in space.players[1:]:
-            mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
-            if mismatch.any():
-                target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
-                target = tuple(int(k) for k in target)
-                source = target[:i] + (0,) + target[i + 1:]
-                return _Shared(psi, den), (source, target)
+    terms = []
+    for i, payoff in enumerate(shared_payoffs(g)):
+        factor = gamma.expanded(i)
+        diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
+        terms.append((diff, factor.den * payoff.den))
+    den = math.lcm(*(d for _, d in terms))
+    diffs = [num if d == den else num * (den // d) for num, d in terms]
+    psi = None
+    for i, diff in enumerate(diffs):
+        pinned = diff[(slice(0, 1),) * i]
+        psi = pinned if psi is None else psi + pinned
+    for i in space.players[1:]:
+        mismatch = unequal_mask(psi, np.take(psi, [0], axis=i) + diffs[i], g.exact)
+        if mismatch.any():
+            target = np.unravel_index(int(np.argmax(mismatch)), space.sizes)
+            target = tuple(int(k) for k in target)
+            source = target[:i] + (0,) + target[i + 1:]
+            return _Shared(psi, den), (source, target)
     return _Shared(psi, den), None
 
 
