@@ -31,6 +31,16 @@ positive.  A float object refuses an ``inf`` or ``nan`` entry the same way,
 and ``CoMeasureVector(space, tensors, generator)`` refuses a generator that
 does not generate its tensors.  ``require_operands`` is the one operand
 check of every public function: one strategy space, then one scalar mode.
+
+These checks (``_check``) run where data enters, through ``_checked``: the
+constructors (so every ``from_*``, ``uniform`` and ``zeros``, and the gamedoc
+reader), ``scaled`` and ``map_equilibrium_under_scaling``'s generator.  An
+exact object that a kernel computes from checked objects with
+``_with_shared`` (a decomposition part, a transformed game or parameter
+update, a law draw) is trusted: exact arithmetic on valid inputs keeps its
+shapes, its one scalar mode, its signs and its sums.  Every float object is
+checked when stored (``_store``), since rounding can take a kernel's result
+to ``inf`` or a positive weight to 0.
 """
 
 from __future__ import annotations
