@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input or validation error, 2 law violation found.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import sys
@@ -43,9 +42,8 @@ from .transforms import (
 
 
 def main(argv=None) -> int:
-    """Run one command; return its exit code.  The argument parser is built
-    on the first call and reused by every later call in the process."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         # a float result out of range is an error, never a warning or an inf
         with np.errstate(over="raise", invalid="raise"):
@@ -62,7 +60,6 @@ def main(argv=None) -> int:
         return 1
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamedecomp",
