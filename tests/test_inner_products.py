@@ -141,8 +141,10 @@ def test_parameters_refuse_nonpositive_entries_when_built(build, message, exact)
 
 
 SPACE3 = StrategySpace((("a", "b"),) * 3)
-_DOC = "gamedoc 1\nplayers 2\nstrategies 1: s t\nstrategies 2: s t\npayoffs 1: 1 2 3 4\n" \
-    "payoffs 2: 1 2 3 4\n"
+_DOC = (
+    "gamedoc 1\nplayers 2\nstrategies 1: s t\nstrategies 2: s t\n"
+    "payoffs 1: 1 2 3 4\npayoffs 2: 1 2 3 4\n"
+)
 
 # With NONPOSITIVE_PARAMETERS, every entry point where outside data becomes a
 # checked object, each with a bad input and the exact text it is refused
