@@ -316,18 +316,25 @@ def _game_doc(path, row1, row2):
 
 @pytest.mark.parametrize(
     "case",
-    ["scale", "translate", "decompose", "classify", "closest-potential"],
+    ["scale", "translate", "decompose", "classify", "closest-potential",
+     "decompose-1e200", "closest-potential-1e200"],
 )
 def test_cli_float_rejects_results_out_of_range(tmp_path, capsys, case):
-    # each wrote an inf that parse_game refuses, or warned before its error
+    # each wrote an inf that parse_game refuses, or warned before its error;
+    # at +-1e200 the decomposition itself is in range, but its norms and d^2
+    # are not
     g = _game_doc(tmp_path / "g.game", "10 1 2 3", "1 2 3 4")
     big = "1e308 1e308 1e308 1e308"
     ns = _game_doc(tmp_path / "ns.game", big, big)
     signed = _game_doc(tmp_path / "big.game", "1e308 -1e308 -1e308 1e308",
                        "-1e308 1e308 1e308 -1e308")
+    pennies = _game_doc(tmp_path / "pennies.game", "1e200 -1e200 -1e200 1e200",
+                        "-1e200 1e200 1e200 -1e200")
     argv = {
         "scale": ["transform", g, "--op", "scale", "--beta", "1e308,1e308;1e308,1e308"],
         "translate": ["transform", ns, "--op", "translate", "--ns", ns],
+        "decompose-1e200": ["decompose", pennies],
+        "closest-potential-1e200": ["closest-potential", pennies],
     }.get(case, [case, signed])
     code = main(["--float", *map(str, argv)])
     captured = capsys.readouterr()
