@@ -1,6 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 input or validation error, 2 law violation found.
+Every error is a ``GameDecompError`` (or an ``OSError``), printed as one
+``error:`` line; a float result out of range is among them, since the
+library refuses it with a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import itertools
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import GameDecompError, ParseError
 from .numeric import format_scalar, parse_scalar
@@ -45,17 +46,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # a float result out of range is an error, never a warning or an inf
-        with np.errstate(over="raise", invalid="raise"):
-            return args.handler(args)
-    except FloatingPointError as exc:
-        print(f"error: a float result leaves the float range ({exc}); use exact mode",
-              file=sys.stderr)
-        return 1
-    except GameDecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.handler(args)
+    except (GameDecompError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,9 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import _Shared, _add, _sub, axis_contract, is_zero, magnitude, quotient, unequal_mask
+from .numeric import (
+    _Shared, _add, _float_range, _sub, axis_contract, is_zero, magnitude, quotient, unequal_mask,
+)
 from .games import (
     CoMeasureVector,
     Game,
@@ -17,13 +19,10 @@ from .games import (
     ScalarField,
     norm_weights,
     require_operands,
-    shared_payoffs,
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import (
-    _deviation, _divergence, _float_range, _solve, _spread, deviation_divergence,
-)
+from .operators import _deviation, _divergence, _solve, _spread, deviation_divergence
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,11 @@ class Decomposition:
     def components(self) -> tuple[Game, Game, Game]:
         return (self.nonstrategic, self.potential, self.harmonic)
 
+    @_float_range("the sum of the components")
     def total(self) -> Game:
         return self.nonstrategic + self.potential + self.harmonic
 
+    @_float_range("the reconstruction check")
     def reconstructs(self, g: Game) -> bool:
         """total() == g, decided on integer numerators: the components are
         added in shared form (numeric._Shared) and compared with g over one
@@ -54,14 +55,15 @@ class Decomposition:
         require_operands(g, self.mu)
         totals = (
             reduce(_add, per_player)
-            for per_player in zip(*(shared_payoffs(c) for c in self.components()))
+            for per_player in zip(*(c._shared for c in self.components()))
         )
-        return all(t.equals(x) for t, x in zip(totals, shared_payoffs(g)))
+        return all(t.equals(x) for t, x in zip(totals, g._shared))
 
     @cached_property
     def _weights(self) -> tuple[_Shared, ...]:
         return norm_weights(self.mu, self.gamma)
 
+    @_float_range("the inner product")
     def inner_product(self, a: Game, b: Game):
         """<a, b>_{mu,gamma} on this decomposition's cached norm weights,
         contracted on integer numerators in exact mode."""
@@ -73,18 +75,16 @@ class Decomposition:
         """||harmonic||^2_{mu,gamma}: squared distance to the closest potential game."""
         return self.inner_product(self.harmonic, self.harmonic)
 
+    @_float_range("the closest potential game")
     def closest_potential(self) -> tuple[Game, object]:
         """The nearest gamma-potential game and the squared distance to it.
 
         Returns (nonstrategic + potential, ||harmonic||^2_{mu,gamma}); the
         sum is taken in shared form, and converted out when it is read.
         """
-        closest = Game._with_shared(self.mu.space, (
-            _add(a, b)
-            for a, b in zip(shared_payoffs(self.nonstrategic), shared_payoffs(self.potential))
-        ))
-        return closest, self.distance_sq
+        return self.nonstrategic + self.potential, self.distance_sq
 
+    @_float_range("the epsilon bound")
     def epsilon_bound(self):
         """Squared bound B^2 with eps^2 <= B^2 for every equilibrium of the
         closest potential game, taken as an approximate equilibrium of g.
@@ -128,7 +128,7 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     validate_parameters(mu, gamma)
     weights = mu._shared
     averages, normalized = zip(*(
-        _deviation(x, weights[i], i) for i, x in enumerate(shared_payoffs(g))
+        _deviation(x, weights[i], i) for i, x in enumerate(g._shared)
     ))
     phi = _solve(_divergence(normalized, mu, gamma), weights)
     potential = [
@@ -151,26 +151,26 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
 # -- class-membership predicates ------------------------------------------------
 
 
+@_float_range("the nonstrategic test")
 def is_nonstrategic(g: Game) -> bool:
     """True iff every player's payoff ignores her own coordinate; decided on
     each tensor's numerators, which share one denominator."""
-    with _float_range("the nonstrategic test"):
-        return not any(
-            unequal_mask(x.num, x.num[(slice(None),) * i + (slice(0, 1),)], g.exact).any()
-            for i, x in enumerate(shared_payoffs(g))
-        )
+    return not any(
+        unequal_mask(x.num, x.num[(slice(None),) * i + (slice(0, 1),)], g.exact).any()
+        for i, x in enumerate(g._shared)
+    )
 
 
+@_float_range("the mu-normalized test")
 def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     """True iff the mu-weighted own-coordinate sum vanishes everywhere;
     exact mode sums numerators, weighted by mu^i's numerators."""
     require_operands(g, mu)
-    with _float_range("the mu-normalized test"):
-        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared)):
-            acc = axis_contract(x.num, w.num, i)
-            scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
-            if not is_zero(acc, g.exact, scale):
-                return False
+    for i, (x, w) in enumerate(zip(g._shared, mu._shared)):
+        acc = axis_contract(x.num, w.num, i)
+        scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
+        if not is_zero(acc, g.exact, scale):
+            return False
     return True
 
 
@@ -185,6 +185,7 @@ def is_gamma_potential(g: Game, gamma: CoMeasureVector) -> bool:
     return _integrate(g, gamma)[1] is None
 
 
+@_float_range("the harmonic test")
 def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
     require_operands(g, mu, gamma)
@@ -192,7 +193,7 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     h = deviation_divergence(g, mu, gamma)._shared[0]
     scale = 1.0 if g.exact else sum(
         magnitude(x.num) * magnitude(gamma._shared[i].num) * mu.total(i)
-        for i, x in enumerate(shared_payoffs(g))
+        for i, x in enumerate(g._shared)
     )
     return is_zero(h.num, g.exact, scale)
 
@@ -241,7 +242,7 @@ def _integrate(g: Game, gamma: CoMeasureVector):
     """
     space = require_operands(g, gamma)
     terms = []
-    for i, payoff in enumerate(shared_payoffs(g)):
+    for i, payoff in enumerate(g._shared):
         factor = gamma.expanded(i)
         diff = factor.num * (payoff.num - payoff.num[(slice(None),) * i + (slice(0, 1),)])
         terms.append((diff, factor.den * payoff.den))

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import PreconditionError
-from .numeric import _Shared, axis_contract, is_zero, magnitude, quotient
+from .numeric import _Shared, _float_range, axis_contract, is_zero, magnitude, quotient
 from .games import (
     CoMeasureVector,
     Game,
@@ -30,15 +30,16 @@ from .games import (
     MixedProfile,
     _own_shapes,
     require_operands,
-    shared_payoffs,
 )
 from .decomposition import extract_potential, is_harmonic
 
 
-def _opponent_payoffs(g: Game, x: MixedProfile, player: int) -> tuple[list, int]:
+def _opponent_payoffs(g: Game, x: MixedProfile, player: int) -> tuple[np.ndarray, int]:
     """(v, den): player's expected payoff from each pure strategy t against
-    x^{-i} is v[t] / den, contracted on numerators."""
-    payoff = shared_payoffs(g)[player]
+    x^{-i} is v[t] / den, contracted on numerators.  v is kept a numpy
+    array: numpy's float overflow reaches the callers' float-range guard,
+    where Python floats would overflow to inf silently."""
+    payoff = g._shared[player]
     values, den = payoff.num, payoff.den
     # contract every axis except the player's own, highest axis first
     for axis in range(g.space.n_players - 1, -1, -1):
@@ -47,14 +48,16 @@ def _opponent_payoffs(g: Game, x: MixedProfile, player: int) -> tuple[list, int]
         probs = x._shared[axis]
         values = axis_contract(values, probs.num, axis)
         den *= probs.den
-    return np.atleast_1d(values).tolist(), den
+    return values, den
 
 
-def _current_payoff(vector: list, probs: _Shared):
-    """sum_t x^i(t) v[t] on numerators, over den * probs.den."""
+def _current_payoff(vector: np.ndarray, probs: _Shared):
+    """sum_t x^i(t) v[t] on numerators, over den * probs.den, added in index
+    order; v is _opponent_payoffs's array."""
     return sum(p * v for p, v in zip(probs.num.tolist(), vector))
 
 
+@_float_range("the expected payoff")
 def expected_payoff(g: Game, x: MixedProfile, player: int):
     """sum_s prod_j x^j(s^j) g^i(s), exactly."""
     player = require_operands(g, x).require_player(player)
@@ -63,6 +66,7 @@ def expected_payoff(g: Game, x: MixedProfile, player: int):
     return quotient(_current_payoff(vector, probs), den * probs.den, g.exact)
 
 
+@_float_range("the best-response epsilon")
 def best_response_epsilon(g: Game, x: MixedProfile):
     """Largest gain any player gets from a unilateral pure deviation, floored at 0.
 
@@ -93,7 +97,7 @@ def is_no_gain(g: Game, eps) -> bool:
 def _pure_regret(g: Game) -> _Shared:
     """pure_regret in shared form: every player's gains put over the LCM of
     the payoff denominators (float: 1, nothing is scaled)."""
-    payoffs = shared_payoffs(g)
+    payoffs = g._shared
     den = math.lcm(*(x.den for x in payoffs))
     gains = (
         (np.max(x.num, axis=i, keepdims=True) - x.num) * (den // x.den)
@@ -112,6 +116,7 @@ def pure_regret(g: Game) -> np.ndarray:
     return _pure_regret(g).values()
 
 
+@_float_range("the harmonic equilibrium")
 def harmonic_equilibrium(
     g: Game, mu: MeasureVector, gamma: CoMeasureVector
 ) -> MixedProfile:
@@ -141,6 +146,7 @@ def harmonic_equilibrium(
     return profile
 
 
+@_float_range("the equilibrium under the scaling")
 def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     """Transport an equilibrium of g to one of (beta . g), beta generated by b.
 

@@ -56,6 +56,7 @@ from .errors import ValidationError
 from .numeric import (
     _Shared,
     _add,
+    _float_range,
     _sub,
     freeze,
     insert_axis,
@@ -339,6 +340,7 @@ class MeasureVector(_Tensors):
         return cls.from_weights(space, [[value] * m for m in space.sizes], exact)
 
     @cached_property
+    @_float_range("the measure total")
     def _totals(self) -> tuple:
         return tuple(quotient(w.num.sum(), w.den, w.exact) for w in self._shared)
 
@@ -350,6 +352,7 @@ class MeasureVector(_Tensors):
         """mu(s) = prod_i mu^i(s^i) as a full-profile shared tensor."""
         return _outer(self._shared)
 
+    @_float_range("the product measure")
     def product_array(self) -> np.ndarray:
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
         return self._product().values()
@@ -448,6 +451,7 @@ class CoMeasureVector(_Tensors):
         return cls._with_shared(space, cls._products(space, shared), _generator=shared, **view)
 
     @staticmethod
+    @_float_range("the product co-measure")
     def _products(space: StrategySpace, generator) -> tuple[_Shared, ...]:
         """gamma^i = prod_{j != i} c^j for every player i, in shared form."""
         return tuple(_outer(c for j, c in enumerate(generator) if j != i) for i in space.players)
@@ -478,6 +482,7 @@ class MixedProfile(_Tensors):
     _noun = "probability vector"
     _shapes = staticmethod(_own_shapes)
 
+    @_float_range("the probability sum")
     def _check(self) -> None:
         super()._check()
         for i, x in enumerate(self._shared):
@@ -595,12 +600,6 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
     return tuple(out)
 
 
-def shared_payoffs(g: Game) -> tuple[_Shared, ...]:
-    """g's payoff tensors in shared form, one per player: the form a game
-    stores."""
-    return g._shared
-
-
 def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
     """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights.
 
@@ -612,7 +611,7 @@ def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
     require_operands(g1, g2)
     return sum(
         quotient((w.num * a.num * b.num).sum(), w.den * a.den * b.den, w.exact)
-        for w, a, b in zip(weights, shared_payoffs(g1), shared_payoffs(g2))
+        for w, a, b in zip(weights, g1._shared, g2._shared)
     )
 
 

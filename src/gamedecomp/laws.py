@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GameDecompError, ValidationError
-from .games import CoMeasureVector, Game, MeasureVector, MixedProfile, shared_payoffs
+from .games import CoMeasureVector, Game, MeasureVector, MixedProfile
 from .gamedoc import GameDocument, serialize_game
 from .decomposition import (
     decompose,
@@ -264,7 +264,7 @@ def _check_redundant(g, mu, gamma, aux):
     # numerators over the denominators of g^j and alpha
     shares = _Shared.of(scalar_array(alpha, (len(alpha),)))
     payoffs = []
-    for x in shared_payoffs(g):
+    for x in g._shared:
         kept = np.delete(x.num, p0, axis=player)
         mix = axis_contract(kept, shares.num, player)
         num = np.insert(kept * shares.den, p0, mix, axis=player)

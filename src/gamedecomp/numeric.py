@@ -14,6 +14,9 @@ both modes, and its methods hold their scalar-mode branches; only the
 Poisson solve core (``operators._solve``) and ``axis_contract`` keep a body
 per mode.  ``_Shared.texts`` writes a tensor's entries in the text
 ``format_scalar`` gives one scalar, so output builds no ``Fraction``.
+
+Float arithmetic that leaves the float range is refused by one guard,
+``_float_range``, which decorates the library's public float functions.
 """
 
 from __future__ import annotations
@@ -65,6 +68,24 @@ def format_scalar(value) -> str:
         with _printable():
             return str(value)
     return repr(float(value))
+
+
+@contextmanager
+def _float_range(what: str):
+    """Raise one ValidationError, pointing to exact mode, where float
+    arithmetic overflows or makes an invalid value (inf - inf, 0 * inf),
+    instead of a numpy warning and an inf or nan result.
+
+    The one place float overflow is caught: it decorates each public
+    function that computes on float tensors, so a caller sees no warning;
+    where guarded calls nest, the innermost ``what`` is reported.  The value-type
+    operators (``+``, ``-``, ``==``, ``scaled``) are not decorated: an
+    entry out of range is refused when their result is stored."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(f"{what} leaves the float range; use exact mode") from None
 
 
 @contextmanager

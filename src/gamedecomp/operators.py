@@ -28,23 +28,23 @@ through on integers (_solve_ints), float mode divides in the basis above with
 the heaviest strategy of each axis as reference, which keeps float rounding
 independent of the spread of the weights.  ``lambda_project``,
 ``deviation_divergence`` and ``solve_poisson`` are thin wrappers over the
-same kernels.
+same kernels.  The kernels hold no float-range check: the public functions
+that run them on floats carry ``numeric._float_range``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from .errors import SolveError, ValidationError
-from .numeric import _Shared, _sub, axis_contract, axis_view, insert_axis, is_zero, magnitude
-from .games import (
-    Game, MeasureVector, CoMeasureVector, ScalarField, require_operands, shared_payoffs,
+from .errors import SolveError
+from .numeric import (
+    _Shared, _float_range, _sub, axis_contract, axis_view, insert_axis, is_zero, magnitude,
 )
+from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_operands
 
 
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
@@ -52,7 +52,7 @@ def lambda_project(g: Game, mu: MeasureVector) -> Game:
     require_operands(g, mu)
     return Game._with_shared(g.space, (
         _spread(_average(x, w, i), g.space.sizes)
-        for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared))
+        for i, (x, w) in enumerate(zip(g._shared, mu._shared))
     ))
 
 
@@ -61,6 +61,7 @@ def pi_project(g: Game, mu: MeasureVector) -> Game:
     return g - lambda_project(g, mu)
 
 
+@_float_range("the deviation divergence under these weights")
 def deviation_divergence(
     g: Game, mu: MeasureVector, gamma: CoMeasureVector
 ) -> ScalarField:
@@ -70,26 +71,10 @@ def deviation_divergence(
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
     require_operands(g, mu, gamma)
-    with _float_range("the deviation divergence under these weights"):
-        normalized = [
-            _deviation(x, w, i)[1]
-            for i, (x, w) in enumerate(zip(shared_payoffs(g), mu._shared))
-        ]
-        return ScalarField._with_shared(g.space, (_divergence(normalized, mu, gamma),))
-
-
-@contextmanager
-def _float_range(what: str):
-    """Raise one ValidationError, pointing to exact mode, where float
-    arithmetic in the block overflows or makes an invalid value (inf - inf,
-    0 * inf) instead of returning inf or nan."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise ValidationError(
-            f"{what} leaves the float range; use exact mode"
-        ) from None
+    normalized = [
+        _deviation(x, w, i)[1] for i, (x, w) in enumerate(zip(g._shared, mu._shared))
+    ]
+    return ScalarField._with_shared(g.space, (_divergence(normalized, mu, gamma),))
 
 
 def _average(x: _Shared, weights: _Shared, axis: int) -> _Shared:
@@ -139,6 +124,7 @@ def _divergence(
     return _Shared(acc, den)
 
 
+@_float_range("the Poisson solve under these weights")
 def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     """Minimal-norm solution of L phi = h with sum_s mu(s) phi(s) = 0.
 
@@ -164,26 +150,26 @@ def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
     stay apart: the integer form would change float phi's rounding, and the
     float basis would cost exact mode a big-int division per slice.  Each
     float axis step multiplies by that axis's weights, so weights huge on
-    every axis can take the coefficients out of the float range.
+    every axis can take the coefficients out of the float range; the
+    caller's guard (solve_poisson's or decompose's) refuses that.
     """
     if h.exact:
         return _solve_ints(h, weights)
     weights = [w.num for w in weights]
-    with _float_range("the Poisson solve under these weights"):
-        _check_consistent(h.num, weights)
-        coeffs, eigen = h.num, 0
-        for i, w in enumerate(weights):
-            coeffs = _to_axis_basis(coeffs, w, i)
-            per_axis = np.full(len(w), w.sum())
-            per_axis[0] = 0
-            eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
-        origin = (0,) * coeffs.ndim
-        coeffs[origin] = 0.0  # the pin
-        eigen[origin] = 1
-        phi = coeffs / eigen
-        for i in reversed(range(len(weights))):
-            phi = _from_axis_basis(phi, weights[i], i)
-        return _Shared(phi, 1)
+    _check_consistent(h.num, weights)
+    coeffs, eigen = h.num, 0
+    for i, w in enumerate(weights):
+        coeffs = _to_axis_basis(coeffs, w, i)
+        per_axis = np.full(len(w), w.sum())
+        per_axis[0] = 0
+        eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
+    origin = (0,) * coeffs.ndim
+    coeffs[origin] = 0.0  # the pin
+    eigen[origin] = 1
+    phi = coeffs / eigen
+    for i in reversed(range(len(weights))):
+        phi = _from_axis_basis(phi, weights[i], i)
+    return _Shared(phi, 1)
 
 
 def _check_consistent(h: np.ndarray, weights: list[np.ndarray]) -> None:

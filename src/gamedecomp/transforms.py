@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import _Shared, axis_contract, scalar_array, unequal_mask
-from .games import CoMeasureVector, Game, MeasureVector, require_operands, shared_payoffs
+from .numeric import _Shared, _float_range, axis_contract, scalar_array, unequal_mask
+from .games import CoMeasureVector, Game, MeasureVector, require_operands
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace
 
@@ -49,7 +49,7 @@ class _Edit(NamedTuple):
     def game(self, g: Game) -> Game:
         """g under this edit, taken from the numerators, over the same
         denominators."""
-        taken = (_take(x, self.idx, self.player) for x in shared_payoffs(g))
+        taken = (_take(x, self.idx, self.player) for x in g._shared)
         return Game._with_shared(self.space, taken)
 
     def params(
@@ -131,6 +131,7 @@ def permute_params(
 # -- pseudo-translations ----------------------------------------------------------
 
 
+@_float_range("the translation")
 def translate_nonstrategic(g: Game, ns: Game) -> Game:
     """Add a nonstrategic game; only the nonstrategic component moves."""
     require_operands(g, ns)
@@ -142,16 +143,18 @@ def translate_nonstrategic(g: Game, ns: Game) -> Game:
 # -- scalings ---------------------------------------------------------------------
 
 
+@_float_range("the scaling")
 def scale(g: Game, beta: CoMeasureVector) -> Game:
     """(beta . g)^i(s) = beta^i(s^{-i}) g^i(s); beta is strictly positive
     like every co-measure."""
     require_operands(g, beta)
     factors = (beta.expanded(i) for i in g.space.players)
     return Game._with_shared(g.space, (
-        _Shared(x.num * b.num, x.den * b.den) for x, b in zip(shared_payoffs(g), factors)
+        _Shared(x.num * b.num, x.den * b.den) for x, b in zip(g._shared, factors)
     ))
 
 
+@_float_range("the co-measure quotient")
 def co_measure_quotient(
     gamma: CoMeasureVector, beta: CoMeasureVector
 ) -> CoMeasureVector:
@@ -243,6 +246,7 @@ def _duplication(space: StrategySpace, spec: DuplicationSpec) -> tuple[_Edit, in
 # -- reduction of duplicates --------------------------------------------------------
 
 
+@_float_range("the duplicate reduction")
 def reduce_duplicate(
     g: Game,
     mu: MeasureVector,
@@ -287,7 +291,7 @@ def _duplicate_checked(g: Game, player: int, p0: int, p1: int) -> Game:
     """g, after checking that strategy p0 of ``player`` duplicates p1 for
     every player; compared on numerators, which share one tensor's
     denominator."""
-    for j, payoff in enumerate(shared_payoffs(g)):
+    for j, payoff in enumerate(g._shared):
         a = np.take(payoff.num, p0, axis=player)
         b = np.take(payoff.num, p1, axis=player)
         where = _first_difference(a, b, g.exact)
@@ -327,6 +331,7 @@ class RedundancySpec:
             raise ValidationError("alpha entries must sum to exactly 1")
 
 
+@_float_range("the redundancy reduction")
 def reduce_redundant(
     g: Game,
     mu: MeasureVector,
@@ -363,7 +368,7 @@ def _mixture_reduced(g: Game, edit: _Edit, p0: int, alpha: _Shared) -> Game:
     that g's payoffs at p0 are the alpha mixture of the strategies kept."""
     reduced = edit.game(g)
     i = edit.player
-    for j, (payoff, kept) in enumerate(zip(shared_payoffs(g), shared_payoffs(reduced))):
+    for j, (payoff, kept) in enumerate(zip(g._shared, reduced._shared)):
         # both sides times the denominators of g^j and alpha
         mix = axis_contract(kept.num, alpha.num, i)
         actual = np.take(payoff.num, p0, axis=i) * alpha.den

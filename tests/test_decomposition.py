@@ -23,7 +23,7 @@ from gamedecomp import (
 )
 from gamedecomp import PermutationSpec, permute, scale, translate_nonstrategic
 from gamedecomp.decomposition import _integrate, closest_potential, epsilon_bound
-from gamedecomp.games import game_norm_sq, inner_product_game, shared_payoffs
+from gamedecomp.games import game_norm_sq, inner_product_game
 from gamedecomp.numeric import _Shared
 from gamedecomp.operators import deviation_divergence, lambda_project, solve_poisson
 from gamedecomp.laws import (
@@ -312,7 +312,7 @@ def test_integrate_matches_fraction_oracle(exact):
 
 
 def _equals_converted(game) -> bool:
-    return all(x.equals(_Shared.of(p)) for x, p in zip(shared_payoffs(game), game.payoffs))
+    return all(x.equals(_Shared.of(p)) for x, p in zip(game._shared, game.payoffs))
 
 
 @settings(max_examples=30, deadline=None)

@@ -317,12 +317,12 @@ def _game_doc(path, row1, row2):
 @pytest.mark.parametrize(
     "case",
     ["scale", "translate", "decompose", "classify", "closest-potential",
-     "decompose-1e200", "closest-potential-1e200"],
+     "decompose-1e200", "closest-potential-1e200", "check-eq"],
 )
 def test_cli_float_rejects_results_out_of_range(tmp_path, capsys, case):
     # each wrote an inf that parse_game refuses, or warned before its error;
     # at +-1e200 the decomposition itself is in range, but its norms and d^2
-    # are not
+    # are not; check-eq printed "epsilon: inf" and exited 0
     g = _game_doc(tmp_path / "g.game", "10 1 2 3", "1 2 3 4")
     big = "1e308 1e308 1e308 1e308"
     ns = _game_doc(tmp_path / "ns.game", big, big)
@@ -330,11 +330,15 @@ def test_cli_float_rejects_results_out_of_range(tmp_path, capsys, case):
                        "-1e308 1e308 1e308 -1e308")
     pennies = _game_doc(tmp_path / "pennies.game", "1e200 -1e200 -1e200 1e200",
                         "-1e200 1e200 1e200 -1e200")
+    eq = _game_doc(tmp_path / "eq.game", "1.5e308 1.5e308 -1.5e308 -1.5e308", "0 0 0 0")
+    with eq.open("a") as f:
+        f.write("profile q: 0 1 | 1 0\n")
     argv = {
         "scale": ["transform", g, "--op", "scale", "--beta", "1e308,1e308;1e308,1e308"],
         "translate": ["transform", ns, "--op", "translate", "--ns", ns],
         "decompose-1e200": ["decompose", pennies],
         "closest-potential-1e200": ["closest-potential", pennies],
+        "check-eq": ["check-eq", eq, "--profile", "q"],
     }.get(case, [case, signed])
     code = main(["--float", *map(str, argv)])
     captured = capsys.readouterr()
@@ -432,6 +436,14 @@ _FLOAT_KERNEL_CASES = {
     "extract_potential-mean": (
         lambda g, mu, gamma: extract_potential(g, gamma), ([0, 1, 1, 1.5],) * 2,
         "mean-zero potential",
+    ),
+    # player 1 gains 1.5e308 - (-1.5e308): as Python floats the gains
+    # overflowed to inf silently, and epsilon came back inf with no error
+    "best_response_epsilon": (
+        lambda g, mu, gamma: best_response_epsilon(
+            g, MixedProfile.from_probs(g.space, [[0, 1], [1, 0]], exact=False)
+        ),
+        ([1.5, 1.5, -1.5, -1.5], [0, 0, 0, 0]), "best-response epsilon",
     ),
 }
 
