@@ -28,8 +28,9 @@ through on integers (_solve_ints), float mode divides in the basis above with
 the heaviest strategy of each axis as reference, which keeps float rounding
 independent of the spread of the weights.  ``lambda_project``,
 ``deviation_divergence`` and ``solve_poisson`` are thin wrappers over the
-same kernels.  The kernels hold no float-range check: the public functions
-that run them on floats carry ``numeric._float_range``.
+same kernels.  The kernels hold no float-range check of their own:
+``deviation_divergence`` and ``solve_poisson`` carry ``numeric._float_range``,
+as ``decompose`` does; the projections do not.
 """
 
 from __future__ import annotations
