@@ -29,6 +29,7 @@ from .games import (
     MeasureVector,
     MixedProfile,
     _own_shapes,
+    _require_finite,
     require_operands,
 )
 from .decomposition import extract_potential, is_harmonic
@@ -152,13 +153,13 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
 
     y^i is x^i / b^i renormalized; Nash equilibria map onto Nash equilibria
     for product scalings.  b is checked as a co-measure generator: one
-    strictly positive vector per player, in x's scalar mode.  The product
-    co-measure of b is built only to raise ``from_generator``'s message for
-    a nonpositive entry.
+    finite, strictly positive vector per player, in x's scalar mode.  The
+    product co-measure of b is built only to raise ``from_generator``'s
+    message for a nonpositive entry.
     """
     space = x.space
-    gen = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
-    b = tuple(map(_Shared.of, gen))
+    b = CoMeasureVector._coerce(space, b_generator, x.exact, _own_shapes(space), "generator vector")
+    _require_finite(b, "generator")
     if any((c.num <= 0).any() for c in b):
         CoMeasureVector._generated(space, b)._checked()  # raises
     return MixedProfile._normalized(space, map(_Shared.divide, x._shared, b))

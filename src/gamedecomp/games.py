@@ -10,14 +10,19 @@ over one denominator, the floats themselves over 1 in float mode).
 ``Game.payoffs``, ``ScalarField.values``, ``MeasureVector.weights``,
 ``CoMeasureVector.tensors`` and ``generator``, and ``MixedProfile.probs`` are
 views: immutable ``Fraction`` (or float) tensors built on first read and
-cached.  The base ``__init__`` freezes the tensors it is given, keeps them as
-that view and converts each one once; ``_with_shared`` builds an object from
-tensors computed in shared form, so a part, transformed game or parameter
-update that is never read out builds no ``Fraction``.  The base also holds
-the ``exact`` property, ``==`` on numerators (which refuses mixed scalar
-modes), the shape check against each class's ``_shapes``, the refusal of an
-object whose own tensors mix scalar modes, and the count-checked coercion
-behind every ``from_*`` constructor.
+cached.  ``_with_shared`` builds an object from tensors in shared form, so a
+part, transformed game or parameter update that is never read out builds no
+``Fraction``.  Outside values come in through ``numeric._Shared.of`` only:
+every ``from_*`` constructor (and ``zeros``, ``uniform`` and ``pure``)
+converts its data with the count-checked ``_coerce`` and builds with
+``_with_shared``, so its view is built on first read too.  The class
+constructors (``Game(space, payoffs)`` and the like) freeze the tensors they
+are given, keep them as the view and convert each one once through the same
+``of``, which takes a tensor's scalar mode from its dtype: object is exact,
+float64 is float, and any other dtype is refused.  The base also holds the
+``exact`` property, ``==`` on numerators (which refuses mixed scalar modes),
+the shape check against each class's ``_shapes`` and the refusal of an
+object whose own tensors mix scalar modes.
 
 ``+`` and ``-`` exist on ``Game`` and ``ScalarField`` only.  ``Game`` binds
 ``__add__``, ``__sub__`` and ``__eq__`` in its own class body: the layer
@@ -61,9 +66,7 @@ from .numeric import (
     freeze,
     insert_axis,
     quotient,
-    scalar_array,
     unequal_mask,
-    zeros_array,
 )
 from .spaces import StrategySpace
 
@@ -83,16 +86,6 @@ def require_same_mode(*objects) -> None:
     """Raise unless every operand has the same scalar mode (exact or float)."""
     if len({obj.exact for obj in objects}) > 1:
         raise ValidationError("operands mix exact and float scalars")
-
-
-def _coerce_tensor(data, shape, exact: bool) -> np.ndarray:
-    arr = np.asarray(data)
-    size = math.prod(shape)
-    if arr.shape not in (shape, (size,)):
-        raise ValidationError(
-            f"shape mismatch: expected {shape} (or flat length {size}), got {arr.shape}"
-        )
-    return scalar_array(arr.reshape(-1).tolist(), shape, exact)
 
 
 def _check_shapes(what: str, arrays, shapes) -> None:
@@ -205,14 +198,15 @@ class _Tensors:
 
     @classmethod
     def _coerce(cls, space: StrategySpace, data, exact: bool, shapes=None, noun=None):
-        """One immutable tensor per item of ``data``, after checking the count."""
+        """One shared tensor per item of ``data`` (``_Shared.of``), after
+        checking the count."""
         shapes = cls._shapes(space) if shapes is None else shapes
         data = list(data)
         if len(data) != len(shapes):
             raise ValidationError(
                 f"need one {noun or cls._noun} per player ({len(shapes)}), got {len(data)}"
             )
-        return tuple(_coerce_tensor(d, shape, exact) for d, shape in zip(data, shapes))
+        return tuple(_Shared.of(d, shape, exact) for d, shape in zip(data, shapes))
 
     @property
     def exact(self) -> bool:
@@ -256,11 +250,11 @@ class Game(_Tensors):
 
     @classmethod
     def from_payoffs(cls, space: StrategySpace, payoffs, exact: bool = True) -> "Game":
-        return cls(space, cls._coerce(space, payoffs, exact))
+        return cls._with_shared(space, cls._coerce(space, payoffs, exact))._checked()
 
     @classmethod
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "Game":
-        return cls(space, tuple(zeros_array(space.sizes, exact) for _ in space.players))
+        return cls.from_payoffs(space, [[0] * space.num_profiles] * space.n_players, exact)
 
     def flat(self, player: int) -> list:
         return self.payoffs[player].reshape(-1).tolist()
@@ -284,9 +278,8 @@ class ScalarField(_Tensors):
     _noun = "field"
 
     def __init__(self, space: StrategySpace, values: np.ndarray):
-        vars(self)["values"] = freeze(values)
-        self._store(space, (_Shared.of(values),))
-        self._checked()
+        super().__init__(space, (values,))
+        vars(self)["values"] = values  # the view is the one tensor, not a tuple
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -299,11 +292,11 @@ class ScalarField(_Tensors):
 
     @classmethod
     def from_values(cls, space: StrategySpace, data, exact: bool = True) -> "ScalarField":
-        return cls(space, cls._coerce(space, [data], exact)[0])
+        return cls._with_shared(space, cls._coerce(space, [data], exact))._checked()
 
     @classmethod
     def zeros(cls, space: StrategySpace, exact: bool = True) -> "ScalarField":
-        return cls(space, zeros_array(space.sizes, exact))
+        return cls.from_values(space, [0] * space.num_profiles, exact)
 
     def flat(self) -> list:
         return self.values.reshape(-1).tolist()
@@ -333,7 +326,7 @@ class MeasureVector(_Tensors):
 
     @classmethod
     def from_weights(cls, space: StrategySpace, weights, exact: bool = True):
-        return cls(space, cls._coerce(space, weights, exact))
+        return cls._with_shared(space, cls._coerce(space, weights, exact))._checked()
 
     @classmethod
     def uniform(cls, space: StrategySpace, value=Fraction(1), exact: bool = True):
@@ -423,7 +416,8 @@ class CoMeasureVector(_Tensors):
 
     @classmethod
     def from_tensors(cls, space: StrategySpace, tensors, exact: bool = True):
-        return cls(space, cls._coerce(space, tensors, exact))._unit_if_all_ones()
+        gamma = cls._with_shared(space, cls._coerce(space, tensors, exact))._checked()
+        return gamma._unit_if_all_ones()
 
     def _unit_if_all_ones(self) -> "CoMeasureVector":
         """This co-measure, or, when every entry is 1, the unit product
@@ -441,14 +435,14 @@ class CoMeasureVector(_Tensors):
     @classmethod
     def from_generator(cls, space: StrategySpace, generator, exact: bool = True):
         gen = cls._coerce(space, generator, exact, _own_shapes(space), "generator vector")
-        return cls._generated(space, tuple(map(_Shared.of, gen)), generator=gen)._checked()
+        return cls._generated(space, gen)._checked()
 
     @classmethod
-    def _generated(cls, space: StrategySpace, shared, **view):
+    def _generated(cls, space: StrategySpace, shared):
         """The product co-measure gamma^i = prod_{j != i} c^j of the
-        generator c in shared form; ``view`` may set the generator view."""
+        generator c in shared form."""
         shared = tuple(shared)
-        return cls._with_shared(space, cls._products(space, shared), _generator=shared, **view)
+        return cls._with_shared(space, cls._products(space, shared), _generator=shared)
 
     @staticmethod
     @_float_range("the product co-measure")
@@ -502,7 +496,7 @@ class MixedProfile(_Tensors):
 
     @classmethod
     def from_probs(cls, space: StrategySpace, probs, exact: bool = True):
-        return cls(space, cls._coerce(space, probs, exact))
+        return cls._with_shared(space, cls._coerce(space, probs, exact))._checked()
 
     @classmethod
     def uniform(cls, space: StrategySpace, exact: bool = True):
@@ -517,11 +511,12 @@ class MixedProfile(_Tensors):
     def from_positive_weights(cls, space: StrategySpace, weights, exact: bool = True):
         """Normalize strictly positive weight vectors into a profile.
 
-        The weights are coerced to the scalar mode first, so exact weights
-        given as Python ints are divided exactly; a nonpositive entry is
-        refused.
+        The weights are read in the scalar mode first, so exact weights
+        given as Python ints are divided exactly; an entry out of the float
+        range, or nonpositive, is refused.
         """
-        shared = tuple(map(_Shared.of, cls._coerce(space, weights, exact)))
+        shared = cls._coerce(space, weights, exact)
+        _require_finite(shared, "weight vector")
         _require_positive(
             shared,
             lambda i, k, w: f"nonpositive weight for player {i + 1}: "

@@ -36,7 +36,7 @@ from .decomposition import (
     is_nonstrategic,
 )
 from .equilibrium import _pure_regret, best_response_epsilon, harmonic_equilibrium
-from .numeric import _Shared, _object_array, axis_contract, insert_axis, scalar_array
+from .numeric import _Shared, _object_array, axis_contract, insert_axis
 from .spaces import StrategySpace
 from .transforms import (
     DuplicationSpec,
@@ -92,7 +92,7 @@ def _draw_params(rng: random.Random, shape) -> _Shared:
     """rng.choice(PARAM_VALUES) per entry of ``shape``, in row-major order,
     as numerators over their LCM."""
     flat = [rng.choice(PARAM_VALUES) for _ in range(math.prod(shape))]
-    return _Shared.of(_object_array(flat, shape))
+    return _Shared.of(flat, shape, exact=True)
 
 
 def random_mu(rng: random.Random, space: StrategySpace) -> MeasureVector:
@@ -262,7 +262,7 @@ def _check_redundant(g, mu, gamma, aux):
 
     # replace the removable slice by the alpha mixture, for all players, on
     # numerators over the denominators of g^j and alpha
-    shares = _Shared.of(scalar_array(alpha, (len(alpha),)))
+    shares = _Shared.of(alpha, (len(alpha),), exact=True)
     payoffs = []
     for x in g._shared:
         kept = np.delete(x.num, p0, axis=player)

@@ -7,13 +7,18 @@ construction time and detected from the numpy dtype (``object`` = exact,
 ``float64`` = float).
 
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
-ints in exact mode and the floats themselves over 1 in float mode.  Every
-value type in ``games`` stores its tensors in this form, the ``decompose``
-pipeline, the parameter transforms and the equilibrium checks run on it in
-both modes, and its methods hold their scalar-mode branches; only the
-Poisson solve core (``operators._solve``) and ``axis_contract`` keep a body
-per mode.  ``_Shared.texts`` writes a tensor's entries in the text
-``format_scalar`` gives one scalar, so output builds no ``Fraction``.
+ints in exact mode and the floats themselves over 1 in float mode.
+``_Shared.of`` is the one way in: it turns outside values, a tensor or flat
+or nested data, into that form entry by entry through one rule (``_entry``):
+ints and ``Fraction``s in either mode, floats in float mode only, strings
+through ``parse_scalar``; a tensor of any dtype but object and float64 is
+refused.  Every value type in ``games`` stores its tensors in this form,
+the ``decompose`` pipeline, the parameter transforms and the equilibrium
+checks run on it in both modes, and its methods hold their scalar-mode
+branches; only the Poisson solve core (``operators._solve``) and
+``axis_contract`` keep a body per mode.  ``_Shared.texts`` writes a
+tensor's entries in the text ``format_scalar`` gives one scalar, so output
+builds no ``Fraction``.
 
 Float arithmetic that leaves the float range is refused by one guard,
 ``_float_range``, which decorates the library's public float functions.
@@ -101,37 +106,31 @@ def _printable():
         ) from None
 
 
-def scalar_array(values, shape, exact: bool = True) -> np.ndarray:
-    """Build an immutable tensor of scalars in the requested mode."""
-    flat = list(values)
-    size = int(np.prod(shape)) if shape else 1
-    if len(flat) != size:
-        raise ValueError(f"expected {size} values, got {len(flat)}")
-    if exact:
-        flat = [v if isinstance(v, Fraction) else _exact_scalar(v) for v in flat]
-        arr = _object_array(flat, size)
-    else:
-        arr = np.asarray([float(v) for v in flat], dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValidationError("float scalars must be finite (no nan or inf)")
-    arr = arr.reshape(shape)
-    arr.flags.writeable = False
-    return arr
+def _entry(value, exact: bool):
+    """One outside value as an entry of the scalar mode: the one rule behind
+    ``_Shared.of``.
 
-
-def _exact_scalar(value) -> Fraction:
-    """An exact entry from anything but a float: a float is already rounded,
-    so taking its binary value silently would mix the scalar modes."""
+    An ``int`` (numpy's too) or a ``Fraction`` is exact; float mode rounds
+    it to the nearest float, and one past the float range to ``inf``, which
+    the object check then refuses.  A float is a float-mode entry only: it is
+    already rounded, so taking its binary value silently would mix the
+    scalar modes.  A ``str`` is read by ``parse_scalar``, as documents and
+    CLI flags are.  Anything else is refused."""
+    if isinstance(value, str):
+        return parse_scalar(value, exact)
+    if not isinstance(value, (int, np.integer, Fraction, float, np.floating)):
+        raise ValidationError(f"not a scalar: {value!r}")
+    if not exact:
+        try:
+            return float(value)
+        except OverflowError:  # an int or Fraction past the float range
+            return math.inf if value > 0 else -math.inf
     if isinstance(value, (float, np.floating)):
         raise ValidationError(
             f"float {value!r} given as an exact scalar; pass an int, a Fraction "
             "or a 'p/q' string, or build the value in float mode"
         )
-    return Fraction(value)
-
-
-def zeros_array(shape, exact: bool = True) -> np.ndarray:
-    return scalar_array([Fraction(0)] * int(np.prod(shape)), shape, exact)
+    return value if isinstance(value, Fraction) else int(value)
 
 
 class _Shared(NamedTuple):
@@ -150,17 +149,32 @@ class _Shared(NamedTuple):
     den: int
 
     @classmethod
-    def of(cls, values: np.ndarray) -> "_Shared":
-        """A tensor in: exact entries over the LCM of their denominators."""
-        if not array_is_exact(values):
-            return cls(values, 1)
-        flat = values.reshape(-1).tolist()
+    def of(cls, data, shape=None, exact=None) -> "_Shared":
+        """The one way in: outside values as numerators over one shared
+        denominator, exact entries over the LCM of their denominators,
+        float entries over 1.
+
+        ``data`` is a tensor whose dtype gives the mode (object: exact,
+        float64: float; any other dtype is refused), or, given ``exact``,
+        flat or nested data of ``shape``.  Each entry follows ``_entry``.
+        Only the shape is checked here; the object check
+        (``games._Tensors._check``) refuses float entries out of range."""
+        if exact is None:  # a tensor, whose dtype gives the mode
+            exact, shape = data.dtype == object, data.shape
+            if not exact and data.dtype != np.float64:
+                raise ValidationError(f"dtype {data.dtype} is neither object (exact) nor float64")
+        arr = np.asarray(data, dtype=object)
+        size = math.prod(shape)
+        if arr.shape not in (shape, (size,)):
+            raise ValidationError(
+                f"shape mismatch: expected {shape} (or flat length {size}), got {arr.shape}"
+            )
+        kind = Fraction if exact else float
+        flat = [v if type(v) is kind else _entry(v, exact) for v in arr.reshape(-1).tolist()]
+        if not exact:
+            return cls(np.array(flat, dtype=np.float64).reshape(shape), 1)
         den = math.lcm(*(v.denominator for v in flat))
-        if den == 1:
-            nums = [v.numerator for v in flat]
-        else:
-            nums = [v.numerator * (den // v.denominator) for v in flat]
-        return cls(_object_array(nums, values.shape), den)
+        return cls(_object_array([v.numerator * (den // v.denominator) for v in flat], shape), den)
 
     @property
     def exact(self) -> bool:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .numeric import _Shared, _float_range, axis_contract, scalar_array, unequal_mask
+from .numeric import _Shared, _float_range, axis_contract, unequal_mask
 from .games import CoMeasureVector, Game, MeasureVector, require_operands
 from .decomposition import is_nonstrategic
 from .spaces import StrategySpace
@@ -227,7 +227,7 @@ def extend_duplicate(
     spec.validate()
     edit, src = _duplication(space, spec)
     w = mu._shared[spec.player]
-    split = _Shared.of(scalar_array([1 - spec.lam, spec.lam], (2,), mu.exact))
+    split = _Shared.of([1 - spec.lam, spec.lam], (2,), mu.exact)
     parts = [w.num[:src] * split.den, split.num * w.num[src], w.num[src + 1:] * split.den]
     weights = _Shared(np.concatenate(parts), w.den * split.den)
     return (edit.game(g), *edit.params(mu, gamma, weights))
@@ -353,7 +353,7 @@ def reduce_redundant(
         if not gamma.is_player_constant(j):
             raise PreconditionError(f"gamma not uniform: gamma^{j + 1} varies")
     edit = _deletion(space, i, p0)
-    alpha = _Shared.of(scalar_array(spec.alpha, (len(spec.alpha),), g.exact))
+    alpha = _Shared.of(spec.alpha, (len(spec.alpha),), g.exact)
     reduced = _mixture_reduced(g, edit, p0, alpha)
     # mu^i(s0) moves to the other strategies in alpha-shares, over alpha's denominator
     w = mu._shared[i]

@@ -39,7 +39,7 @@ import numpy as np
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.games import require_operands
-from gamedecomp.numeric import freeze, is_zero, unequal_mask, zeros_array
+from gamedecomp.numeric import freeze, is_zero, unequal_mask
 
 
 def profiles(space):
@@ -283,8 +283,7 @@ def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
         raise ValidationError("flow and measure live on different spaces")
     prod = mu.product_array()
     opp_mu = [opp_product(mu, i) for i in space.players]
-    out = zeros_array(space.sizes, flow.exact).copy()
-    out.flags.writeable = True
+    out = ScalarField.zeros(space, flow.exact).values.copy()
     for (s, t), value in flow.values.items():
         i = next(j for j in space.players if s[j] != t[j])
         if flow.weighting == "sqrt":

@@ -314,9 +314,9 @@ def test_each_payoff_tensor_is_converted_once(monkeypatch, capsys, argv):
         if isinstance(self, Game):
             games.append((self, "payoffs" not in vars(self)))
 
-    def counting(cls, values):
+    def counting(cls, values, *args, **kwargs):
         converted.append(values)  # kept alive, so the ids stay distinct
-        return of(cls, values)
+        return of(cls, values, *args, **kwargs)
 
     monkeypatch.setattr(_Tensors, "_store", recording)
     monkeypatch.setattr(_Shared, "of", classmethod(counting))

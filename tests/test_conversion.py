@@ -13,6 +13,7 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamedecomp import (
@@ -20,8 +21,10 @@ from gamedecomp import (
     Game,
     MeasureVector,
     MixedProfile,
+    ParseError,
     ScalarField,
     StrategySpace,
+    ValidationError,
 )
 
 FORMS = {
@@ -162,3 +165,63 @@ def test_every_entry_form_reads_as_its_value_and_is_stored_shared(
             assert x.num.dtype == object and all(type(n) is int for n in x.num.reshape(-1).tolist())
         else:
             assert x.num.dtype == np.float64
+
+
+SPACE = StrategySpace((("s", "t"),) * 2)
+
+
+def _refuses(build, error, text):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == text
+
+
+def _payoffs(first, exact=True):
+    """A game on 2x2 whose first entry, for both players, is ``first``."""
+    return Game.from_payoffs(SPACE, [[first, 1, 1, 1]] * 2, exact)
+
+
+@pytest.mark.parametrize(
+    "build, error, text",
+    [
+        # an int64 tensor was stored as a float game, whose + wrapped around
+        (
+            lambda: Game(SPACE, (np.full((2, 2), 2**62),) * 2),
+            ValidationError,
+            "dtype int64 is neither object (exact) nor float64",
+        ),
+        (
+            lambda: Game(SPACE, (np.array([[1, 0.5], [1, 1]], dtype=object),) * 2),
+            ValidationError,
+            "float 0.5 given as an exact scalar; pass an int, a Fraction or a 'p/q' "
+            "string, or build the value in float mode",
+        ),
+        (lambda: _payoffs("x"), ParseError, "not an integer or p/q rational: 'x'"),
+        (lambda: _payoffs(None), ValidationError, "not a scalar: None"),
+        # one literal rule: a document refuses the decimal as well
+        (lambda: _payoffs("1.5"), ParseError, "not an integer or p/q rational: '1.5'"),
+        (
+            lambda: _payoffs(10**400, exact=False),
+            ValidationError,
+            "a payoff tensor entry leaves the float range (inf); use exact mode",
+        ),
+        (
+            lambda: _payoffs(float("nan"), exact=False),
+            ValidationError,
+            "a payoff tensor entry leaves the float range (nan); use exact mode",
+        ),
+        (
+            lambda: Game.from_payoffs(SPACE, [[[1, 2], [3]]] * 2),
+            ValidationError,
+            "shape mismatch: expected (2, 2) (or flat length 4), got (2,)",
+        ),
+    ],
+    ids=["int64-tensor", "float-in-object-tensor", "exact-x", "exact-None", "exact-1.5",
+         "float-10**400", "float-nan", "ragged"],
+)
+def test_bad_entries_get_one_typed_error(build, error, text):
+    _refuses(build, error, text)
+
+
+def test_float_mode_reads_a_rational_string():
+    assert _payoffs("1/2", exact=False).payoffs[0][0, 0] == 0.5

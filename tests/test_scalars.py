@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gamedecomp.errors import ParseError, ValidationError
-from gamedecomp.numeric import _Shared, _object_array, format_scalar, parse_scalar, scalar_array
+from gamedecomp import Game, StrategySpace
+from gamedecomp.numeric import _Shared, _object_array, format_scalar, parse_scalar
 from oracles import rational_sqrt
 
 nonzero_rationals = st.fractions().filter(lambda f: f != 0)
@@ -47,7 +48,7 @@ def test_float_mode_rejects_non_finite(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_float_arrays_reject_non_finite(bad):
     with pytest.raises(ValidationError):
-        scalar_array([1.0, bad], (2,), exact=False)
+        Game.from_payoffs(StrategySpace((("s", "t"),) * 2), [[1.0, bad, 1.0, 1.0]] * 2, exact=False)
 
 
 @given(st.fractions(min_value=0, max_value=10**6))
