@@ -12,9 +12,10 @@ measure, co-measure and profile.  ``checks`` counts full
 one per float object.  The commands are exact ``decompose``,
 ``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
 game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
-30 --seed 7``.  Stdlib only, apart from the package itself:
+30 --seed 7``.  Stdlib only, apart from the package itself, which it
+imports from the ``src/`` next to this directory:
 
-    PYTHONPATH=src python3 tools/object_counts.py
+    python3 tools/object_counts.py
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gamedecomp import GameDocument, StrategySpace, games, laws, serialize_game
 from gamedecomp.cli import main as cli_main
