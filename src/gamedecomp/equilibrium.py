@@ -107,6 +107,7 @@ def _pure_regret(g: Game) -> _Shared:
     return _Shared(functools.reduce(np.maximum, gains), den)
 
 
+@_float_range("the pure regret")
 def pure_regret(g: Game) -> np.ndarray:
     """r(s) = max_i (max_t g^i(t, s^{-i}) - g^i(s)) at every pure profile s.
 

@@ -525,12 +525,16 @@ class MixedProfile(_Tensors):
         return cls._normalized(space, shared)
 
     @classmethod
+    @_float_range("the probability sum")
     def _normalized(cls, space: StrategySpace, weights) -> "MixedProfile":
         """The profile w^i / sum_k w^i(k) from shared weight tensors, each
         nonnegative with a positive sum: exact mode keeps the numerators over
         their sum, since the weights' own denominator cancels; float mode
-        divides by the sum, added in index order."""
-        return cls._with_shared(space, (w.over(w.num, sum(w.num.tolist())) for w in weights))
+        divides by the sum, added in index order (not numpy's pairwise sum),
+        and refuses a sum past the float range."""
+        return cls._with_shared(
+            space, (w.over(w.num, np.add.accumulate(w.num)[-1]) for w in weights)
+        )
 
 
 # -- parameter validation ----------------------------------------------------
@@ -569,6 +573,7 @@ def validate_parameters(mu: MeasureVector, gamma: CoMeasureVector) -> None:
 # -- inner products ------------------------------------------------------------
 
 
+@_float_range("the C0 inner product")
 def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     """<h, f>_0 = sum_s mu(s) h(s) f(s)."""
     require_operands(h, f, mu)
@@ -610,6 +615,7 @@ def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
     )
 
 
+@_float_range("the game inner product")
 def inner_product_game(
     g1: Game, g2: Game, mu: MeasureVector, gamma: CoMeasureVector
 ):

@@ -28,9 +28,9 @@ through on integers (_solve_ints), float mode divides in the basis above with
 the heaviest strategy of each axis as reference, which keeps float rounding
 independent of the spread of the weights.  ``lambda_project``,
 ``deviation_divergence`` and ``solve_poisson`` are thin wrappers over the
-same kernels.  The kernels hold no float-range check of their own:
-``deviation_divergence`` and ``solve_poisson`` carry ``numeric._float_range``,
-as ``decompose`` does; the projections do not.
+same kernels.  The kernels hold no float-range check of their own: the
+projections, ``deviation_divergence`` and ``solve_poisson`` carry
+``numeric._float_range``, as ``decompose`` does.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .numeric import (
 from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_operands
 
 
+@_float_range("the Lambda projection")
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_operands(g, mu)
@@ -57,6 +58,7 @@ def lambda_project(g: Game, mu: MeasureVector) -> Game:
     ))
 
 
+@_float_range("the Pi projection")
 def pi_project(g: Game, mu: MeasureVector) -> Game:
     """g minus its own-coordinate average; the mu-normalized part."""
     return g - lambda_project(g, mu)

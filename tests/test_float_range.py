@@ -52,6 +52,9 @@ from gamedecomp import (
     translate_nonstrategic,
 )
 from gamedecomp import numeric
+from gamedecomp.equilibrium import pure_regret
+from gamedecomp.games import game_norm_sq, inner_product_c0, inner_product_game
+from gamedecomp.operators import lambda_project, pi_project
 
 SPACE = StrategySpace((("a", "b"),) * 2)
 BIG = 1e308
@@ -130,6 +133,10 @@ _LIBRARY_CASES = {
     "map_equilibrium_under_scaling": lambda: map_equilibrium_under_scaling(
         MixedProfile.uniform(SPACE, exact=False), [[TINY, TINY], [1.0, 1.0]]
     ),
+    # each y^1 entry, 0.5 / 4e-309, is in range; their sum is not
+    "map_equilibrium_under_scaling[4e-309]": lambda: map_equilibrium_under_scaling(
+        MixedProfile.uniform(SPACE, exact=False), [[4e-309, 4e-309], [1.0, 1.0]]
+    ),
     **_with_weights(
         "pure_equilibrium_from_potential",
         lambda mu, gamma: pure_equilibrium_from_potential(PENNIES, gamma),
@@ -169,9 +176,7 @@ _DECOMPOSITION_CASES = {
 # Value-type methods that compute.  Left out, since an entry out of range in
 # their result is refused when it is stored, after numpy's warning: the
 # operators Game / ScalarField +, - and ==, and MeasureVector /
-# CoMeasureVector.scaled.  Also left out: MixedProfile.from_positive_weights,
-# which adds the weights in Python floats, whose overflow to inf is silent,
-# and then refuses valid weights as probabilities that sum to 0.0.
+# CoMeasureVector.scaled.
 _VALUE_TYPE_CASES = {
     "MeasureVector.total": lambda: MeasureVector.from_weights(
         SPACE, [[BIG, BIG], [1, 1]], exact=False
@@ -183,9 +188,29 @@ _VALUE_TYPE_CASES = {
     "MixedProfile.from_probs": lambda: MixedProfile.from_probs(
         SPACE, [[BIG, BIG], [1, 0]], exact=False
     ),
+    "MixedProfile.from_positive_weights": lambda: MixedProfile.from_positive_weights(
+        SPACE, [[BIG, BIG], [1, 1]], exact=False
+    ),
 }
 
-_CASES = {**_LIBRARY_CASES, **_DECOMPOSITION_CASES, **_VALUE_TYPE_CASES}
+# The internal helpers README lists as importable from their modules.
+_UNIT_MU, _UNIT_GAMMA = WEIGHTS["unit"]
+_HELPER_CASES = {
+    "pure_regret": lambda: pure_regret(PENNIES),
+    "inner_product_game": lambda: inner_product_game(
+        _pennies(1e200), _pennies(1e200), _UNIT_MU, _UNIT_GAMMA
+    ),
+    "game_norm_sq": lambda: game_norm_sq(_pennies(1e200), _UNIT_MU, _UNIT_GAMMA),
+    "inner_product_c0": lambda: inner_product_c0(
+        ScalarField.from_values(SPACE, [1e200] * 4, exact=False),
+        ScalarField.from_values(SPACE, [1e200] * 4, exact=False),
+        _UNIT_MU,
+    ),
+    "lambda_project": lambda: lambda_project(FLAT, _UNIT_MU),
+    "pi_project": lambda: pi_project(FLAT, _UNIT_MU),
+}
+
+_CASES = {**_LIBRARY_CASES, **_DECOMPOSITION_CASES, **_VALUE_TYPE_CASES, **_HELPER_CASES}
 
 
 def _finite(value) -> bool:
