@@ -5,7 +5,8 @@ Exact mode takes ints, numpy ints, ``Fraction``s and ``"p/q"`` strings;
 float mode ints, floats and ``Fraction``s.  The view reads the given values
 in the mode's type (``Fraction`` or ``float``), frozen; the shared form
 holds exact entries as numerators over the LCM of their denominators, float
-entries as themselves over 1.
+entries as themselves over 1.  Every other entry, and a tensor of another
+dtype, gets one typed error.
 """
 
 import math
@@ -25,6 +26,7 @@ from gamedecomp import (
     ScalarField,
     StrategySpace,
     ValidationError,
+    map_equilibrium_under_scaling,
 )
 
 FORMS = {
@@ -170,12 +172,6 @@ def test_every_entry_form_reads_as_its_value_and_is_stored_shared(
 SPACE = StrategySpace((("s", "t"),) * 2)
 
 
-def _refuses(build, error, text):
-    with pytest.raises(error) as caught:
-        build()
-    assert type(caught.value) is error and str(caught.value) == text
-
-
 def _payoffs(first, exact=True):
     """A game on 2x2 whose first entry, for both players, is ``first``."""
     return Game.from_payoffs(SPACE, [[first, 1, 1, 1]] * 2, exact)
@@ -211,16 +207,30 @@ def _payoffs(first, exact=True):
             "a payoff tensor entry leaves the float range (nan); use exact mode",
         ),
         (
+            lambda: MixedProfile.from_positive_weights(SPACE, [[1, float("nan")], [1, 1]], False),
+            ValidationError,
+            "a weight vector entry leaves the float range (nan); use exact mode",
+        ),
+        (
+            lambda: map_equilibrium_under_scaling(
+                MixedProfile.uniform(SPACE, exact=False), [[float("inf"), 1], [1, 1]]
+            ),
+            ValidationError,
+            "a generator entry leaves the float range (inf); use exact mode",
+        ),
+        (
             lambda: Game.from_payoffs(SPACE, [[[1, 2], [3]]] * 2),
             ValidationError,
             "shape mismatch: expected (2, 2) (or flat length 4), got (2,)",
         ),
     ],
     ids=["int64-tensor", "float-in-object-tensor", "exact-x", "exact-None", "exact-1.5",
-         "float-10**400", "float-nan", "ragged"],
+         "float-10**400", "float-nan", "float-nan-weight", "float-inf-generator", "ragged"],
 )
 def test_bad_entries_get_one_typed_error(build, error, text):
-    _refuses(build, error, text)
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == text
 
 
 def test_float_mode_reads_a_rational_string():
