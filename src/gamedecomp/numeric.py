@@ -160,7 +160,7 @@ class _Shared(NamedTuple):
         Only the shape is checked here; the object check
         (``games._Tensors._check``) refuses float entries out of range."""
         if exact is None:  # a tensor, whose dtype gives the mode
-            exact, shape = data.dtype == object, data.shape
+            exact, shape = array_is_exact(data), data.shape
             if not exact and data.dtype != np.float64:
                 raise ValidationError(f"dtype {data.dtype} is neither object (exact) nor float64")
         arr = np.asarray(data, dtype=object)
