@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .numeric import (
-    _Shared, _add, _float_range, _sub, axis_contract, is_zero, magnitude, quotient, unequal_mask,
+    _Shared, _add, _float_range, _sub, contract, is_zero, magnitude, quotient, unequal_mask,
 )
 from .games import (
     CoMeasureVector,
@@ -22,7 +22,7 @@ from .games import (
     validate_parameters,
     weighted_inner_product,
 )
-from .operators import _deviation, _divergence, _solve, _spread, deviation_divergence
+from .operators import _deviation, _deviation_divergence, _divergence, _solve, _spread
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,12 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     """
     space = require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
-    weights = mu._shared
-    averages, normalized = zip(*(
-        _deviation(x, weights[i], i) for i, x in enumerate(g._shared)
-    ))
-    phi = _solve(_divergence(normalized, mu, gamma), weights)
+    plan, gamma_plan = mu._plan, gamma._plan
+    averages, normalized = zip(*(_deviation(x, axis) for x, axis in zip(g._shared, plan.axes)))
+    phi = _solve(_divergence(normalized, plan, gamma_plan), plan)
     potential = [
-        _deviation(phi, weights[i], i)[1].divide(gamma.expanded(i)) for i in space.players
+        _deviation(phi, axis)[1].divide(divisor)
+        for axis, divisor in zip(plan.axes, gamma_plan.divisors)
     ]
     return Decomposition(
         nonstrategic=Game._with_shared(
@@ -166,9 +165,9 @@ def is_mu_normalized(g: Game, mu: MeasureVector) -> bool:
     """True iff the mu-weighted own-coordinate sum vanishes everywhere;
     exact mode sums numerators, weighted by mu^i's numerators."""
     require_operands(g, mu)
-    for i, (x, w) in enumerate(zip(g._shared, mu._shared)):
-        acc = axis_contract(x.num, w.num, i)
-        scale = 1.0 if g.exact else magnitude(x.num) * mu.total(i)
+    for x, axis in zip(g._shared, mu._plan.axes):
+        acc = contract(x.num.reshape(axis.dims), axis.m)
+        scale = 1.0 if g.exact else magnitude(x.num) * axis.total
         if not is_zero(acc, g.exact, scale):
             return False
     return True
@@ -190,10 +189,11 @@ def is_harmonic(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> bool:
     """True iff the weighted deviation divergence vanishes at every profile."""
     require_operands(g, mu, gamma)
     validate_parameters(mu, gamma)
-    h = deviation_divergence(g, mu, gamma)._shared[0]
+    plan = mu._plan
+    h = _deviation_divergence(g, plan, gamma._plan)
     scale = 1.0 if g.exact else sum(
-        magnitude(x.num) * magnitude(gamma._shared[i].num) * mu.total(i)
-        for i, x in enumerate(g._shared)
+        magnitude(x.num) * magnitude(t.num) * axis.total
+        for x, t, axis in zip(g._shared, gamma._shared, plan.axes)
     )
     return is_zero(h.num, g.exact, scale)
 

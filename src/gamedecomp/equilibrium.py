@@ -163,7 +163,7 @@ def map_equilibrium_under_scaling(x: MixedProfile, b_generator) -> MixedProfile:
     _require_finite(b, "generator")
     if any((c.num <= 0).any() for c in b):
         CoMeasureVector._generated(space, b)._checked()  # raises
-    return MixedProfile._normalized(space, map(_Shared.divide, x._shared, b))
+    return MixedProfile._normalized(space, (p.divide(c.divisor()) for p, c in zip(x._shared, b)))
 
 
 def pure_equilibrium_from_potential(

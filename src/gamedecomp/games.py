@@ -54,6 +54,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .numeric import (
     _Shared,
     _add,
     _float_range,
+    _object_array,
     _sub,
     freeze,
     insert_axis,
@@ -132,6 +134,91 @@ def _outer(factors) -> _Shared:
     return _Shared(
         reduce(np.multiply.outer, [x.num for x in factors]), math.prod(x.den for x in factors)
     )
+
+
+class _Axis(NamedTuple):
+    """One player's weights m^i over L_i as the kernels read them along
+    tensor axis i (see ``_MeasurePlan``)."""
+
+    m: np.ndarray  # the numerators m^i: Python ints, or the floats over 1
+    rest: np.ndarray  # m^i without its first entry
+    first: object  # m_0
+    weight_sum: object  # W = sum_k m_k: a Python int, or weights.num.sum()
+    den: int  # L
+    total: object  # mu^i(S^i) = W / L: a Fraction, or the float W
+    dims: tuple[int, int, int]  # (pre, m, post): the axes before i, i, the axes after
+    kept: tuple[int, ...]  # the space's shape with axis i of length 1
+
+
+class _MeasurePlan:
+    """What the kernels read of a measure mu, derived once per
+    ``MeasureVector`` (its cached ``_plan``): per axis an ``_Axis``, and in
+    exact mode, on the first Poisson solve, the solve's eigenvalue factor
+    (``inverse_eigen``).  A plan lives on its measure only."""
+
+    def __init__(self, mu: "MeasureVector"):
+        sizes = mu.space.sizes
+        self.exact, self.shape = mu.exact, sizes
+        axes = []
+        for i, w in enumerate(mu._shared):
+            m = w.num
+            total = sum(m.tolist()) if self.exact else m.sum()
+            axes.append(_Axis(
+                m, m[1:], m[0], total, w.den, quotient(total, w.den, self.exact),
+                (math.prod(sizes[:i]), sizes[i], math.prod(sizes[i + 1:])),
+                sizes[:i] + (1,) + sizes[i + 1:],
+            ))
+        self.axes = tuple(axes)
+
+    @cached_property
+    def inverse_eigen(self) -> tuple[np.ndarray, int]:
+        """Exact mode: the division by the eigenvalues of L as (integer
+        factor tensor over the space, denominator growth of the inverse
+        transform), for ``operators._solve_ints``.
+
+        With L the LCM of the L_i, the eigenvalue at coefficient index k is
+        e(k) / L, where e(k) = sum_{i: k_i != 0} W_i L / L_i.  Dividing by it
+        multiplies by L E / e(k) over E, the LCM of all e(k).  e depends only
+        on which k_i are nonzero: its 2^n subset sums are Python ints, spread
+        to the space by one ``take`` per axis of more than two strategies.
+        The origin's factor is 0, the mean-zero pin.  The growth is E over
+        its common factor with L, times m_0 W for each inverse axis step."""
+        lcm = math.lcm(*(a.den for a in self.axes))
+        eigen = [0]
+        for a in self.axes:
+            step = a.weight_sum * (lcm // a.den)
+            eigen = [e + s for e in eigen for s in (0, step)]
+        eigen[0] = 1
+        common = math.lcm(*eigen)
+        cancel = math.gcd(lcm, common)
+        factor = [0] + [common // e * (lcm // cancel) for e in eigen[1:]]
+        factor = _object_array(factor, (2,) * len(self.axes))
+        for i, m in enumerate(self.shape):
+            if m != 2:
+                factor = factor.take([0] + [1] * (m - 1), axis=i)
+        growth = common // cancel * math.prod(a.first * a.weight_sum for a in self.axes)
+        return factor, growth
+
+
+class _CoMeasurePlan:
+    """What the kernels read of a co-measure gamma, derived once per
+    ``CoMeasureVector`` (its cached ``_plan``): each gamma^i broadcast over
+    the full profile space, and, on first use, what dividing by it takes
+    (``_Shared.divisor``: in exact mode the integer inverse)."""
+
+    def __init__(self, gamma: "CoMeasureVector"):
+        self._shared = gamma._shared
+        self.expanded = tuple(_expand(x, i) for i, x in enumerate(gamma._shared))
+
+    @cached_property
+    def divisors(self) -> tuple[_Shared, ...]:
+        return tuple(_expand(x.divisor(), i) for i, x in enumerate(self._shared))
+
+
+def _expand(x: _Shared, player: int) -> _Shared:
+    """A tensor over S^{-i} broadcast over the full profile space: player
+    i's axis inserted with length 1."""
+    return _Shared(insert_axis(x.num, player), x.den)
 
 
 class _Tensors:
@@ -334,12 +421,12 @@ class MeasureVector(_Tensors):
 
     @cached_property
     @_float_range("the measure total")
-    def _totals(self) -> tuple:
-        return tuple(quotient(w.num.sum(), w.den, w.exact) for w in self._shared)
+    def _plan(self) -> _MeasurePlan:
+        return _MeasurePlan(self)
 
     def total(self, player: int):
         """mu^i(S^i), summed once per object."""
-        return self._totals[player]
+        return self._plan.axes[player].total
 
     def _product(self) -> _Shared:
         """mu(s) = prod_i mu^i(s^i) as a full-profile shared tensor."""
@@ -450,11 +537,14 @@ class CoMeasureVector(_Tensors):
         """gamma^i = prod_{j != i} c^j for every player i, in shared form."""
         return tuple(_outer(c for j, c in enumerate(generator) if j != i) for i in space.players)
 
+    @cached_property
+    def _plan(self) -> _CoMeasurePlan:
+        return _CoMeasurePlan(self)
+
     def expanded(self, player: int) -> _Shared:
         """gamma^i in shared form, broadcast over the full profile space (own
         axis inserted)."""
-        x = self._shared[player]
-        return _Shared(insert_axis(x.num, player), x.den)
+        return self._plan.expanded[player]
 
     def is_all_ones(self) -> bool:
         """Every gamma^i entry is 1: each numerator equals its denominator."""

@@ -26,6 +26,7 @@ Float arithmetic that leaves the float range is refused by one guard,
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -75,7 +76,6 @@ def format_scalar(value) -> str:
     return repr(float(value))
 
 
-@contextmanager
 def _float_range(what: str):
     """Raise one ValidationError, pointing to exact mode, where float
     arithmetic overflows or makes an invalid value (inf - inf, 0 * inf),
@@ -85,12 +85,21 @@ def _float_range(what: str):
     function that computes on float tensors, so a caller sees no warning;
     where guarded calls nest, the innermost ``what`` is reported.  The value-type
     operators (``+``, ``-``, ``==``, ``scaled``) are not decorated: an
-    entry out of range is refused when their result is stored."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise ValidationError(f"{what} leaves the float range; use exact mode") from None
+    entry out of range is refused when their result is stored.  A plain
+    wrapper: a guarded call builds no generator context manager."""
+
+    def guard(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return fn(*args, **kwargs)
+            except FloatingPointError:
+                raise ValidationError(f"{what} leaves the float range; use exact mode") from None
+
+        return guarded
+
+    return guard
 
 
 @contextmanager
@@ -187,24 +196,35 @@ class _Shared(NamedTuple):
 
     def scale(self, c) -> "_Shared":
         """This tensor times the scalar c; exact mode reduces c against the
-        denominator and skips the multiplication when its numerator is 1,
-        float mode multiplies by float(c), so a ``Fraction`` c keeps it float."""
+        denominator with one gcd, as ``Fraction(c) / den`` would, and skips
+        the multiplication when the reduced numerator is 1; float mode
+        multiplies by float(c), so a ``Fraction`` c keeps it float."""
         if not self.exact:
             return _Shared(self.num * float(c), 1)
-        q = Fraction(c) / self.den
-        num = self.num if q.numerator == 1 else self.num * q.numerator
-        return _Shared(num, q.denominator)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        g = math.gcd(c.numerator, self.den)
+        p = c.numerator // g
+        return _Shared(self.num if p == 1 else self.num * p, c.denominator * (self.den // g))
 
-    def divide(self, t: "_Shared") -> "_Shared":
-        """This tensor over the tensor t (broadcast, no entry 0); exact mode
-        multiplies by 1/t = t.den / t.num, put over the LCM of t's numerators
-        and reduced against t.den, so no ``Fraction`` is built."""
+    def divisor(self) -> "_Shared":
+        """What ``divide`` takes to divide by this tensor, which has no entry
+        0: exact mode 1/t = t.den / t.num, put over the LCM of t's numerators
+        and reduced against t.den, so no ``Fraction`` is built; float mode t
+        itself, since x / t rounds once where x * (1/t) rounds twice."""
         if not self.exact:
-            return _Shared(self.num / t.num, 1)
-        den = math.lcm(*t.num.reshape(-1).tolist())
-        cancel = math.gcd(den, t.den)
-        inverse = (den // t.num) * (t.den // cancel)
-        return _Shared(self.num * inverse, self.den * (den // cancel))
+            return self
+        den = math.lcm(*self.num.reshape(-1).tolist())
+        cancel = math.gcd(den, self.den)
+        inverse, k = den // self.num, self.den // cancel
+        return _Shared(inverse if k == 1 else inverse * k, den // cancel)
+
+    def divide(self, divisor: "_Shared") -> "_Shared":
+        """This tensor over a tensor t (broadcast), given ``t.divisor()``:
+        exact mode multiplies by 1/t, float mode divides by t."""
+        if not self.exact:
+            return _Shared(self.num / divisor.num, 1)
+        return _Shared(self.num * divisor.num, self.den * divisor.den)
 
     def aligned(self, other: "_Shared") -> tuple[np.ndarray, np.ndarray, int]:
         """The numerators of this tensor and ``other`` over the LCM of their
@@ -317,22 +337,25 @@ def insert_axis(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def axis_contract(values: np.ndarray, weights, axis: int) -> np.ndarray:
-    """sum_k weights[k] * values[..., k, ...] along ``axis``, with that axis removed.
+    """sum_k weights[k] * values[..., k, ...] along ``axis``, with that axis
+    removed; ``weights`` is any 1-D sequence as long as that axis (see
+    contract)."""
+    out = contract(axis_view(values, axis), np.asarray(weights, dtype=values.dtype))
+    return out.reshape(values.shape[:axis] + values.shape[axis + 1:])
 
-    ``weights`` is any 1-D sequence as long as that axis.  Exact mode is one
-    object-dtype matmul of the weights with the (pre, m, post) view.  Float
-    mode adds the terms in index order, so its rounding is the same for
-    every caller.
-    """
-    view = axis_view(values, axis)
-    if array_is_exact(values):
-        out = np.asarray(weights, dtype=object) @ view
-        return out.reshape(values.shape[:axis] + values.shape[axis + 1:])
+
+def contract(view: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * view[:, k] of a (pre, m, post) view (axis_view),
+    as a (pre, post) array; ``weights`` has the view's dtype.  Exact mode is
+    one object-dtype matmul.  Float mode adds the terms in index order, so
+    its rounding is the same for every caller."""
+    if array_is_exact(view):
+        return weights @ view
     acc = None
-    for k, w in enumerate(np.asarray(weights).tolist()):
+    for k, w in enumerate(weights.tolist()):
         term = view[:, k] * w
         acc = term if acc is None else acc + term
-    return acc.reshape(values.shape[:axis] + values.shape[axis + 1:])
+    return acc
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

@@ -42,10 +42,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import SolveError
-from .numeric import (
-    _Shared, _float_range, _sub, axis_contract, axis_view, insert_axis, is_zero, magnitude,
+from .numeric import _Shared, _float_range, _sub, axis_contract, contract, is_zero, magnitude
+from .games import (
+    CoMeasureVector, Game, MeasureVector, ScalarField, _Axis, _CoMeasurePlan, _MeasurePlan,
+    require_operands,
 )
-from .games import Game, MeasureVector, CoMeasureVector, ScalarField, require_operands
 
 
 @_float_range("the Lambda projection")
@@ -53,8 +54,7 @@ def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_operands(g, mu)
     return Game._with_shared(g.space, (
-        _spread(_average(x, w, i), g.space.sizes)
-        for i, (x, w) in enumerate(zip(g._shared, mu._shared))
+        _spread(_average(x, axis), g.space.sizes) for x, axis in zip(g._shared, mu._plan.axes)
     ))
 
 
@@ -74,25 +74,28 @@ def deviation_divergence(
     and vanishes exactly on (mu, gamma)-harmonic games.
     """
     require_operands(g, mu, gamma)
-    normalized = [
-        _deviation(x, w, i)[1] for i, (x, w) in enumerate(zip(g._shared, mu._shared))
-    ]
-    return ScalarField._with_shared(g.space, (_divergence(normalized, mu, gamma),))
+    return ScalarField._with_shared(g.space, (_deviation_divergence(g, mu._plan, gamma._plan),))
 
 
-def _average(x: _Shared, weights: _Shared, axis: int) -> _Shared:
-    """Lambda^i x along ``axis``, which is kept with length 1.
+def _deviation_divergence(g: Game, plan: _MeasurePlan, gamma: _CoMeasurePlan) -> _Shared:
+    """deviation_divergence's h in shared form, from the parameters' plans."""
+    normalized = [_deviation(x, axis)[1] for x, axis in zip(g._shared, plan.axes)]
+    return _divergence(normalized, plan, gamma)
 
-    With m = weights.num and W = sum_k m_k, A = sum_k m_k x_k gives
-    Lambda^i x = A / (W den); weights over any denominator give the same.
+
+def _average(x: _Shared, axis: _Axis) -> _Shared:
+    """Lambda^i x along the plan's ``axis``, which is kept with length 1.
+
+    With m = the weights' numerators and W = sum_k m_k, A = sum_k m_k x_k
+    gives Lambda^i x = A / (W den); weights over any denominator give the same.
     """
-    total = insert_axis(axis_contract(x.num, weights.num, axis), axis)
-    return x.over(total, x.den * weights.num.sum())
+    total = contract(x.num.reshape(axis.dims), axis.m).reshape(axis.kept)
+    return x.over(total, x.den * axis.weight_sum)
 
 
-def _deviation(x: _Shared, weights: _Shared, axis: int) -> tuple[_Shared, _Shared]:
+def _deviation(x: _Shared, axis: _Axis) -> tuple[_Shared, _Shared]:
     """Lambda^i x (``axis`` of length 1) and Pi^i x = x - Lambda^i x."""
-    avg = _average(x, weights, axis)
+    avg = _average(x, axis)
     return avg, _sub(x, avg)
 
 
@@ -104,7 +107,7 @@ def _spread(avg: _Shared, shape) -> _Shared:
 
 
 def _divergence(
-    normalized: list[_Shared], mu: MeasureVector, gamma: CoMeasureVector
+    normalized: list[_Shared], plan: _MeasurePlan, gamma: _CoMeasurePlan
 ) -> _Shared:
     """The deviation divergence from Pi g, one player per entry of ``normalized``:
     h = sum_i gamma^i mu^i(S^i) (Pi g)^i, since
@@ -115,14 +118,13 @@ def _divergence(
     their denominators, so exact mode multiplies each entry once.
     """
     terms = []
-    for i, part in enumerate(normalized):
-        scaled = part.scale(mu.total(i))
-        factor = gamma.expanded(i)
+    for part, axis, factor in zip(normalized, plan.axes, gamma.expanded):
+        scaled = part.scale(axis.total)
         terms.append((scaled.num, factor.num, scaled.den * factor.den))
     den = math.lcm(*(d for _, _, d in terms))
     acc = None
     for num, factor, d in terms:
-        term = num * (factor * (den // d))
+        term = num * (factor if d == den else factor * (den // d))
         acc = term if acc is None else acc + term
     return _Shared(acc, den)
 
@@ -141,10 +143,10 @@ def solve_poisson(h: ScalarField, mu: MeasureVector) -> ScalarField:
     scalar operations and O(|S|) memory; see _solve.
     """
     require_operands(h, mu)
-    return ScalarField._with_shared(h.space, (_solve(h._shared[0], mu._shared),))
+    return ScalarField._with_shared(h.space, (_solve(h._shared[0], mu._plan),))
 
 
-def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
+def _solve(h: _Shared, plan: _MeasurePlan) -> _Shared:
     """The Poisson solve core, the one stage with a body per scalar mode.
 
     Exact input goes to _solve_ints, which multiplies through on integers.
@@ -156,14 +158,14 @@ def _solve(h: _Shared, weights: list[_Shared]) -> _Shared:
     every axis can take the coefficients out of the float range; the
     caller's guard (solve_poisson's or decompose's) refuses that.
     """
-    if h.exact:
-        return _solve_ints(h, weights)
-    weights = [w.num for w in weights]
+    if plan.exact:
+        return _solve_ints(h, plan)
+    weights = [axis.m for axis in plan.axes]
     _check_consistent(h.num, weights)
     coeffs, eigen = h.num, 0
-    for i, w in enumerate(weights):
-        coeffs = _to_axis_basis(coeffs, w, i)
-        per_axis = np.full(len(w), w.sum())
+    for i, axis in enumerate(plan.axes):
+        coeffs = _to_axis_basis(coeffs, axis.m, i)
+        per_axis = np.full(len(axis.m), axis.weight_sum)
         per_axis[0] = 0
         eigen = eigen + per_axis.reshape([-1 if j == i else 1 for j in range(coeffs.ndim)])
     origin = (0,) * coeffs.ndim
@@ -227,73 +229,51 @@ def _from_axis_basis(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarra
 # -- the exact solve core: integers, multiplying through -----------------------
 
 
-def _solve_ints(h: _Shared, weights: list[_Shared]) -> _Shared:
+def _solve_ints(h: _Shared, plan: _MeasurePlan) -> _Shared:
     """solve_poisson on integers, multiplying through instead of dividing.
 
-    ``weights`` holds each mu^i as m^i over L_i.  The forward step along
-    each axis (_to_axis_ints) keeps the basis of solve_poisson with every
+    The plan holds each mu^i as m^i over L_i.  The forward step along each
+    axis (_to_axis_ints) keeps the basis of solve_poisson with every
     coefficient scaled by a constant, which L's diagonal form ignores.  After
     all axes the origin coefficient is (prod_i L_i) den sum_s mu(s) h(s),
     which must be 0.  The eigenvalue division is one integer factor per
-    coefficient (_inverse_eigen_ints), and each inverse step
-    (_from_axis_ints) multiplies the denominator by m_0 W.
+    coefficient (the plan's ``inverse_eigen``), and each inverse step
+    (_from_axis_ints) multiplies the denominator by m_0 W, which the plan's
+    growth already includes.  The steps keep each axis's (pre, m, post)
+    view, and the result is reshaped to the space once.
     """
     coeffs = h.num
-    for i, w in enumerate(weights):
-        coeffs = _to_axis_ints(coeffs, w, i)
-    origin = (0,) * coeffs.ndim
-    if coeffs[origin] != 0:
-        residual = Fraction(coeffs[origin], h.den * math.prod(w.den for w in weights))
+    for axis in plan.axes:
+        coeffs = _to_axis_ints(coeffs, axis)
+    if coeffs.item(0) != 0:  # the origin coefficient
+        den = h.den * math.prod(axis.den for axis in plan.axes)
+        residual = Fraction(coeffs.item(0), den)
         raise SolveError(f"inconsistent right-hand side: sum_s mu(s) h(s) = {residual}")
-    factor, growth = _inverse_eigen_ints(weights, coeffs.shape)
-    phi, den = coeffs * factor, h.den * growth
-    for i in reversed(range(len(weights))):
-        phi = _from_axis_ints(phi, weights[i], i)
-        den *= weights[i].num[0] * weights[i].num.sum()
-    return _Shared(phi, den)
+    factor, growth = plan.inverse_eigen
+    phi = coeffs.reshape(plan.shape) * factor
+    for axis in reversed(plan.axes):
+        phi = _from_axis_ints(phi, axis)
+    return _Shared(phi.reshape(plan.shape), h.den * growth)
 
 
-def _to_axis_ints(x: np.ndarray, weights: _Shared, axis: int) -> np.ndarray:
-    """y_0 = S = sum_k m_k x_k and y_k = W x_k - S for k >= 1, along ``axis``.
+def _to_axis_ints(x: np.ndarray, axis: _Axis) -> np.ndarray:
+    """y_0 = S = sum_k m_k x_k and y_k = W x_k - S for k >= 1, along ``axis``,
+    as a (pre, m, post) array.
 
     These are _to_axis_basis's coefficients times W and W / w_k.  The
     reference is strategy 0: exact results do not depend on it.
     """
-    view = axis_view(x, axis)
-    total = axis_contract(view, weights.num, 1)[:, np.newaxis]
-    out = np.concatenate([total, view[:, 1:] * weights.num.sum() - total], axis=1)
-    return out.reshape(x.shape)
+    view = x.reshape(axis.dims)
+    total = (axis.m @ view)[:, np.newaxis]
+    return np.concatenate([total, view[:, 1:] * axis.weight_sum - total], axis=1)
 
 
-def _from_axis_ints(y: np.ndarray, weights: _Shared, axis: int) -> np.ndarray:
-    """Inverse of _to_axis_ints times m_0 W: x_0 = m_0 y_0 - sum_{k>=1} m_k y_k
-    and x_k = m_0 (y_0 + y_k)."""
-    view = axis_view(y, axis)
-    m0 = weights.num[0]
-    first = view[:, :1] * m0 - axis_contract(view[:, 1:], weights.num[1:], 1)[:, np.newaxis]
-    out = np.concatenate([first, (view[:, 1:] + view[:, :1]) * m0], axis=1)
-    return out.reshape(y.shape)
-
-
-def _inverse_eigen_ints(weights: list[_Shared], shape) -> tuple[np.ndarray, int]:
-    """Division by the eigenvalues as (integer factor tensor, denominator growth).
-
-    With L the LCM of the L_i, the eigenvalue at index k is e(k) / L, where
-    e(k) = sum_{i: k_i != 0} W_i L / L_i.  Dividing by it multiplies by
-    L E / e(k) over E, the LCM of all e(k).  e depends only on which k_i are
-    nonzero, so its 2^n values are built once and indexed out to ``shape``;
-    the origin's factor is 0, the mean-zero pin.
-    """
-    n = len(weights)
-    lcm = math.lcm(*(w.den for w in weights))
-    eigen = np.zeros((2,) * n, dtype=object)
-    for i, w in enumerate(weights):
-        step = np.array([0, w.num.sum() * (lcm // w.den)], dtype=object)
-        eigen = eigen + step.reshape([2 if j == i else 1 for j in range(n)])
-    origin = (0,) * n
-    eigen[origin] = 1
-    common = math.lcm(*eigen.reshape(-1).tolist())
-    cancel = math.gcd(lcm, common)
-    factor = (common // eigen) * (lcm // cancel)
-    factor[origin] = 0
-    return factor[np.ix_(*[[0] + [1] * (m - 1) for m in shape])], common // cancel
+def _from_axis_ints(y: np.ndarray, axis: _Axis) -> np.ndarray:
+    """Inverse of _to_axis_ints times m_0 W, as a (pre, m, post) array:
+    x_k = m_0 y_0 + m_0 y_k and x_0 = m_0 y_0 - sum_{k>=1} m_k y_k, built in
+    place on m_0 y."""
+    view = y.reshape(axis.dims)
+    out = view * axis.first
+    out[:, 1:] += out[:, :1]
+    out[:, :1] -= (axis.rest @ view[:, 1:])[:, np.newaxis]
+    return out

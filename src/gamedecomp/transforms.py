@@ -171,7 +171,7 @@ def _quotients(noun: str, tops, bottoms) -> tuple[_Shared, ...]:
     """top / bottom entrywise for each pair of positive shared tensors.  A
     float entry of 0 is an underflow, refused pointing to exact mode, as an
     entry that overflows to inf is when the co-measure is built."""
-    out = tuple(map(_Shared.divide, tops, bottoms))
+    out = tuple(top.divide(bottom.divisor()) for top, bottom in zip(tops, bottoms))
     for x, top, bottom in zip(out, tops, bottoms):
         if x.exact:
             continue  # an exact quotient of positive entries is positive

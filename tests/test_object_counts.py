@@ -24,5 +24,5 @@ def test_object_counts_measure_the_game_the_caps_are_set_on(tmp_path, capsys, co
     code, counted = count_fractions(main, ["classify", str(path)])
     assert code == 0
     assert fractions == counted
-    assert objects == 4  # the game, mu, gamma and the divergence field
-    assert checks == 3  # the field is computed from the checked three
+    assert objects == 3  # the game, mu and gamma: is_harmonic keeps h in shared form
+    assert checks == 3
