@@ -123,6 +123,20 @@ def _require_finite(tensors, noun: str) -> None:
                 )
 
 
+def _given_arrays(tensors, owner: str, noun: str, builder: str) -> tuple[np.ndarray, ...]:
+    """The tensors a class constructor is given, frozen, so the kept view
+    cannot drift from the stored numerators.  Anything but a numpy array is
+    refused, pointing to the ``from_*`` constructor that takes nested data."""
+    tensors = tuple(tensors)
+    for i, t in enumerate(tensors):
+        if not isinstance(t, np.ndarray):
+            raise ValidationError(
+                f"{owner}: {noun} {i + 1} is a {type(t).__name__}, not a numpy array; "
+                f"build from nested data with {owner}.{builder}"
+            )
+    return tuple(freeze(t) for t in tensors)
+
+
 def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
     """One vector per player over that player's own strategies."""
     return tuple((m,) for m in space.sizes)
@@ -230,10 +244,10 @@ class _Tensors:
     space: StrategySpace
     _field = ""  # the name of the value view
     _noun = ""  # what one tensor is, for error messages
+    _builder = ""  # the from_* constructor that takes nested data
 
     def __init__(self, space: StrategySpace, tensors: tuple[np.ndarray, ...]):
-        # frozen, so the kept view cannot drift from the stored numerators
-        tensors = tuple(freeze(t) for t in tensors)
+        tensors = _given_arrays(tensors, type(self).__name__, self._noun, self._builder)
         vars(self)[self._field] = tensors
         self._store(space, (_Shared.of(t) for t in tensors))
         self._checked()
@@ -325,6 +339,7 @@ class Game(_Tensors):
 
     _field = "payoffs"
     _noun = "payoff tensor"
+    _builder = "from_payoffs"
 
     @cached_property
     def payoffs(self) -> tuple[np.ndarray, ...]:
@@ -363,6 +378,7 @@ class ScalarField(_Tensors):
 
     _field = "values"
     _noun = "field"
+    _builder = "from_values"
 
     def __init__(self, space: StrategySpace, values: np.ndarray):
         super().__init__(space, (values,))
@@ -397,6 +413,7 @@ class MeasureVector(_Tensors):
 
     _field = "weights"
     _noun = "weight vector"
+    _builder = "from_weights"
     _shapes = staticmethod(_own_shapes)
 
     def _check(self) -> None:
@@ -451,11 +468,14 @@ class CoMeasureVector(_Tensors):
 
     _field = "tensors"
     _noun = "co-measure tensor"
+    _builder = "from_tensors"
     _generator = None  # the generator in shared form, when one is known
 
     def __init__(self, space: StrategySpace, tensors, generator=None):
         if generator is not None:
-            generator = tuple(freeze(c) for c in generator)
+            generator = _given_arrays(
+                generator, "CoMeasureVector", "generator vector", "from_generator"
+            )
             vars(self).update(generator=generator, _generator=tuple(map(_Shared.of, generator)))
         super().__init__(space, tensors)
         # the only constructor given both: the others build the tensors from
@@ -564,6 +584,7 @@ class MixedProfile(_Tensors):
 
     _field = "probs"
     _noun = "probability vector"
+    _builder = "from_probs"
     _shapes = staticmethod(_own_shapes)
 
     @_float_range("the probability sum")

@@ -194,6 +194,39 @@ BOUNDARY_REFUSALS = {
         lambda exact: parse_game(_DOC + "generator 1: 1 -1\ngenerator 2: 1 1\n", exact),
         ParseError, "nonpositive co-measure: gamma^2 entry 1 = {}", -1,
     ),
+    # the class constructors take numpy arrays; nested lists go to from_*
+    "Game": (
+        lambda exact: Game(SPACE, ([[1, 2], [3, 4]],) * 2),
+        ValidationError, "Game: payoff tensor 1 is a list, not a numpy array; "
+        "build from nested data with Game.from_payoffs", 0,
+    ),
+    "ScalarField": (
+        lambda exact: ScalarField(SPACE, [1, 2, 3, 4]),
+        ValidationError, "ScalarField: field 1 is a list, not a numpy array; "
+        "build from nested data with ScalarField.from_values", 0,
+    ),
+    "MeasureVector": (
+        lambda exact: MeasureVector(SPACE, ([1, 2], [3, 4])),
+        ValidationError, "MeasureVector: weight vector 1 is a list, not a numpy array; "
+        "build from nested data with MeasureVector.from_weights", 0,
+    ),
+    "CoMeasureVector": (
+        lambda exact: CoMeasureVector(SPACE, ([1, 2], (3, 4))),
+        ValidationError, "CoMeasureVector: co-measure tensor 1 is a list, not a numpy array; "
+        "build from nested data with CoMeasureVector.from_tensors", 0,
+    ),
+    "CoMeasureVector-generator": (
+        lambda exact: CoMeasureVector(
+            SPACE, CoMeasureVector.uniform(SPACE, exact=exact).tensors, [[1, 1], [1, 1]]
+        ),
+        ValidationError, "CoMeasureVector: generator vector 1 is a list, not a numpy array; "
+        "build from nested data with CoMeasureVector.from_generator", 0,
+    ),
+    "MixedProfile": (
+        lambda exact: MixedProfile(SPACE, (MixedProfile.uniform(SPACE).probs[0], (0, 1))),
+        ValidationError, "MixedProfile: probability vector 2 is a tuple, not a numpy array; "
+        "build from nested data with MixedProfile.from_probs", 0,
+    ),
 }
 
 

@@ -1,8 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+from gamedecomp import decomposition
 from gamedecomp.cli import main
 from test_cli import _seeded_2x6
+from test_plans import CALL_CAPS, _calls, seeded
 
 TOOL = Path(__file__).parent.parent / "tools" / "object_counts.py"
 
@@ -26,3 +28,13 @@ def test_object_counts_measure_the_game_the_caps_are_set_on(tmp_path, capsys, co
     assert fractions == counted
     assert objects == 3  # the game, mu and gamma: is_harmonic keeps h in shared form
     assert checks == 3
+
+
+def test_object_counts_print_the_decompose_calls_the_guard_caps():
+    # the tool's last row is the count the call-count guard caps on 2^6
+    tool = _tool()
+    drawn, guarded = tool.seeded_2x6_objects(), seeded((2,) * 6)
+    assert all(a == b for a, b in zip(drawn, guarded))
+    calls = tool.decompose_calls(*drawn)
+    assert calls == _calls(decomposition.decompose, *guarded)[1]
+    assert calls <= CALL_CAPS[(2,) * 6]

@@ -6,15 +6,19 @@ next decomposition with the same object.  These tests pin that such reuse
 changes nothing: one mu and one gamma object decompose several games exactly
 as equal objects built fresh for each game do, in both scalar modes, on the
 law suite's parameters and on wide rationals, and exact phi is the dense
-oracle's solution.
+oracle's solution.  A count of function calls per exact decompose guards
+the fixed cost that the plans save.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gamedecomp import CoMeasureVector, Game, MeasureVector, StrategySpace, decompose
+from gamedecomp.games import _CoMeasurePlan, _MeasurePlan
 from gamedecomp.laws import random_game, random_gamma, random_mu
 from gamedecomp.operators import deviation_divergence
 from oracles import solve_poisson_dense
@@ -79,3 +83,58 @@ def test_reused_parameters_decompose_as_fresh_ones(sizes, seed, exact, wide):
         assert _fingerprint(reused) == _fingerprint(decompose(g, *fresh()))
         if exact and space.num_profiles <= DENSE_PROFILES:
             assert reused.phi == solve_poisson_dense(deviation_divergence(g, mu, gamma), mu)
+
+
+# -- the fixed cost of one exact decompose -------------------------------------
+
+# Python and C function calls (sys.setprofile's call and c_call events) of
+# one exact decompose with fresh mu and gamma, seeded law-suite draws; on
+# 2^6 the game of tools/object_counts.py, which prints the count.  The
+# decompose that read mu and gamma afresh on every call made 504, 686 and
+# 1250; a numpy call or helper added to a kernel shows here.
+CALL_CAPS = {(2, 2): 363, (3, 3, 3): 481, (2,) * 6: 835}
+PLAN_BUILDERS = {
+    _MeasurePlan.__init__.__code__,
+    _MeasurePlan.inverse_eigen.func.__code__,
+    _CoMeasurePlan.__init__.__code__,
+    _CoMeasurePlan.divisors.func.__code__,
+}
+
+
+def _calls(fn, *args):
+    """(fn(*args), its call and c_call events, the code objects it ran)."""
+    count, codes = [0], set()
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            count[0] += 1
+        if event == "call":
+            codes.add(frame.f_code)
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(saved)
+    return result, count[0], codes
+
+
+def seeded(sizes):
+    """A seeded law-suite game on ``sizes`` with its mu and gamma."""
+    rng = random.Random(21)
+    space = StrategySpace(tuple(tuple("abcd"[:m]) for m in sizes))
+    return random_game(rng, space), random_mu(rng, space), random_gamma(rng, space)
+
+
+@pytest.mark.parametrize("sizes", CALL_CAPS, ids=["2x2", "3x3x3", "2^6"])
+def test_exact_decompose_call_count(sizes):
+    g, mu, gamma = seeded(sizes)
+    first, calls, codes = _calls(decompose, g, mu, gamma)
+    assert calls <= CALL_CAPS[sizes]
+    assert PLAN_BUILDERS <= codes
+    # the same mu and gamma objects again: their plans are read, not built
+    again, reused_calls, codes = _calls(decompose, g, mu, gamma)
+    assert not PLAN_BUILDERS & codes
+    assert reused_calls < calls
+    assert _fingerprint(again) == _fingerprint(first)

@@ -12,8 +12,11 @@ measure, co-measure and profile.  ``checks`` counts full
 one per float object.  The commands are exact ``decompose``,
 ``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
 game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
-30 --seed 7``.  Stdlib only, apart from the package itself, which it
-imports from the ``src/`` next to this directory:
+30 --seed 7``.  A last row gives the fixed cost of one exact library
+``decompose`` of that game with its fresh mu and gamma: the Python and C
+function calls it makes (``sys.setprofile``'s call and c_call events),
+which ``tests/test_plans.py`` caps.  Stdlib only, apart from the package
+itself, which it imports from the ``src/`` next to this directory:
 
     python3 tools/object_counts.py
 """
@@ -30,18 +33,39 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gamedecomp import GameDocument, StrategySpace, games, laws, serialize_game
+from gamedecomp import GameDocument, StrategySpace, decompose, games, laws, serialize_game
 from gamedecomp.cli import main as cli_main
+
+
+def seeded_2x6_objects():
+    """The seeded random game on 2^6 and its mu and gamma, as drawn."""
+    rng = random.Random(21)
+    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
+    g = laws.random_game(rng, space)
+    return g, laws.random_mu(rng, space), laws.random_gamma(rng, space)
 
 
 def seeded_2x6(path: Path) -> Path:
     """Write the seeded random game on 2^6, with its mu and gamma, to ``path``."""
-    rng = random.Random(21)
-    space = StrategySpace(tuple(("a", "b") for _ in range(6)))
-    g = laws.random_game(rng, space)
-    mu, gamma = laws.random_mu(rng, space), laws.random_gamma(rng, space)
-    path.write_text(serialize_game(GameDocument(g, mu, gamma)))
+    path.write_text(serialize_game(GameDocument(*seeded_2x6_objects())))
     return path
+
+
+def decompose_calls(g, mu, gamma) -> int:
+    """The call and c_call events of one ``decompose(g, mu, gamma)``."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            count[0] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        decompose(g, mu, gamma)
+    finally:
+        sys.setprofile(saved)
+    return count[0]
 
 
 def count(argv: list[str]) -> tuple[int, int, int]:
@@ -101,6 +125,7 @@ def main() -> int:
             fractions, objects, checks = count(argv)
             shown = ["2^6" if arg == game else arg for arg in argv]
             print(f"{fractions:6d} {objects:6d} {checks:6d} {' '.join(shown)}")
+    print(f"{decompose_calls(*seeded_2x6_objects()):6d} calls of one exact decompose() on 2^6")
     return 0
 
 
