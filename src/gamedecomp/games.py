@@ -16,10 +16,12 @@ part, transformed game or parameter update that is never read out builds no
 every ``from_*`` constructor (and ``zeros``, ``uniform`` and ``pure``)
 converts its data with the count-checked ``_coerce`` and builds with
 ``_with_shared``, so its view is built on first read too.  The class
-constructors (``Game(space, payoffs)`` and the like) freeze the tensors they
-are given, keep them as the view and convert each one once through the same
-``of``, which takes a tensor's scalar mode from its dtype: object is exact,
-float64 is float, and any other dtype is refused.  The base also holds the
+constructors (``Game(space, payoffs)`` and the like) take numpy arrays,
+refusing anything else with a ``ValidationError`` that names the ``from_*``
+constructor for nested data; they freeze the tensors they are given, keep
+them as the view and convert each one once through the same ``of``, which
+takes a tensor's scalar mode from its dtype: object is exact, float64 is
+float, and any other dtype is refused.  The base also holds the
 ``exact`` property, ``==`` on numerators (which refuses mixed scalar modes),
 the shape check against each class's ``_shapes`` and the refusal of an
 object whose own tensors mix scalar modes.
@@ -28,6 +30,18 @@ object whose own tensors mix scalar modes.
 ``__add__``, ``__sub__`` and ``__eq__`` in its own class body: the layer
 tracer in ``perfbench/spans.py`` wraps them by reading ``Game.__dict__``,
 where an inherited method is not found.
+
+``MeasureVector`` and ``CoMeasureVector`` each derive one plan on first use
+and cache it on the object (``_plan``): what every decomposition kernel
+reads of the parameter and that depends on it alone.  A measure's plan
+(``_MeasurePlan``) holds per axis an ``_Axis``: the numerators m^i, their
+sum W (in float mode the value ``weights.num.sum()`` gives), the
+denominator L, m_0, the total mu^i(S^i) and the (pre, m, post) view dims;
+in exact mode the first Poisson solve adds the eigenvalue factor and the
+denominator growth of the inverse steps.  A co-measure's plan
+(``_CoMeasurePlan``) holds each gamma^i broadcast over the profile space
+and, on first use, what dividing by it takes (``_Shared.divisor``).  There
+is no module-level cache: a plan goes with its object.
 
 ``MeasureVector`` and ``CoMeasureVector`` refuse a nonpositive entry, of a
 co-measure's generator too, when they are built, reading the sign off the

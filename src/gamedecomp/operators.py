@@ -23,6 +23,15 @@ the numerators of 1/gamma^i.  Denominators are scalars, so each exact kernel
 costs O(|S|) Python-int operations per axis, and the one gcd per entry is
 paid when a result is read out as ``Fraction`` values.
 
+The kernels read mu and gamma through their plans (``games._MeasurePlan``,
+``games._CoMeasurePlan``), derived on first use and cached on the immutable
+parameter object, so a decomposition that reuses a mu or a gamma pays none of
+this parameter work again: per axis the numerators m^i, W, L_i, m_0, the total
+mu^i(S^i) and the (pre, m, post) view dims; the eigenvalue factor of the
+exact solve with its denominator growth; each gamma^i over the full profile
+space and the integer inverse that dividing by it multiplies with.  A plan
+lives on its parameter object only, and goes with it.
+
 Only the Poisson solve core stays per mode (_solve): exact mode multiplies
 through on integers (_solve_ints), float mode divides in the basis above with
 the heaviest strategy of each axis as reference, which keeps float rounding

@@ -178,7 +178,7 @@ def _literals(space):
 
 
 def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact decompose of a seeded 2^6 game builds 691 Fractions: the
+    # One exact decompose of a seeded 2^6 game builds 667 Fractions: the
     # 588 literals it reads and O(n) scalars, the 6 report lines among
     # them.  The parts and phi are written from their numerators; reading
     # each printed entry through a Fraction view built 1715, and the report
@@ -192,7 +192,7 @@ def test_exact_decompose_fraction_constructions(tmp_path, capsys, count_fraction
 
 
 def test_exact_classify_fraction_constructions(tmp_path, capsys, count_fractions):
-    # One exact classify of the seeded 2^6 game builds 607 Fractions: the
+    # One exact classify of the seeded 2^6 game builds 595 Fractions: the
     # 588 literals it reads and O(n) scalars.  All four tests run on integer
     # numerators; with the mu-normalized test and the deviation divergence
     # on Fraction tensors it built 767, and with the gamma-potential test
@@ -228,23 +228,26 @@ def test_serializing_decomposition_parts_builds_no_fraction(count_fractions):
 
 
 def test_exact_verify_all_fraction_constructions(capsys, count_fractions):
-    # the 11 laws at 30 trials each, seed 7, build 6,342 Fractions; parts,
+    # the 11 laws at 30 trials each, seed 7, build 2,442 Fractions; parts,
     # transformed games, mu, gamma, profiles, the equilibrium checks and
-    # the comparisons stay integer numerators.  With the equilibrium checks
-    # on Fraction tensors they built 25,224, with mu and gamma stored as
-    # Fraction tensors too 29,319, and with every game stored so, 148,463.
+    # the comparisons stay integer numerators, and the totals mu^i(S^i) are
+    # built once per measure.  Scaling by each total built two Fractions per
+    # player and decompose: 6,342.  With the equilibrium checks on Fraction
+    # tensors they built 25,224, with mu and gamma stored as Fraction tensors
+    # too 29,319, and with every game stored so, 148,463.
     code, count = count_fractions(main, ["verify", "all", "--trials", "30", "--seed", "7"])
     assert code == 0
     assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
-    assert count <= 6_342
+    assert count <= 2_442
 
 
 def test_exact_verify_all_object_constructions(monkeypatch, capsys):
-    # the 11 laws at 30 trials each, seed 7, build 4,710 games, fields,
+    # the 11 laws at 30 trials each, seed 7, build 4,650 games, fields,
     # measures, co-measures and profiles (one _store call each); a carry or
     # parameter update that does more work than its law needs shows here.
-    # Carrying each component through the whole transform, mu and gamma
-    # included, built 5,340.
+    # Building the divergence field in is_harmonic built 4,710; carrying
+    # each component through the whole transform, mu and gamma included,
+    # 5,340.
     count = [0]
     store = games._Tensors._store
 
@@ -255,11 +258,11 @@ def test_exact_verify_all_object_constructions(monkeypatch, capsys):
     monkeypatch.setattr(games._Tensors, "_store", counting_store)
     assert main(["verify", "all", "--trials", "30", "--seed", "7"]) == 0
     assert capsys.readouterr().out.count(": pass (30 trials, seed 7)") == 11
-    assert count[0] <= 4_710
+    assert count[0] <= 4_650
 
 
 def test_exact_verify_all_full_checks(monkeypatch, capsys):
-    # of the 4,710 objects above, 90 run the full _check: those built from
+    # of the 4,650 objects above, 90 run the full _check: those built from
     # a user's factor or tensors, here the scaled mu and gamma of
     # param-equivalence and the redundancy law's from_tensors gamma.  Parts,
     # carried games, parameter updates and draws are computed from checked
