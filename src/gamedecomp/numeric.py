@@ -16,9 +16,9 @@ refused.  Every value type in ``games`` stores its tensors in this form,
 the ``decompose`` pipeline, the parameter transforms and the equilibrium
 checks run on it in both modes, and its methods hold their scalar-mode
 branches; only the Poisson solve core (``operators._solve``) and
-``axis_contract`` keep a body per mode.  ``_Shared.texts`` writes a
-tensor's entries in the text ``format_scalar`` gives one scalar, so output
-builds no ``Fraction``.
+``contract`` (behind ``axis_contract``) keep a body per mode.
+``_Shared.texts`` writes a tensor's entries in the text ``format_scalar``
+gives one scalar, so output builds no ``Fraction``.
 
 Float arithmetic that leaves the float range is refused by one guard,
 ``_float_range``, which decorates the library's public float functions.
