@@ -6,6 +6,13 @@ oracle cross-checks and large fuzz runs; it is selected per object at
 construction time and detected from the numpy dtype (``object`` = exact,
 ``float64`` = float).
 
+Every literal, in a document, a CLI flag or a string entry of
+``_Shared.of``, is read by one rule, ``parse_scalar``: an integer or ``p/q``
+literal from its integer digits, ``Fraction(int(p), int(q))``, the value
+``Fraction(text)`` gives, returned as it is in exact mode and as its
+correctly rounded ``float`` in float mode; float mode also reads a decimal
+or exponent literal as ``float(text)``.
+
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
 ints in exact mode and the floats themselves over 1 in float mode.
 ``_Shared.of`` is the one way in: it turns outside values, a tensor or flat
@@ -44,13 +51,23 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_scalar(text: str, exact: bool = True):
-    """Parse an integer or ``p/q`` literal. Float mode also accepts finite decimals."""
+    """Parse one literal, the one rule for documents, CLI flags and string
+    entries.
+
+    An integer or ``p/q`` literal (``_SCALAR_RE``) is read from its integer
+    digits: ``int`` reads p and q, and the value is ``Fraction(p, q)``, the
+    one ``Fraction(text)`` gives, without its general string parser.  Exact
+    mode returns it; float mode returns its ``float``, correctly rounded, so
+    ``-0`` reads as ``0.0``.  Float mode also reads a finite decimal or
+    exponent literal as ``float(text)``.  Anything else, a zero
+    denominator, a numeral over ``sys.get_int_max_str_digits()`` and (float
+    mode) a value past the float range raise a ``ParseError``."""
     text = text.strip()
     if exact:
         if not _SCALAR_RE.match(text):
             raise ParseError(f"not an integer or p/q rational: {text!r}")
         try:
-            return Fraction(text)
+            return _rational(text)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {text!r}") from None
         except ValueError:  # an integer part over sys.get_int_max_str_digits()
@@ -59,12 +76,20 @@ def parse_scalar(text: str, exact: bool = True):
                 f"{sys.get_int_max_str_digits()} digits per integer"
             ) from None
     try:
-        value = float(Fraction(text)) if _SCALAR_RE.match(text) else float(text)
+        value = float(_rational(text)) if _SCALAR_RE.match(text) else float(text)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise ParseError(f"not a finite number: {text!r}") from None
     if not math.isfinite(value):
         raise ParseError(f"not a finite number: {text!r}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    """The value of a literal ``_SCALAR_RE`` matched: p and q read by
+    ``int``, as ``Fraction(text)`` reads them, so a numeral over the digit
+    limit raises ValueError and q = 0 ZeroDivisionError, in that order."""
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def format_scalar(value) -> str:

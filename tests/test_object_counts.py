@@ -1,10 +1,10 @@
 import importlib.util
 from pathlib import Path
 
-from gamedecomp import decomposition
+from gamedecomp import GameDocument, decomposition, parse_game, serialize_game
 from gamedecomp.cli import main
 from test_cli import _seeded_2x6
-from test_plans import CALL_CAPS, _calls, seeded
+from test_plans import CALL_CAPS, PARSE_CALL_CAPS, _calls, seeded
 
 TOOL = Path(__file__).parent.parent / "tools" / "object_counts.py"
 
@@ -35,6 +35,17 @@ def test_object_counts_print_the_decompose_calls_the_guard_caps():
     tool = _tool()
     drawn, guarded = tool.seeded_2x6_objects(), seeded((2,) * 6)
     assert all(a == b for a, b in zip(drawn, guarded))
-    calls = tool.decompose_calls(*drawn)
+    calls = tool.calls(decomposition.decompose, *drawn)
     assert calls == _calls(decomposition.decompose, *guarded)[1]
     assert calls <= CALL_CAPS[(2,) * 6]
+
+
+def test_object_counts_print_the_parse_calls_the_guard_caps(capsys):
+    # the tool's parse rows are the counts the parse guard caps on 2^6
+    _tool().main()
+    out = capsys.readouterr().out
+    text = serialize_game(GameDocument(*seeded((2,) * 6)))
+    for mode, exact in (("exact", True), ("float", False)):
+        calls = _calls(parse_game, text, exact)[1]
+        assert calls <= PARSE_CALL_CAPS[exact]
+        assert f"{calls:6d} calls of {mode} parse_game() of the 2^6 document\n" in out

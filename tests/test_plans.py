@@ -7,9 +7,11 @@ changes nothing: one mu and one gamma object decompose several games exactly
 as equal objects built fresh for each game do, in both scalar modes, on the
 law suite's parameters and on wide rationals, and exact phi is the dense
 oracle's solution.  A count of function calls per exact decompose guards
-the fixed cost that the plans save.
+the fixed cost that the plans save, and one of ``parse_game`` on the same
+game's document the cost of reading its literals.
 """
 
+import gc
 import random
 import sys
 from fractions import Fraction as F
@@ -17,7 +19,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamedecomp import CoMeasureVector, Game, MeasureVector, StrategySpace, decompose
+from gamedecomp import (
+    CoMeasureVector, Game, GameDocument, MeasureVector, StrategySpace, decompose, parse_game,
+    serialize_game,
+)
 from gamedecomp.games import _CoMeasurePlan, _MeasurePlan
 from gamedecomp.laws import random_game, random_gamma, random_mu
 from gamedecomp.operators import deviation_divergence
@@ -102,7 +107,9 @@ PLAN_BUILDERS = {
 
 
 def _calls(fn, *args):
-    """(fn(*args), its call and c_call events, the code objects it ran)."""
+    """(fn(*args), its call and c_call events, the code objects it ran).
+    The garbage collector is off meanwhile: a collection would count the gc
+    callbacks other code registers (hypothesis has one)."""
     count, codes = [0], set()
 
     def profile(frame, event, arg):
@@ -111,12 +118,15 @@ def _calls(fn, *args):
         if event == "call":
             codes.add(frame.f_code)
 
-    saved = sys.getprofile()
+    saved, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(saved)
+        if collecting:
+            gc.enable()
     return result, count[0], codes
 
 
@@ -138,3 +148,21 @@ def test_exact_decompose_call_count(sizes):
     assert not PLAN_BUILDERS & codes
     assert reused_calls < calls
     assert _fingerprint(again) == _fingerprint(first)
+
+
+# Python and C function calls of parse_game on the document of the seeded
+# 2^6 game in each scalar mode (tools/object_counts.py prints them).  Read
+# through Fraction(text), the general string parser, each literal cost
+# about 9 more: 13,641 (exact) and 13,886 (float).
+PARSE_CALL_CAPS = {True: 8013, False: 8264}
+
+
+@pytest.mark.parametrize("exact", PARSE_CALL_CAPS, ids=["exact", "float"])
+def test_parse_game_call_count(exact):
+    g, mu, gamma = seeded((2,) * 6)
+    doc, calls, _ = _calls(parse_game, serialize_game(GameDocument(g, mu, gamma)), exact)
+    assert calls <= PARSE_CALL_CAPS[exact]
+    if exact:
+        assert (doc.game, doc.mu, doc.gamma) == (g, mu, gamma)
+    else:
+        assert doc.game.flat(0) == [float(v) for v in g.flat(0)]

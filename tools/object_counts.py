@@ -12,10 +12,11 @@ measure, co-measure and profile.  ``checks`` counts full
 one per float object.  The commands are exact ``decompose``,
 ``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
 game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
-30 --seed 7``.  A last row gives the fixed cost of one exact library
-``decompose`` of that game with its fresh mu and gamma: the Python and C
-function calls it makes (``sys.setprofile``'s call and c_call events),
-which ``tests/test_plans.py`` caps.  Stdlib only, apart from the package
+30 --seed 7``.  The last rows give fixed costs as the Python and C
+function calls made (``sys.setprofile``'s call and c_call events), which
+``tests/test_plans.py`` caps: one exact library ``decompose`` of that game
+with its fresh mu and gamma, and ``parse_game`` of its document in exact
+and in float mode.  Stdlib only, apart from the package
 itself, which it imports from the ``src/`` next to this directory:
 
     python3 tools/object_counts.py
@@ -24,6 +25,7 @@ itself, which it imports from the ``src/`` next to this directory:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import random
 import sys
@@ -33,7 +35,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gamedecomp import GameDocument, StrategySpace, decompose, games, laws, serialize_game
+from gamedecomp import (
+    GameDocument, StrategySpace, decompose, games, laws, parse_game, serialize_game,
+)
 from gamedecomp.cli import main as cli_main
 
 
@@ -51,20 +55,24 @@ def seeded_2x6(path: Path) -> Path:
     return path
 
 
-def decompose_calls(g, mu, gamma) -> int:
-    """The call and c_call events of one ``decompose(g, mu, gamma)``."""
+def calls(fn, *args) -> int:
+    """The call and c_call events of one ``fn(*args)``, with the garbage
+    collector off, as the guard counts them."""
     count = [0]
 
     def profile(frame, event, arg):
         if event in ("call", "c_call"):
             count[0] += 1
 
-    saved = sys.getprofile()
+    saved, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
-        decompose(g, mu, gamma)
+        fn(*args)
     finally:
         sys.setprofile(saved)
+        if collecting:
+            gc.enable()
     return count[0]
 
 
@@ -125,7 +133,11 @@ def main() -> int:
             fractions, objects, checks = count(argv)
             shown = ["2^6" if arg == game else arg for arg in argv]
             print(f"{fractions:6d} {objects:6d} {checks:6d} {' '.join(shown)}")
-    print(f"{decompose_calls(*seeded_2x6_objects()):6d} calls of one exact decompose() on 2^6")
+    objects = seeded_2x6_objects()
+    print(f"{calls(decompose, *objects):6d} calls of one exact decompose() on 2^6")
+    text = serialize_game(GameDocument(*objects))
+    for mode, exact in (("exact", True), ("float", False)):
+        print(f"{calls(parse_game, text, exact):6d} calls of {mode} parse_game() of the 2^6 document")
     return 0
 
 
