@@ -59,6 +59,7 @@ from .transforms import (
 
 PARAM_VALUES = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 SPLIT_VALUES = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+_PARAM_SIXTHS = [int(v * 6) for v in PARAM_VALUES]  # 2, 3, 6, 12, 18: over 6
 _LABELS = string.ascii_lowercase
 
 
@@ -90,9 +91,13 @@ def random_game(rng: random.Random, space: StrategySpace) -> Game:
 
 def _draw_params(rng: random.Random, shape) -> _Shared:
     """rng.choice(PARAM_VALUES) per entry of ``shape``, in row-major order,
-    as numerators over their LCM."""
-    flat = [rng.choice(PARAM_VALUES) for _ in range(math.prod(shape))]
-    return _Shared.of(flat, shape, exact=True)
+    as numerators over their LCM: drawn as sixths, from a list as long, so
+    the RNG stream is the same, then divided once by the gcd of 6 and the
+    draws, which gives the numerators and denominator ``_Shared.of`` builds
+    from the ``Fraction`` draws."""
+    draws = [rng.choice(_PARAM_SIXTHS) for _ in range(math.prod(shape))]
+    g = math.gcd(6, *draws)
+    return _Shared(_object_array([d // g for d in draws], shape), 6 // g)
 
 
 def random_mu(rng: random.Random, space: StrategySpace) -> MeasureVector:

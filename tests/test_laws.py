@@ -1,11 +1,14 @@
+import math
 import random
 
 import pytest
 
 from gamedecomp import CoMeasureVector, MeasureVector, StrategySpace, parse_game
+from gamedecomp.numeric import _Shared
 from gamedecomp.laws import (
     LAWS,
     PARAM_VALUES,
+    _draw_params,
     _minimize,
     random_game,
     random_gamma,
@@ -100,6 +103,20 @@ def _replay(seed, space):
 def test_random_parameters_replay_the_public_constructors():
     for seed in range(30):
         _replay(seed, random_space(random.Random(f"space:{seed}"), (2, 3), (2, 4)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (4,), (2, 3), (3, 3, 4)])
+def test_parameter_draws_are_the_shared_form_of_the_fraction_draws(shape):
+    # the same numerators and denominator as _Shared.of builds from
+    # rng.choice(PARAM_VALUES), from the same RNG stream
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        drawn = _draw_params(rng, shape)
+        built = _Shared.of(_draws(twin, [math.prod(shape)])[0], shape, exact=True)
+        assert drawn.num.shape == shape
+        assert (drawn.num.tolist(), drawn.den) == (built.num.tolist(), built.den)
+        assert all(type(v) is int for v in drawn.num.reshape(-1).tolist())
+        assert rng.getstate() == twin.getstate()
 
 
 def test_an_all_ones_random_gamma_keeps_the_unit_generator():
