@@ -378,9 +378,11 @@ class Game(_Tensors):
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self._shared)
 
+    @_float_range("the sum")
     def __add__(self, other):
         return self._combine(other, _add)
 
+    @_float_range("the difference")
     def __sub__(self, other):
         return self._combine(other, _sub)
 
@@ -468,6 +470,7 @@ class MeasureVector(_Tensors):
         """mu(s) = prod_i mu^i(s^i) as a full-profile tensor."""
         return self._product().values()
 
+    @_float_range("the scaled measure")
     def scaled(self, factor) -> "MeasureVector":
         return self._with_shared(self.space, (w.scale(factor) for w in self._shared))._checked()
 
@@ -588,6 +591,7 @@ class CoMeasureVector(_Tensors):
         flat = self._shared[player].num.reshape(-1)
         return bool(np.all(flat == flat[0]))
 
+    @_float_range("the scaled co-measure")
     def scaled(self, factor) -> "CoMeasureVector":
         # no canonical way to spread the factor over generator entries
         return self._with_shared(self.space, (t.scale(factor) for t in self._shared))._checked()

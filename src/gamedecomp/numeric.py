@@ -107,10 +107,10 @@ def _float_range(what: str):
     instead of a numpy warning and an inf or nan result.
 
     The one place float overflow is caught: it decorates each public
-    function that computes on float tensors, so a caller sees no warning;
-    where guarded calls nest, the innermost ``what`` is reported.  The value-type
-    operators (``+``, ``-``, ``==``, ``scaled``) are not decorated: an
-    entry out of range is refused when their result is stored.  A plain
+    function that computes on float tensors and on the value-type
+    operators ``+``, ``-`` and ``scaled``, so a caller sees no warning;
+    where guarded calls nest, the innermost ``what`` is reported.  ``==``
+    needs no guard: float ``_Shared.equals`` compares halves.  A plain
     wrapper: a guarded call builds no generator context manager."""
 
     def guard(fn):
@@ -262,9 +262,15 @@ class _Shared(NamedTuple):
     def equals(self, other: "_Shared") -> bool:
         """Entrywise equality of two tensors of one shape, without converting
         out: exact mode compares numerators over one denominator, float mode
-        allows tolerance(magnitude(a, b)) as ``arrays_equal`` does."""
+        allows tolerance(magnitude(a, b)) as ``arrays_equal`` does, on
+        halves: |a/2 - b/2| <= tolerance/2 decides as |a - b| <= tolerance
+        wherever a - b is finite, and answers where it is not (1e308 against
+        -1e308) without leaving the float range."""
         left, right, _ = self.aligned(other)
-        return arrays_equal(left, right, self.exact)
+        if self.exact or left.shape != right.shape:
+            return arrays_equal(left, right, self.exact)
+        tol = tolerance(magnitude(left, right))
+        return bool(np.all(np.abs(left / 2 - right / 2) <= tol / 2))
 
     def is_zero(self) -> bool:
         """Every entry is 0: exact numerators are, float entries lie within

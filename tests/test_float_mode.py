@@ -351,11 +351,14 @@ def test_cli_float_rejects_results_out_of_range(tmp_path, capsys, case):
 
 def test_float_objects_refuse_entries_out_of_range():
     space = StrategySpace((("a", "b"),) * 2)
-    g = Game.from_payoffs(space, [[1e308] * 4] * 2, exact=False)
-    with np.errstate(over="ignore"), pytest.raises(
+    with pytest.raises(
         ValidationError,
         match=r"^a payoff tensor entry leaves the float range \(inf\); use exact mode$",
     ):
+        Game(space, [np.array([[1.0, np.inf], [1.0, 1.0]])] * 2)
+    # a sum out of range is refused by the float-range guard, before it is stored
+    g = Game.from_payoffs(space, [[1e308] * 4] * 2, exact=False)
+    with pytest.raises(ValidationError, match=r"^the sum leaves the float range; use exact mode$"):
         g + g
     with pytest.raises(
         ValidationError,

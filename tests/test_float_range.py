@@ -173,11 +173,24 @@ _DECOMPOSITION_CASES = {
     }.items()
 }
 
-# Value-type methods that compute.  Left out, since an entry out of range in
-# their result is refused when it is stored, after numpy's warning: the
-# operators Game / ScalarField +, - and ==, and MeasureVector /
-# CoMeasureVector.scaled.
+EDGE_FIELD = ScalarField.from_values(SPACE, [BIG, -BIG, BIG, -BIG], exact=False)
+_MU_1E300, _GAMMA_1E300 = WEIGHTS["1e300"]
+
+# Value-type methods that compute: the operators answer, or refuse a result
+# out of range, without a numpy warning.
 _VALUE_TYPE_CASES = {
+    "Game.__add__": lambda: PENNIES + PENNIES,
+    "Game.__sub__": lambda: PENNIES - _pennies(-BIG),
+    "Game.__eq__": lambda: PENNIES == _pennies(-BIG),
+    "ScalarField.__add__": lambda: EDGE_FIELD + EDGE_FIELD,
+    "ScalarField.__sub__": lambda: EDGE_FIELD - ScalarField.from_values(
+        SPACE, [-BIG, BIG, -BIG, BIG], exact=False
+    ),
+    "ScalarField.__eq__": lambda: EDGE_FIELD == ScalarField.from_values(
+        SPACE, [-BIG, BIG, -BIG, BIG], exact=False
+    ),
+    "MeasureVector.scaled": lambda: _MU_1E300.scaled(1e10),
+    "CoMeasureVector.scaled": lambda: _GAMMA_1E300.scaled(1e10),
     "MeasureVector.total": lambda: MeasureVector.from_weights(
         SPACE, [[BIG, BIG], [1, 1]], exact=False
     ).total(0),
@@ -245,6 +258,15 @@ def test_every_public_function_has_an_edge_case():
     assert {f"Decomposition.{name}" for name in methods} == {
         case.split("[")[0] for case in _DECOMPOSITION_CASES
     }
+
+
+def test_float_equality_at_the_range_edge_answers_as_within_range():
+    # 1e308 and -1e308 differ by more than the float range holds; entries
+    # closer than tolerance(1e308) = 1e299 are equal, as a - b decides
+    assert PENNIES == _pennies(BIG) and not PENNIES == _pennies(-BIG)
+    assert EDGE_FIELD != ScalarField.from_values(SPACE, [-BIG, BIG, -BIG, BIG], exact=False)
+    assert PENNIES == _pennies(BIG * (1 + 1e-12))
+    assert PENNIES != _pennies(BIG * (1 - 1e-6))
 
 
 def test_float_range_is_caught_only_by_the_numeric_guard():
