@@ -267,10 +267,10 @@ class _Shared(NamedTuple):
         wherever a - b is finite, and answers where it is not (1e308 against
         -1e308) without leaving the float range."""
         left, right, _ = self.aligned(other)
-        if self.exact or left.shape != right.shape:
-            return arrays_equal(left, right, self.exact)
+        if self.exact:
+            return arrays_equal(left, right)
         tol = tolerance(magnitude(left, right))
-        return bool(np.all(np.abs(left / 2 - right / 2) <= tol / 2))
+        return left.shape == right.shape and bool(np.all(np.abs(left / 2 - right / 2) <= tol / 2))
 
     def is_zero(self) -> bool:
         """Every entry is 0: exact numerators are, float entries lie within
