@@ -28,7 +28,8 @@ branches; only the Poisson solve core (``operators._solve``) and
 gives one scalar, so output builds no ``Fraction``.
 
 Float arithmetic that leaves the float range is refused by one guard,
-``_float_range``, which decorates the library's public float functions.
+``_float_range``, which decorates the library's public float functions and
+the value-type operators ``+``, ``-`` and ``scaled``.
 """
 
 from __future__ import annotations
@@ -223,9 +224,11 @@ class _Shared(NamedTuple):
         """This tensor times the scalar c; exact mode reduces c against the
         denominator with one gcd, as ``Fraction(c) / den`` would, and skips
         the multiplication when the reduced numerator is 1; float mode
-        multiplies by float(c), so a ``Fraction`` c keeps it float."""
+        multiplies by c as a float-mode entry (``_entry``), so a ``Fraction``
+        c keeps it float and one past the float range is ``inf``, which the
+        object check refuses."""
         if not self.exact:
-            return _Shared(self.num * float(c), 1)
+            return _Shared(self.num * _entry(c, False), 1)
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         g = math.gcd(c.numerator, self.den)

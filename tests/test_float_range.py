@@ -175,6 +175,7 @@ _DECOMPOSITION_CASES = {
 
 EDGE_FIELD = ScalarField.from_values(SPACE, [BIG, -BIG, BIG, -BIG], exact=False)
 _MU_1E300, _GAMMA_1E300 = WEIGHTS["1e300"]
+_UNIT_MU, _UNIT_GAMMA = WEIGHTS["unit"]
 
 # Value-type methods that compute: the operators answer, or refuse a result
 # out of range, without a numpy warning.
@@ -190,7 +191,9 @@ _VALUE_TYPE_CASES = {
         SPACE, [-BIG, BIG, -BIG, BIG], exact=False
     ),
     "MeasureVector.scaled": lambda: _MU_1E300.scaled(1e10),
+    "MeasureVector.scaled[10^400]": lambda: _UNIT_MU.scaled(10**400),
     "CoMeasureVector.scaled": lambda: _GAMMA_1E300.scaled(1e10),
+    "CoMeasureVector.scaled[10^400]": lambda: _UNIT_GAMMA.scaled(Fraction(10**400, 3)),
     "MeasureVector.total": lambda: MeasureVector.from_weights(
         SPACE, [[BIG, BIG], [1, 1]], exact=False
     ).total(0),
@@ -207,7 +210,6 @@ _VALUE_TYPE_CASES = {
 }
 
 # The internal helpers README lists as importable from their modules.
-_UNIT_MU, _UNIT_GAMMA = WEIGHTS["unit"]
 _HELPER_CASES = {
     "pure_regret": lambda: pure_regret(PENNIES),
     "inner_product_game": lambda: inner_product_game(
