@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -118,6 +119,9 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
     args = parser.parse_args()
+    # a SIGTERM unwinds like an exception: the checkouts are removed and
+    # run.py is killed (its workload child runs out its own --seconds)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         sides = {side: export(rev, Path(tmp) / side)
