@@ -152,8 +152,8 @@ def test_exact_decompose_call_count(sizes):
 
 # Python and C function calls of parse_game on the document of the seeded
 # 2^6 game in each scalar mode (tools/object_counts.py prints them).  Read
-# through Fraction(text), the general string parser, each literal cost
-# about 9 more: 13,641 (exact) and 13,886 (float).
+# through Fraction(text), the general string parser, each of its 588
+# literals cost about 10 more: 13,641 (exact) and 13,886 (float).
 PARSE_CALL_CAPS = {True: 8013, False: 8264}
 
 
