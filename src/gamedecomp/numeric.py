@@ -156,16 +156,22 @@ def _entry(value, exact: bool):
     if not isinstance(value, (int, np.integer, Fraction, float, np.floating)):
         raise ValidationError(f"not a scalar: {value!r}")
     if not exact:
-        try:
-            return float(value)
-        except OverflowError:  # an int or Fraction past the float range
-            return math.inf if value > 0 else -math.inf
+        return _float(value)
     if isinstance(value, (float, np.floating)):
         raise ValidationError(
             f"float {value!r} given as an exact scalar; pass an int, a Fraction "
             "or a 'p/q' string, or build the value in float mode"
         )
     return value if isinstance(value, Fraction) else int(value)
+
+
+def _float(value) -> float:
+    """``float(value)``, with a value past the float range (an int or a
+    ``Fraction``) as ``inf`` of its sign, which the object check refuses."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class _Shared(NamedTuple):
@@ -224,11 +230,11 @@ class _Shared(NamedTuple):
         """This tensor times the scalar c; exact mode reduces c against the
         denominator with one gcd, as ``Fraction(c) / den`` would, and skips
         the multiplication when the reduced numerator is 1; float mode
-        multiplies by c as a float-mode entry (``_entry``), so a ``Fraction``
-        c keeps it float and one past the float range is ``inf``, which the
-        object check refuses."""
+        multiplies by ``_float(c)``, so a ``Fraction`` c keeps it float and
+        one past the float range is ``inf``, which the object check
+        refuses."""
         if not self.exact:
-            return _Shared(self.num * _entry(c, False), 1)
+            return _Shared(self.num * _float(c), 1)
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         g = math.gcd(c.numerator, self.den)
@@ -265,15 +271,17 @@ class _Shared(NamedTuple):
     def equals(self, other: "_Shared") -> bool:
         """Entrywise equality of two tensors of one shape, without converting
         out: exact mode compares numerators over one denominator, float mode
-        allows tolerance(magnitude(a, b)) as ``arrays_equal`` does, on
+        allows tolerance(magnitude(a, b)) as ``unequal_mask`` does, on
         halves: |a/2 - b/2| <= tolerance/2 decides as |a - b| <= tolerance
         wherever a - b is finite, and answers where it is not (1e308 against
         -1e308) without leaving the float range."""
         left, right, _ = self.aligned(other)
+        if left.shape != right.shape:
+            return False
         if self.exact:
-            return arrays_equal(left, right)
+            return not (left != right).any()
         tol = tolerance(magnitude(left, right))
-        return left.shape == right.shape and bool(np.all(np.abs(left / 2 - right / 2) <= tol / 2))
+        return bool(np.all(np.abs(left / 2 - right / 2) <= tol / 2))
 
     def is_zero(self) -> bool:
         """Every entry is 0: exact numerators are, float entries lie within
@@ -427,6 +435,3 @@ def unequal_mask(a: np.ndarray, b: np.ndarray, exact: bool = True) -> np.ndarray
         return np.asarray(a != b, dtype=bool)
     return ~(np.abs(a - b) <= tolerance(magnitude(a, b)))  # nan counts as unequal
 
-
-def arrays_equal(a: np.ndarray, b: np.ndarray, exact: bool = True) -> bool:
-    return a.shape == b.shape and not unequal_mask(a, b, exact).any()

@@ -57,7 +57,13 @@ def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better(
     assert _verdict(RSS, parent, [30.0, 35.0, 38.0, 32.0, 36.0])["verdict"] == "better"
 
 
+def test_a_claim_needs_ten_pairs_however_clear_the_gain():
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99]
+    row = _verdict(OPS, parent, [v + 10 for v in parent], "ops_per_s")
+    assert (row["wins"], row["pairs"], row["verdict"]) == (9, 9, "too few pairs")
+
+
 def test_one_pair_has_its_value_for_every_quartile():
     assert _tool().quartiles([3.0]) == (3.0, 3.0, 3.0)
     row = _verdict(OPS, [100.0], [110.0], "ops_per_s")
-    assert row["parent"] == (100.0, 100.0, 100.0) and row["verdict"] == "claim met"
+    assert row["parent"] == (100.0, 100.0, 100.0) and row["verdict"] == "too few pairs"

@@ -1,5 +1,6 @@
 import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,18 @@ def test_float_objects_refuse_entries_out_of_range():
         match=r"^a generator entry leaves the float range \(nan\); use exact mode$",
     ):
         CoMeasureVector(space, [np.ones(2)] * 2, [np.array([np.nan, 1.0]), np.ones(2)])
+
+
+def test_float_scaled_takes_any_factor_float_takes():
+    """A float-mode factor is ``float(c)``, so a ``Decimal`` scales as its
+    float does, and an int past the float range is refused as out of range."""
+    space = StrategySpace((("a", "b"),) * 2)
+    mu = MeasureVector.from_weights(space, [[1, 2], [3, 4]], exact=False)
+    assert mu.scaled(Decimal("2.5")) == mu.scaled(2.5)
+    gamma = CoMeasureVector.uniform(space, exact=False)
+    assert gamma.scaled(Decimal("0.5")) == gamma.scaled(0.5)
+    with pytest.raises(ValidationError, match=r"leaves the float range \(inf\); use exact mode$"):
+        mu.scaled(10**400)
 
 
 def test_float_solve_under_one_huge_weight_per_axis():

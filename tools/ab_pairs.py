@@ -3,20 +3,22 @@
 Usage (from the repository root):
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload float-deep --pairs 10 \\
-        --seed 1 --seconds 25 --claim ops_per_s
+        --seed 1 --claim ops_per_s
 
 Each revision (anything ``git archive`` takes: a commit, a branch, a tag) is
 exported into its own temporary directory outside the repository, and
 ``perfbench/run.py --workload W --seed S --seconds T`` runs in each
-checkout, one pair at a time, alternating which side runs first (the
+checkout, T being ``run_seconds`` of the parent's ``BENCHMARK.json``, one
+pair at a time, alternating which side runs first (the
 parent in even pairs, the change in odd ones).  It prints one row per run
 with every end-to-end metric of ``BENCHMARK.json``, then per metric each
 side's median and quartiles, how many pairs the change won (ties count for
 neither) and a verdict:
 
-- the claimed metric (``--claim``) is met when the change wins at least
-  nine tenths of the pairs and the medians differ, in the metric's better
-  direction, by more than the parent's interquartile range;
+- the claimed metric (``--claim``) is met when there are at least ten
+  pairs, the change wins at least nine tenths of them and the medians
+  differ, in the metric's better direction, by more than the parent's
+  interquartile range; with fewer pairs it is ``too few pairs``;
 - any other metric is ``unresolved`` when the parent's interquartile range,
   relative to its median, is wider than the metric's bound, unless every
   run of the change reads better than every run of the parent
@@ -42,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_CLAIM_PAIRS = 10  # a gain is claimed from no fewer alternating pairs
 
 
 def export(revision: str, into: Path) -> Path:
@@ -93,7 +96,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict], claim: str | 
         iqr = pq[2] - pq[0]
         gain = sign * (cq[1] - pq[1])  # > 0: the change's median is better
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        if name == claim:
+        if name == claim and len(pairs) < MIN_CLAIM_PAIRS:
+            verdict = "too few pairs"
+        elif name == claim:
             met = wins >= 0.9 * len(pairs) and gain > iqr
             verdict = "claim met" if met else "claim not met"
         elif iqr > bound * abs(pq[1]):
@@ -116,7 +121,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--claim", help="the end-to-end metric the change claims to improve")
     args = parser.parse_args()
     # a SIGTERM unwinds like an exception: the checkouts are removed and
@@ -126,9 +130,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         sides = {side: export(rev, Path(tmp) / side)
                  for side, rev in (("parent", args.parent), ("change", args.change))}
-        metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+        benchmark = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+        metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         names = [m["name"] for m in metrics]
-        print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds}  "
+        print(f"workload {args.workload}  seed {args.seed}  seconds {seconds}  "
               f"parent {args.parent}  change {args.change}")
         print(f"{'pair':>4} {'side':<6} " + " ".join(f"{n:>14}" for n in names))
         pairs, problems = [], []
@@ -136,7 +141,7 @@ def main() -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             runs = {}
             for side in order:
-                run = runs[side] = bench(sides[side], args.workload, args.seed, args.seconds)
+                run = runs[side] = bench(sides[side], args.workload, args.seed, seconds)
                 print(f"{k:>4} {side:<6} " + " ".join(f"{run['metrics'][n]:>14.6g}" for n in names),
                       flush=True)
                 if not run["correct"] or run["failed"]:
@@ -155,7 +160,7 @@ def main() -> int:
               f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']}")
     for problem in problems:
         print(f"ERROR {problem}")
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": seconds,
                       "parent": args.parent, "change": args.change, "pairs": pairs,
                       "summary": rows, "errors": problems}))
     return 1 if problems else 0
