@@ -434,4 +434,3 @@ def unequal_mask(a: np.ndarray, b: np.ndarray, exact: bool = True) -> np.ndarray
     if exact:
         return np.asarray(a != b, dtype=bool)
     return ~(np.abs(a - b) <= tolerance(magnitude(a, b)))  # nan counts as unequal
-
