@@ -315,6 +315,10 @@ def _cmd_closest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # run_law draws exact instances only, so a --float run would check exact mode
+    _require(
+        not args.float_mode, "verify checks the laws in exact mode only; run it without --float"
+    )
     laws = sorted(LAWS) if args.law == "all" else [args.law]
     players = (2, args.players)
     strategies = (2, args.strategies)

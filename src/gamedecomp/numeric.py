@@ -8,10 +8,12 @@ construction time and detected from the numpy dtype (``object`` = exact,
 
 Every literal, in a document, a CLI flag or a string entry of
 ``_Shared.of``, is read by one rule, ``parse_scalar``: an integer or ``p/q``
-literal from its integer digits, ``Fraction(int(p), int(q))``, the value
-``Fraction(text)`` gives, returned as it is in exact mode and as its
-correctly rounded ``float`` in float mode; float mode also reads a decimal
-or exponent literal as ``float(text)``.
+literal from its integer digits, as ``Fraction(int(p), int(q))`` in exact
+mode, the value ``Fraction(text)`` gives, and as ``int(p) / int(q)`` in
+float mode, which Python rounds correctly, so no ``Fraction`` is built and
+the float is the one ``float(Fraction(text))`` gives.  Float mode also
+reads a decimal or exponent literal (``_DECIMAL_RE``: digits, one point,
+an exponent; no underscores) as ``float(text)``.
 
 ``_Shared`` holds a tensor as numerators over one shared denominator, Python
 ints in exact mode and the floats themselves over 1 in float mode.
@@ -49,6 +51,7 @@ from .errors import GameDecompError, ParseError, ValidationError
 FLOAT_ZERO_TOL = 1e-9
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def parse_scalar(text: str, exact: bool = True):
@@ -56,19 +59,23 @@ def parse_scalar(text: str, exact: bool = True):
     entries.
 
     An integer or ``p/q`` literal (``_SCALAR_RE``) is read from its integer
-    digits: ``int`` reads p and q, and the value is ``Fraction(p, q)``, the
-    one ``Fraction(text)`` gives, without its general string parser.  Exact
-    mode returns it; float mode returns its ``float``, correctly rounded, so
-    ``-0`` reads as ``0.0``.  Float mode also reads a finite decimal or
-    exponent literal as ``float(text)``.  Anything else, a zero
-    denominator, a numeral over ``sys.get_int_max_str_digits()`` and (float
-    mode) a value past the float range raise a ``ParseError``."""
+    digits by ``_rational``.  Exact mode returns ``Fraction(p, q)``, the
+    value ``Fraction(text)`` gives, without its general string parser.
+    Float mode returns ``p / q``, or ``float(p)`` without q: int true
+    division is correctly rounded, so the bits are those of
+    ``float(Fraction(text))`` and ``-0`` reads as ``0.0``.  Float mode also
+    reads a decimal or exponent literal (``_DECIMAL_RE``) as
+    ``float(text)`` when it is finite; ``float``'s other forms, ``inf``,
+    ``nan`` and digits grouped by ``_``, are refused, as in exact mode.
+    Anything else, a zero denominator, a numeral over
+    ``sys.get_int_max_str_digits()`` and (float mode) a value past the
+    float range raise a ``ParseError``."""
     text = text.strip()
     if exact:
         if not _SCALAR_RE.match(text):
             raise ParseError(f"not an integer or p/q rational: {text!r}")
         try:
-            return _rational(text)
+            return Fraction(*_rational(text))
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {text!r}") from None
         except ValueError:  # an integer part over sys.get_int_max_str_digits()
@@ -76,21 +83,26 @@ def parse_scalar(text: str, exact: bool = True):
                 f"number too long: {len(text)} characters, over the limit of "
                 f"{sys.get_int_max_str_digits()} digits per integer"
             ) from None
-    try:
-        value = float(_rational(text)) if _SCALAR_RE.match(text) else float(text)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        raise ParseError(f"not a finite number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(f"not a finite number: {text!r}")
-    return value
+    if _SCALAR_RE.match(text):
+        try:
+            p, q = _rational(text)
+            return float(p) if q is None else p / q
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    elif _DECIMAL_RE.match(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise ParseError(f"not a finite number: {text!r}")
 
 
-def _rational(text: str) -> Fraction:
-    """The value of a literal ``_SCALAR_RE`` matched: p and q read by
-    ``int``, as ``Fraction(text)`` reads them, so a numeral over the digit
-    limit raises ValueError and q = 0 ZeroDivisionError, in that order."""
+def _rational(text: str) -> tuple[int, int | None]:
+    """p and q of a literal ``_SCALAR_RE`` matched, read by ``int`` as
+    ``Fraction(text)`` reads them, q ``None`` where the literal has none:
+    a numeral over the digit limit raises ValueError here, before q = 0
+    raises ZeroDivisionError in the caller's division."""
     p, _, q = text.partition("/")
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return int(p), int(q) if q else None
 
 
 def format_scalar(value) -> str:

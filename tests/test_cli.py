@@ -681,6 +681,15 @@ def test_verify_rejects_arguments_it_cannot_honour(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_float_verify_is_refused(capsys):
+    # the law suite checks exact mode only; --float must not run it silently
+    code, out, err = run(
+        capsys, "--float", "verify", "orthogonality", "--trials", "3", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: verify checks the laws in exact mode only; run it without --float\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "classify", "does-not-exist.game")
     assert code == 1

@@ -153,8 +153,11 @@ def test_exact_decompose_call_count(sizes):
 # Python and C function calls of parse_game on the document of the seeded
 # 2^6 game in each scalar mode (tools/object_counts.py prints them).  Read
 # through Fraction(text), the general string parser, each of its 588
-# literals cost about 10 more: 13,641 (exact) and 13,886 (float).
-PARSE_CALL_CAPS = {True: 8013, False: 8264}
+# literals cost about 10 more: 13,641 (exact) and 13,886 (float).  Float
+# mode divides the integer digits, int(p) / int(q), so it builds no
+# Fraction; through float(Fraction(p, q)) each literal cost about 6 more
+# (8,264).
+PARSE_CALL_CAPS = {True: 8013, False: 4650}
 
 
 @pytest.mark.parametrize("exact", PARSE_CALL_CAPS, ids=["exact", "float"])

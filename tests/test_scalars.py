@@ -81,6 +81,7 @@ _DECIMALS = st.one_of(
 _REFUSED = [
     "", "a", "1/", "/2", "1//2", "2/-3", "1/+2", "--1", "+-1", "1 2", "1 / 2", "1/2/3",
     "0x10", "1__0", "1/2_0", "\u00bd", "1.5/2", "nan", "inf", "-inf", "Infinity",
+    "1_000", "1_0.5", "1e1_0",
 ]
 
 
