@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import GameDecompError, ParseError
 from .numeric import format_scalar, parse_scalar
 from .games import CoMeasureVector, MeasureVector, validate_parameters
-from .gamedoc import GameDocument, parse_game, serialize_game
+from .gamedoc import GameDocument, _number, parse_game, serialize_game
 from .decomposition import (
     decompose,
     is_gamma_potential,
@@ -249,7 +249,7 @@ def _cmd_transform(args) -> int:
 
     if args.op == "permute":
         _require(args.player is not None and args.sigma, "--op permute needs --player and --sigma")
-        sigma = tuple(_literal(int, x, "--sigma") for x in args.sigma.split(","))
+        sigma = tuple(_literal(_number, x, "--sigma") for x in args.sigma.split(","))
         spec = PermutationSpec(player, sigma)
         game = permute(game, spec)
         mu, gamma = permute_params(mu, gamma, spec)
@@ -352,13 +352,15 @@ def _require(condition, message: str) -> None:
 
 def _literal(read, text: str, flag: str):
     """read(text), with a bad literal reported as a GameDecompError naming the
-    flag; ``parse_scalar`` reads exact integers and p/q, as documents do."""
+    flag; ``parse_scalar`` reads exact integers and p/q, as documents do, and
+    ``gamedoc._number`` a natural number, returning None for anything else."""
     try:
-        return read(text.strip())
+        value = read(text.strip())
     except ParseError as exc:
         raise GameDecompError(f"{flag}: {exc}") from None
-    except ValueError:
-        raise GameDecompError(f"{flag}: not a valid number: {text!r}") from None
+    if value is None:
+        raise GameDecompError(f"{flag}: not a valid number: {text!r}")
+    return value
 
 
 if __name__ == "__main__":

@@ -91,8 +91,8 @@ def best_response_epsilon(g: Game, x: MixedProfile):
 def is_no_gain(g: Game, eps) -> bool:
     """True iff a best-response epsilon of g is 0: exactly, or in float mode
     within the tolerance of the magnitude of g's payoffs, whose rounding
-    noise a float epsilon carries."""
-    return is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*g.payoffs))
+    noise a float epsilon carries (the float numerators are the payoffs)."""
+    return is_zero(eps, g.exact, 1.0 if g.exact else magnitude(*(x.num for x in g._shared)))
 
 
 def _pure_regret(g: Game) -> _Shared:
@@ -172,10 +172,10 @@ def pure_equilibrium_from_potential(
     """All global argmax profiles of the potential function, in canonical order.
 
     Every returned profile is a pure Nash equilibrium of g.  One axis-by-axis
-    integration both decides membership and yields the potential.
+    integration both decides membership and yields the potential, whose
+    numerators share one positive denominator, so they order as its values.
     """
-    psi = extract_potential(g, gamma)
-    flat = psi.flat()
+    flat = extract_potential(g, gamma)._shared[0].num.reshape(-1).tolist()
     best = max(flat)
     return [
         g.space.profile(idx) for idx, v in enumerate(flat) if v == best

@@ -18,10 +18,12 @@ converts its data with the count-checked ``_coerce`` and builds with
 ``_with_shared``, so its view is built on first read too.  The class
 constructors (``Game(space, payoffs)`` and the like) take numpy arrays,
 refusing anything else with a ``ValidationError`` that names the ``from_*``
-constructor for nested data; they freeze the tensors they are given, keep
-them as the view and convert each one once through the same ``of``, which
-takes a tensor's scalar mode from its dtype: object is exact, float64 is
-float, and any other dtype is refused.  The base also holds the
+constructor for nested data; they read each tensor once into shared form
+through the same ``of``, which takes a tensor's scalar mode from its
+dtype (object is exact, float64 is float, any other dtype is refused) and
+copies it, so the caller's arrays are neither kept nor frozen and the view
+is built on first read like any other.  No computation in the package
+reads a view: views exist for callers.  The base also holds the
 ``exact`` property, ``==`` on numerators (which refuses mixed scalar modes),
 the shape check against each class's ``_shapes`` and the refusal of an
 object whose own tensors mix scalar modes.
@@ -137,10 +139,11 @@ def _require_finite(tensors, noun: str) -> None:
                 )
 
 
-def _given_arrays(tensors, owner: str, noun: str, builder: str) -> tuple[np.ndarray, ...]:
-    """The tensors a class constructor is given, frozen, so the kept view
-    cannot drift from the stored numerators.  Anything but a numpy array is
-    refused, pointing to the ``from_*`` constructor that takes nested data."""
+def _given_arrays(tensors, owner: str, noun: str, builder: str) -> tuple[_Shared, ...]:
+    """The tensors a class constructor is given, in shared form
+    (``_Shared.of``, which copies them, so they are neither kept nor
+    frozen).  Anything but a numpy array is refused, pointing to the
+    ``from_*`` constructor that takes nested data."""
     tensors = tuple(tensors)
     for i, t in enumerate(tensors):
         if not isinstance(t, np.ndarray):
@@ -148,7 +151,7 @@ def _given_arrays(tensors, owner: str, noun: str, builder: str) -> tuple[np.ndar
                 f"{owner}: {noun} {i + 1} is a {type(t).__name__}, not a numpy array; "
                 f"build from nested data with {owner}.{builder}"
             )
-    return tuple(freeze(t) for t in tensors)
+    return tuple(map(_Shared.of, tensors))
 
 
 def _own_shapes(space: StrategySpace) -> tuple[tuple[int, ...], ...]:
@@ -231,22 +234,18 @@ class _MeasurePlan:
 class _CoMeasurePlan:
     """What the kernels read of a co-measure gamma, derived once per
     ``CoMeasureVector`` (its cached ``_plan``): each gamma^i broadcast over
-    the full profile space, and, on first use, what dividing by it takes
+    the full profile space (``expanded``: player i's axis inserted with
+    length 1), and, on first use, what dividing by each of those takes
     (``_Shared.divisor``: in exact mode the integer inverse)."""
 
     def __init__(self, gamma: "CoMeasureVector"):
-        self._shared = gamma._shared
-        self.expanded = tuple(_expand(x, i) for i, x in enumerate(gamma._shared))
+        self.expanded = tuple(
+            _Shared(insert_axis(x.num, i), x.den) for i, x in enumerate(gamma._shared)
+        )
 
     @cached_property
     def divisors(self) -> tuple[_Shared, ...]:
-        return tuple(_expand(x.divisor(), i) for i, x in enumerate(self._shared))
-
-
-def _expand(x: _Shared, player: int) -> _Shared:
-    """A tensor over S^{-i} broadcast over the full profile space: player
-    i's axis inserted with length 1."""
-    return _Shared(insert_axis(x.num, player), x.den)
+        return tuple(x.divisor() for x in self.expanded)
 
 
 class _Tensors:
@@ -261,9 +260,7 @@ class _Tensors:
     _builder = ""  # the from_* constructor that takes nested data
 
     def __init__(self, space: StrategySpace, tensors: tuple[np.ndarray, ...]):
-        tensors = _given_arrays(tensors, type(self).__name__, self._noun, self._builder)
-        vars(self)[self._field] = tensors
-        self._store(space, (_Shared.of(t) for t in tensors))
+        self._store(space, _given_arrays(tensors, type(self).__name__, self._noun, self._builder))
         self._checked()
 
     @staticmethod
@@ -398,7 +395,6 @@ class ScalarField(_Tensors):
 
     def __init__(self, space: StrategySpace, values: np.ndarray):
         super().__init__(space, (values,))
-        vars(self)["values"] = values  # the view is the one tensor, not a tuple
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -490,10 +486,9 @@ class CoMeasureVector(_Tensors):
 
     def __init__(self, space: StrategySpace, tensors, generator=None):
         if generator is not None:
-            generator = _given_arrays(
+            vars(self)["_generator"] = _given_arrays(
                 generator, "CoMeasureVector", "generator vector", "from_generator"
             )
-            vars(self).update(generator=generator, _generator=tuple(map(_Shared.of, generator)))
         super().__init__(space, tensors)
         # the only constructor given both: the others build the tensors from
         # the generator, or keep one that generates them
@@ -676,21 +671,22 @@ def validate_parameters(mu: MeasureVector, gamma: CoMeasureVector) -> None:
     """Float mode: every norm weight w_i(s) = mu^i(S^i) mu(s) gamma^i(s^{-i})^2
     must be a normal float, or mu(s) h(s), d^2 and B^2 overflow or lose their
     precision.  Decided on the logarithms of the largest and smallest
-    products, which cannot overflow.
+    products, which cannot overflow, read off the float numerators, which
+    are the values.
 
     Every caller has already checked mu and gamma with ``require_operands``
     (one space, one scalar mode), and both types refuse a nonpositive entry
     when they are built, so exact mode has nothing left to check."""
     if mu.exact:
         return
-    weights = [w.tolist() for w in mu.weights]
+    weights = [w.num.tolist() for w in mu._shared]
     top_mu = sum(math.log(max(w)) for w in weights)
     bottom_mu = sum(math.log(min(w)) for w in weights)
-    for i, t in enumerate(gamma.tensors):
+    for i, t in enumerate(gamma._shared):
         w, hi = weights[i], max(weights[i])
         log_total = math.log(hi) + math.log(sum(x / hi for x in w))
-        top = log_total + top_mu + 2 * math.log(t.max())
-        bottom = log_total + bottom_mu + 2 * math.log(t.min())
+        top = log_total + top_mu + 2 * math.log(t.num.max())
+        bottom = log_total + bottom_mu + 2 * math.log(t.num.min())
         if top > _LOG_FLOAT_MAX or bottom < _LOG_FLOAT_MIN:
             raise ValidationError(
                 f"mu and gamma take the norm weights of player {i + 1} out of the "
@@ -706,8 +702,7 @@ def validate_parameters(mu: MeasureVector, gamma: CoMeasureVector) -> None:
 def inner_product_c0(h: ScalarField, f: ScalarField, mu: MeasureVector):
     """<h, f>_0 = sum_s mu(s) h(s) f(s)."""
     require_operands(h, f, mu)
-    m, a, b = mu._product(), h._shared[0], f._shared[0]
-    return quotient((m.num * a.num * b.num).sum(), m.den * a.den * b.den, m.exact)
+    return weighted_inner_product(h, f, (mu._product(),))
 
 
 def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ...]:
@@ -730,7 +725,9 @@ def norm_weights(mu: MeasureVector, gamma: CoMeasureVector) -> tuple[_Shared, ..
 
 
 def weighted_inner_product(g1: Game, g2: Game, weights: tuple[_Shared, ...]):
-    """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights.
+    """sum_i sum_s w_i(s) g1^i(s) g2^i(s), with ``weights`` from norm_weights;
+    g1 and g2 may also be scalar fields, with the one weight mu(s)
+    (``inner_product_c0``).
 
     The payoffs are read in shared form, and each player's sum runs on the
     numerators and is divided once, by w.den a.den b.den, so exact mode

@@ -234,7 +234,6 @@ def _from_axis_basis(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarra
     return np.roll(np.moveaxis(out, 0, axis), -shift, axis)
 
 
-
 # -- the exact solve core: integers, multiplying through -----------------------
 
 

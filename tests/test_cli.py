@@ -495,7 +495,10 @@ def test_verify_reports_a_law_whose_check_raises(monkeypatch, capsys):
         ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "abc"],
         ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "1/0"],
         ["--op", "permute", "--player", "1", "--sigma", "a,b"],
-        ["--op", "permute", "--player", "0", "--sigma", "1,0"],
+        ["--op", "permute", "--sigma", "1,0", "--player", "0"],
+        # indices follow the document rule for natural numbers: decimal digits only
+        ["--op", "permute", "--player", "1", "--sigma", "1,0_0"],
+        ["--op", "permute", "--player", "1", "--sigma", "+1,-0"],
         ["--op", "reduce-redundant", "--player", "1", "--s0", "s", "--alpha", "x"],
         # exponents and decimals are refused before any arithmetic, as in documents
         ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "1e-5000"],
@@ -508,7 +511,7 @@ def test_transform_bad_arguments_fail_cleanly(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    if argv[-2] in ("--lam", "--alpha"):
+    if argv[-2] in ("--lam", "--alpha", "--sigma"):
         assert lines[0].startswith(f"error: {argv[-2]}: ")
 
 
@@ -694,3 +697,40 @@ def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "classify", "does-not-exist.game")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+def test_no_command_builds_a_view(capsys, monkeypatch, tmp_path, mode):
+    # views (Game.payoffs, MeasureVector.weights and the like) exist for
+    # callers: every command computes and writes from the stored shared form
+    built = []
+    values = _Shared.values
+
+    def counting_values(self):
+        built.append(self.num.shape)
+        return values(self)
+
+    monkeypatch.setattr(_Shared, "values", counting_values)
+    mp, parts, extended = FIXTURES / "mp.game", tmp_path / "parts", tmp_path / "extended.game"
+    runs = [
+        ["decompose", mp],
+        ["decompose", mp, "--mu", "1,2;3,1", "--gamma", "gen:1,2;2,1"],
+        ["decompose", mp, "--mu", "1,2;3,1", "--gamma", "1,3;2,1", "--out", parts],
+        ["classify", mp],
+        ["closest-potential", FIXTURES / "multi.game"],
+        ["check-eq", mp, "--profile", "uniform"],
+        ["transform", mp, "--op", "permute", "--player", "1", "--sigma", "1,0"],
+        ["transform", mp, "--op", "scale", "--beta", "gen:2,1;1,3"],
+        ["transform", mp, "--op", "translate", "--ns", parts / "nonstrategic.game"],
+        ["transform", mp, "--op", "extend", "--player", "2", "--source", "s", "--label", "u",
+         "--out", extended],
+        ["transform", extended, "--op", "reduce", "--player", "2", "--s0", "u", "--s1", "s"],
+        ["transform", FIXTURES / "redscale.game", "--op", "reduce-redundant", "--player", "1",
+         "--s0", "r", "--alpha", "1/3,2/3"],
+    ]
+    if not mode:  # the law suite runs in exact mode only
+        runs.append(["verify", "all", "--trials", "30", "--seed", "7"])
+    for argv in runs:
+        assert main([*mode, *map(str, argv)]) == 0, argv
+        assert built == [], argv
+    assert capsys.readouterr().err == ""

@@ -359,7 +359,8 @@ def test_games_keep_a_current_shared_form(sizes, seed, exact):
 )
 def test_game_storage_keeps_its_public_behaviour(sizes, seed, exact):
     # Game(space, payoffs), Game.from_payoffs and Game.payoffs read as the
-    # eagerly converted tensors did, games stay frozen, and == and +/- do not
+    # eagerly converted tensors did, games stay frozen, the class constructor
+    # neither keeps nor freezes the arrays it is given, and == and +/- do not
     # depend on the denominator a game's shared form is stored over
     rng = random.Random(seed)
     space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
@@ -369,16 +370,23 @@ def test_game_storage_keeps_its_public_behaviour(sizes, seed, exact):
     ]
     if not exact:
         cells_ = [[float(v) for v in row] for row in cells_]
+
+    def reads(game):
+        for row, p in zip(cells_, game.payoffs, strict=True):
+            assert p.shape == space.sizes and not p.flags.writeable
+            assert p.reshape(-1).tolist() == row
+            assert all(type(v) is (F if exact else float) for v in p.reshape(-1).tolist())
+
     g = Game.from_payoffs(space, cells_, exact)
-    for row, p in zip(cells_, g.payoffs):
-        assert p.shape == space.sizes and not p.flags.writeable
-        assert p.reshape(-1).tolist() == row
-        assert all(type(v) is (F if exact else float) for v in p.reshape(-1).tolist())
+    reads(g)
     assert g.exact is exact
     given_payoffs = tuple(p.copy() for p in g.payoffs)
-    kept = Game(space, given_payoffs)
-    assert all(a is b and not a.flags.writeable for a, b in zip(kept.payoffs, given_payoffs))
-    assert kept == g
+    built = Game(space, given_payoffs)
+    for p in given_payoffs:  # a later write to the given arrays changes nothing
+        assert p.flags.writeable
+        p[(0,) * p.ndim] += 1
+    reads(built)
+    assert built == g
 
     assert (g - g).is_zero() and (g + g).is_zero() == g.is_zero()
     if exact:
@@ -396,6 +404,24 @@ def test_game_storage_keeps_its_public_behaviour(sizes, seed, exact):
         g.payoffs = given_payoffs
     with pytest.raises(AttributeError):
         g.space = space
+
+
+def test_class_constructors_read_entries_back_in_the_scalar_type():
+    # the class constructors kept the given tensor as the view, so a string
+    # or numpy int entry read back as given while the game equalled its
+    # from_payoffs twin
+    space = StrategySpace((("a", "b"), ("c", "d")))
+    t = np.array([["1/2", np.int64(1)], [1, F(3, 4)]], dtype=object)
+    rows = [F(1, 2), F(1), F(1), F(3, 4)]
+    g, field = Game(space, (t, t)), ScalarField(space, t)
+    for view in (*g.payoffs, field.values):
+        assert view.reshape(-1).tolist() == rows
+        assert all(type(v) is F for v in view.reshape(-1).tolist())
+    assert g.flat(0) == rows and field.flat() == rows
+    assert t.flags.writeable
+    assert g == Game.from_payoffs(space, [rows, rows])
+    assert field == ScalarField.from_values(space, rows)
+    assert repr(g).startswith("Game(space=") and "Fraction(1, 2)" in repr(g)
 
 
 def test_closest_potential_examples(matching_pennies):

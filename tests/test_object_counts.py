@@ -21,13 +21,14 @@ def test_object_counts_measure_the_game_the_caps_are_set_on(tmp_path, capsys, co
     path = tool.seeded_2x6(tmp_path / "tool.game")
     expected, _ = _seeded_2x6(tmp_path)
     assert path.read_bytes() == expected.read_bytes()
-    fractions, objects, checks = tool.count(["classify", str(path)])
+    fractions, objects, checks, views = tool.count(["classify", str(path)])
     assert capsys.readouterr().out == ""  # the tool discards the command's output
     code, counted = count_fractions(main, ["classify", str(path)])
     assert code == 0
     assert fractions == counted
     assert objects == 3  # the game, mu and gamma: is_harmonic keeps h in shared form
     assert checks == 3
+    assert views == 0  # the command computes and writes from the stored form
 
 
 def test_object_counts_print_the_decompose_calls_the_guard_caps():

@@ -617,8 +617,8 @@ def _first_opp_index(space, i, j, k):
 )
 def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     # MeasureVector, CoMeasureVector and MixedProfile, from every constructor,
-    # read their tensors as the eagerly converted ones, keep given tensors
-    # and freeze them, compare by value whatever denominator they are stored
+    # read their tensors as the eagerly converted ones, neither keep nor
+    # freeze the arrays a class constructor is given, compare by value whatever denominator they are stored
     # over, refuse bad entries with the same texts, and keep or drop a
     # generator as each parameter transform always has
     rng = random.Random(seed)
@@ -635,8 +635,12 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
             assert arr.reshape(-1).tolist() == row
             assert all(type(v) is scalar for v in arr.reshape(-1).tolist())
 
-    def keeps(views, given):
-        assert all(a is b and not a.flags.writeable for a, b in zip(views, given))
+    def overwrite(given):
+        """A write to each array given to a class constructor, after which the
+        arrays stay writeable; neither the object's view nor == may see it."""
+        for arr in given:
+            assert arr.flags.writeable
+            arr[(0,) * arr.ndim] *= 2
 
     def over_more(obj):
         """obj stored over twice its denominators (exact mode only)."""
@@ -654,9 +658,10 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     assert mu.exact is exact
     assert [mu.total(i) for i in space.players] == [sum(row) for row in weights]
     given_weights = tuple(w.copy() for w in mu.weights)
-    kept = MeasureVector(space, given_weights)
-    keeps(kept.weights, given_weights)
-    assert kept == mu
+    built = MeasureVector(space, given_weights)
+    overwrite(given_weights)
+    reads(built.weights, weights)
+    assert built == mu
     if exact:
         assert over_more(mu) == mu and mu == over_more(mu)
         reads(over_more(mu).weights, weights)
@@ -683,9 +688,11 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     reads(product.tensors, _opp_rows(space, gen))
     given_tensors = tuple(t.copy() for t in product.tensors)
     given_gen = tuple(c.copy() for c in product.generator)
-    kept = CoMeasureVector(space, given_tensors, given_gen)
-    keeps(kept.tensors, given_tensors)
-    keeps(kept.generator, given_gen)
+    built = CoMeasureVector(space, given_tensors, given_gen)
+    overwrite(given_tensors + given_gen)
+    reads(built.tensors, _opp_rows(space, gen))
+    reads(built.generator, gen)
+    assert built == product
     tensors = [draw(space.num_opp_profiles(j)) for j in space.players]
     gamma = CoMeasureVector.from_tensors(space, tensors, exact)
     reads(gamma.tensors, tensors)
@@ -773,9 +780,10 @@ def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     x = MixedProfile.from_probs(space, probs, exact)
     reads(x.probs, probs)
     given_probs = tuple(q.copy() for q in x.probs)
-    kept = MixedProfile(space, given_probs)
-    keeps(kept.probs, given_probs)
-    assert kept == x
+    built = MixedProfile(space, given_probs)
+    overwrite(given_probs)
+    reads(built.probs, probs)
+    assert built == x
     if exact:
         assert over_more(x) == x
         reads(over_more(x).probs, probs)

@@ -1,15 +1,18 @@
-"""Count the ``Fraction``s and value objects that CLI commands build.
+"""Count the ``Fraction``s, value objects and views that CLI commands build.
 
 Runs each command in-process and prints one row per command:
 
-    <Fractions> <objects> <checks> <command>
+    <Fractions> <objects> <checks> <views> <command>
 
 ``Fractions`` counts ``Fraction.__new__`` and, where the Python version has
 it, ``Fraction._from_coprime_ints``, which builds without ``__new__``.
 ``objects`` counts ``games._Tensors._store`` calls: one per game, field,
 measure, co-measure and profile.  ``checks`` counts full
 ``games._Tensors._check`` runs: one per object built from outside data, and
-one per float object.  The commands are exact ``decompose``,
+one per float object.  ``views`` counts ``numeric._Shared.values`` calls,
+the one conversion behind every view (``Game.payoffs`` and the like): 0,
+since the package computes and writes from the stored form and views exist
+for callers.  The commands are exact ``decompose``,
 ``classify`` and ``closest-potential`` and float ``decompose`` on a seeded
 game on 2^6 (the game of ``tests/test_cli.py``), then ``verify all --trials
 30 --seed 7``.  The last rows give fixed costs as the Python and C
@@ -36,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gamedecomp import (
-    GameDocument, StrategySpace, decompose, games, laws, parse_game, serialize_game,
+    GameDocument, StrategySpace, decompose, games, laws, numeric, parse_game, serialize_game,
 )
 from gamedecomp.cli import main as cli_main
 
@@ -76,11 +79,12 @@ def calls(fn, *args) -> int:
     return count[0]
 
 
-def count(argv: list[str]) -> tuple[int, int, int]:
-    """(Fractions, objects, full checks) while the CLI runs ``argv``, whose
-    output is discarded; raises unless it exits 0."""
-    counts = [0, 0, 0]
+def count(argv: list[str]) -> tuple[int, int, int, int]:
+    """(Fractions, objects, full checks, views) while the CLI runs ``argv``,
+    whose output is discarded; raises unless it exits 0."""
+    counts = [0, 0, 0, 0]
     new, store, check = Fraction.__new__, games._Tensors._store, games._Tensors._check
+    values = numeric._Shared.values
 
     def counting_new(cls, *args, **kwargs):
         counts[0] += 1
@@ -94,9 +98,14 @@ def count(argv: list[str]) -> tuple[int, int, int]:
         counts[2] += 1
         check(self)
 
+    def counting_values(self):
+        counts[3] += 1
+        return values(self)
+
     patches = [(Fraction, "__new__", staticmethod(counting_new)),
                (games._Tensors, "_store", counting_store),
-               (games._Tensors, "_check", counting_check)]
+               (games._Tensors, "_check", counting_check),
+               (numeric._Shared, "values", counting_values)]
     if "_from_coprime_ints" in vars(Fraction):
         built = Fraction._from_coprime_ints
 
@@ -116,7 +125,7 @@ def count(argv: list[str]) -> tuple[int, int, int]:
             setattr(owner, name, value)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return counts[0], counts[1], counts[2]
+    return tuple(counts)
 
 
 def main() -> int:
@@ -130,9 +139,9 @@ def main() -> int:
             ["verify", "all", "--trials", "30", "--seed", "7"],
         ]
         for argv in commands:
-            fractions, objects, checks = count(argv)
+            counts = count(argv)
             shown = ["2^6" if arg == game else arg for arg in argv]
-            print(f"{fractions:6d} {objects:6d} {checks:6d} {' '.join(shown)}")
+            print(*(f"{n:6d}" for n in counts), *shown)
     objects = seeded_2x6_objects()
     print(f"{calls(decompose, *objects):6d} calls of one exact decompose() on 2^6")
     text = serialize_game(GameDocument(*objects))
