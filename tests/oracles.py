@@ -39,7 +39,7 @@ import numpy as np
 from gamedecomp import Game, MeasureVector, CoMeasureVector, ScalarField, decompose
 from gamedecomp.errors import SolveError, ValidationError
 from gamedecomp.games import require_operands
-from gamedecomp.numeric import freeze, is_zero, unequal_mask
+from gamedecomp.numeric import is_zero, unequal_mask
 
 
 def profiles(space):
@@ -295,7 +295,7 @@ def flow_divergence(flow: Flow, mu: MeasureVector) -> ScalarField:
             w = Fraction(1) if flow.exact else 1.0
         out[s] = out[s] - prod[t] * w * value
         out[t] = out[t] + prod[s] * w * value
-    return ScalarField(space, freeze(out))
+    return ScalarField(space, out)
 
 
 def is_gamma_potential_by_decomposition(g: Game, gamma: CoMeasureVector) -> bool:

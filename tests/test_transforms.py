@@ -618,9 +618,10 @@ def _first_opp_index(space, i, j, k):
 def test_parameter_storage_keeps_its_public_behaviour(sizes, seed, exact):
     # MeasureVector, CoMeasureVector and MixedProfile, from every constructor,
     # read their tensors as the eagerly converted ones, neither keep nor
-    # freeze the arrays a class constructor is given, compare by value whatever denominator they are stored
-    # over, refuse bad entries with the same texts, and keep or drop a
-    # generator as each parameter transform always has
+    # freeze the arrays a class constructor is given, compare by value
+    # whatever denominator they are stored over, refuse bad entries with the
+    # same texts, and keep or drop a generator as each parameter transform
+    # always has
     rng = random.Random(seed)
     space = StrategySpace(tuple(tuple("abc"[:m]) for m in sizes))
     scalar = F if exact else float
