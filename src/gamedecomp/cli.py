@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["permute", "translate", "scale", "extend", "reduce", "reduce-redundant"],
     )
-    p.add_argument("--player", type=int, help="1-based player index")
+    p.add_argument("--player", help="1-based player index")
     p.add_argument("--sigma", help="permutation as comma-separated 0-based indices")
     p.add_argument("--ns", type=Path, help="nonstrategic game document to add")
     p.add_argument("--beta", help="scaling co-measure, same syntax as --gamma")
@@ -113,10 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a randomized law suite")
     p.add_argument("law", choices=sorted(LAWS) + ["all"])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, help="seed for this suite")
-    p.add_argument("--players", type=int, default=3, help="max player count")
-    p.add_argument("--strategies", type=int, default=4, help="max strategies per player")
+    p.add_argument("--trials", default="100")
+    p.add_argument("--seed", default="0", help="seed for this suite")
+    p.add_argument("--players", default="3", help="max player count")
+    p.add_argument("--strategies", default="4", help="max strategies per player")
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -245,7 +245,7 @@ def _cmd_transform(args) -> int:
     doc = _load(args)
     exact = not args.float_mode
     game, mu, gamma = doc.game, doc.mu, doc.gamma
-    player = None if args.player is None else args.player - 1
+    player = None if args.player is None else _literal(_number, args.player, "--player") - 1
 
     if args.op == "permute":
         _require(args.player is not None and args.sigma, "--op permute needs --player and --sigma")
@@ -319,12 +319,14 @@ def _cmd_verify(args) -> int:
     _require(
         not args.float_mode, "verify checks the laws in exact mode only; run it without --float"
     )
+    trials, seed, players, strategies = (
+        _literal(_number, getattr(args, flag), f"--{flag}")
+        for flag in ("trials", "seed", "players", "strategies")
+    )
     laws = sorted(LAWS) if args.law == "all" else [args.law]
-    players = (2, args.players)
-    strategies = (2, args.strategies)
     failed = False
     for law in laws:
-        report = run_law(law, args.trials, args.seed, players, strategies)
+        report = run_law(law, trials, seed, (2, players), (2, strategies))
         if report.ok:
             print(f"{law}: pass ({report.trials} trials, seed {report.seed})")
         else:

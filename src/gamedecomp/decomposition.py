@@ -135,7 +135,7 @@ def decompose(g: Game, mu: MeasureVector, gamma: CoMeasureVector) -> Decompositi
     ]
     return Decomposition(
         nonstrategic=Game._with_shared(
-            space, (_spread(avg, space.sizes) for avg in averages)
+            space, (_spread(avg, space.sizes, i) for i, avg in enumerate(averages))
         ),
         potential=Game._with_shared(space, potential),
         harmonic=Game._with_shared(

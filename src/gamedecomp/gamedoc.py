@@ -213,8 +213,15 @@ def serialize_game(doc: GameDocument, comment: str | None = None) -> str:
     """Canonical text for a document: parse(serialize(d)) == d, byte-stable.
 
     Every entry is written from its tensor's shared form by
-    ``numeric._Shared.texts``, so no ``Fraction`` view is built."""
+    ``numeric._Shared.texts``, so no ``Fraction`` view is built.  A strategy
+    label or profile name that would not read back as itself is refused
+    before any line is built (``_require_token``)."""
     space = doc.space
+    for player in space.labels:
+        for label in player:
+            _require_token(label, "strategy label", "#")
+    for name in doc.profiles:
+        _require_token(name, "profile name", "#:")
     lines = []
     if comment:
         for part in comment.splitlines():
@@ -240,3 +247,14 @@ def serialize_game(doc: GameDocument, comment: str | None = None) -> str:
         blocks = " | ".join(" ".join(p.texts()) for p in profile._shared)
         lines.append(f"profile {name}: {blocks}")
     return "\n".join(lines) + "\n"
+
+
+def _require_token(text: str, what: str, refused: str) -> None:
+    """Refuse a name the reader would not read back as itself: it must be
+    one token, since lines split on whitespace, without a character of
+    ``refused`` (``#`` starts a comment; ``:`` ends a profile directive)."""
+    if text.split() != [text] or any(c in text for c in refused):
+        shown = " or ".join(repr(c) for c in refused)
+        raise ValidationError(
+            f"cannot write {what} {text!r}: it must be one token without whitespace or {shown}"
+        )

@@ -37,6 +37,7 @@ from .decomposition import (
 )
 from .equilibrium import _pure_regret, best_response_epsilon, harmonic_equilibrium
 from .numeric import _Shared, _object_array, axis_contract, insert_axis
+from .operators import _spread
 from .spaces import StrategySpace
 from .transforms import (
     DuplicationSpec,
@@ -122,13 +123,14 @@ def random_product_gamma(rng: random.Random, space: StrategySpace) -> CoMeasureV
 
 
 def random_nonstrategic(rng: random.Random, space: StrategySpace) -> Game:
-    """Integer payoffs in [-9, 9] that ignore the player's own strategy,
-    built as a broadcast view of numerators over 1."""
+    """Integer payoffs in [-9, 9] that ignore the player's own strategy:
+    numerators over 1, one draw per opponent profile, repeated along the
+    player's own axis."""
     payoffs = []
     for i in space.players:
         flat = [rng.randint(-9, 9) for _ in range(space.num_opp_profiles(i))]
         opp = insert_axis(_object_array(flat, space.opp_sizes(i)), i)
-        payoffs.append(_Shared(np.broadcast_to(opp, space.sizes), 1))
+        payoffs.append(_spread(_Shared(opp, 1), space.sizes, i))
     return Game._with_shared(space, payoffs)
 
 

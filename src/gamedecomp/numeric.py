@@ -303,20 +303,13 @@ class _Shared(NamedTuple):
         return is_zero(self.num, False, magnitude(self.num))
 
     def values(self) -> np.ndarray:
-        """The immutable tensor out: ``Fraction`` num / den, or the floats.
-
-        A broadcast view (an axis of stride 0, as an average spread along a
-        player's axis) converts only its distinct entries, then is copied out
-        to the full shape."""
-        distinct = self._distinct()
-        out = distinct
-        if self.exact:
-            den = self.den
-            flat = [Fraction(v, den) for v in distinct.reshape(-1).tolist()]
-            out = _object_array(flat, distinct.shape)
-        if distinct.shape != self.num.shape:
-            out = np.broadcast_to(out, self.num.shape).copy()
-        return freeze(out)
+        """The immutable tensor out: ``Fraction`` num / den, or a frozen view
+        of the floats."""
+        if not self.exact:
+            return freeze(self.num.view())
+        den = self.den
+        flat = [Fraction(v, den) for v in self.num.reshape(-1).tolist()]
+        return freeze(_object_array(flat, self.num.shape))
 
     def texts(self) -> list[str]:
         """The canonical text of every entry, in row-major order: what
@@ -327,29 +320,16 @@ class _Shared(NamedTuple):
         reduced with one gcd per entry against den, as ``p/q``, or as ``p``
         where the reduced denominator is 1 (so 0 is ``0``): the text of the
         reduced ``Fraction``, and none is built.  An integer too long for
-        ``str`` raises what ``format_scalar`` raises.  A broadcast view
-        writes only its distinct entries, as ``values()`` converts them."""
-        distinct = self._distinct()
-        flat = distinct.reshape(-1).tolist()
-        den = self.den
+        ``str`` raises what ``format_scalar`` raises."""
+        flat = self.num.reshape(-1).tolist()
+        if not self.exact:
+            return list(map(repr, flat))
+        den, out = self.den, []
         with _printable():
-            if not self.exact:
-                out = list(map(repr, flat))
-            else:
-                out = []
-                for v in flat:
-                    g = math.gcd(v, den)
-                    out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
-        if distinct.shape != self.num.shape:
-            spread = np.broadcast_to(_object_array(out, distinct.shape), self.num.shape)
-            out = spread.reshape(-1).tolist()
+            for v in flat:
+                g = math.gcd(v, den)
+                out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
         return out
-
-    def _distinct(self) -> np.ndarray:
-        """num without the repeats of a broadcast view: each axis of stride
-        0 cut to length 1."""
-        num = self.num
-        return num[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in num.strides)]
 
 
 def _add(a: _Shared, b: _Shared) -> _Shared:

@@ -62,8 +62,9 @@ from .games import (
 def lambda_project(g: Game, mu: MeasureVector) -> Game:
     """Own-coordinate weighted average per player; the nonstrategic part."""
     require_operands(g, mu)
+    sizes, axes = g.space.sizes, mu._plan.axes
     return Game._with_shared(g.space, (
-        _spread(_average(x, axis), g.space.sizes) for x, axis in zip(g._shared, mu._plan.axes)
+        _spread(_average(x, axes[i]), sizes, i) for i, x in enumerate(g._shared)
     ))
 
 
@@ -108,11 +109,10 @@ def _deviation(x: _Shared, axis: _Axis) -> tuple[_Shared, _Shared]:
     return avg, _sub(x, avg)
 
 
-def _spread(avg: _Shared, shape) -> _Shared:
-    """An average spread back along its length-1 axis to ``shape``: a
-    broadcast view of its numerators, with no copy, which
-    ``_Shared.values`` converts at its distinct entries only."""
-    return _Shared(np.broadcast_to(avg.num, shape), avg.den)
+def _spread(avg: _Shared, sizes, axis: int) -> _Shared:
+    """An average spread back along its length-1 ``axis`` to the space's
+    ``sizes``: each entry repeated once per strategy on that axis."""
+    return _Shared(avg.num.repeat(sizes[axis], axis=axis), avg.den)
 
 
 def _divergence(

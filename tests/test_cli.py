@@ -503,6 +503,11 @@ def test_verify_reports_a_law_whose_check_raises(monkeypatch, capsys):
         # exponents and decimals are refused before any arithmetic, as in documents
         ["--op", "extend", "--player", "1", "--source", "s", "--label", "t1", "--lam", "1e-5000"],
         ["--op", "reduce-redundant", "--player", "1", "--s0", "s", "--alpha", "0.5,0.5"],
+        # so is a player number: no sign, no digit-grouping underscore
+        ["--op", "permute", "--sigma", "1,0", "--player", "+1"],
+        ["--op", "permute", "--sigma", "1,0", "--player", "0_1"],
+        ["--op", "permute", "--sigma", "1,0", "--player", "1_0"],
+        ["--op", "permute", "--sigma", "1,0", "--player", "-1"],
     ],
 )
 def test_transform_bad_arguments_fail_cleanly(capsys, argv):
@@ -513,6 +518,20 @@ def test_transform_bad_arguments_fail_cleanly(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
     if argv[-2] in ("--lam", "--alpha", "--sigma"):
         assert lines[0].startswith(f"error: {argv[-2]}: ")
+
+
+@pytest.mark.parametrize("label", ["t 1", "t#1"])
+def test_transform_refuses_a_label_the_document_cannot_hold(capsys, label):
+    # written, 't 1' read back as two labels and 't#1' as a cut payoff line
+    code, out, err = run(
+        capsys, "transform", FIXTURES / "mp.game", "--op", "extend", "--player", "1",
+        "--source", "s", "--label", label,
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot write strategy label {label!r}: "
+        "it must be one token without whitespace or '#'\n"
+    )
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
@@ -674,6 +693,9 @@ def test_verify_draws_up_to_the_requested_strategies(monkeypatch, capsys):
     [
         ["--trials", "-2"], ["--trials", "0"], ["--strategies", "27"],
         ["--strategies", "1"], ["--players", "1"],
+        # the integer flags read natural numbers as documents do
+        ["--trials", "+1"], ["--seed", "0_1"], ["--seed", "1_0"], ["--seed", "-1"],
+        ["--players", "+1"], ["--strategies", "1_0"],
     ],
 )
 def test_verify_rejects_arguments_it_cannot_honour(capsys, argv):
@@ -682,6 +704,21 @@ def test_verify_rejects_arguments_it_cannot_honour(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["+1", "0_1", "1_0", "-1", "abc"])
+@pytest.mark.parametrize("flag", ["--player", "--trials", "--seed", "--players", "--strategies"])
+def test_integer_flags_read_natural_numbers_only(capsys, flag, text):
+    # decimal digits only, as a document's player numbers; what int() also
+    # takes, a sign or an underscore, is refused by the flag's name with
+    # exit 1, as is a word (which argparse refused with exit 2)
+    if flag == "--player":
+        argv = ["transform", FIXTURES / "mp.game", "--op", "permute", "--sigma", "1,0"]
+    else:
+        argv = ["verify", "reduce", "--trials", "2"]
+    code, out, err = run(capsys, *argv, flag, text)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: not a valid number: {text!r}\n"
 
 
 def test_float_verify_is_refused(capsys):

@@ -15,6 +15,7 @@ from gamedecomp import (
     MixedProfile,
     ParseError,
     StrategySpace,
+    ValidationError,
     parse_game,
     serialize_game,
 )
@@ -267,6 +268,29 @@ def test_serialize_refuses_an_integer_too_long_to_print():
     game = Game.from_payoffs(space, [[10 ** 4400, 1, -1, 0], [0, 1, -1, 0]])
     doc = GameDocument(game, MeasureVector.uniform(space), CoMeasureVector.uniform(space))
     with pytest.raises(GameDecompError, match="^result too long to print: "):
+        serialize_game(doc)
+
+
+@pytest.mark.parametrize("label", ["t 1", "t#1", "", "t\u20281"])
+def test_serialize_refuses_a_label_it_cannot_write(label):
+    # lines split on whitespace (and line breaks) and end at '#': such a
+    # label read back as two labels, a comment or none, so nothing is written
+    space = StrategySpace((("s", "t"), ("s", label)))
+    doc = GameDocument(
+        Game.zeros(space), MeasureVector.uniform(space), CoMeasureVector.uniform(space)
+    )
+    message = f"^cannot write strategy label {re.escape(repr(label))}: "
+    with pytest.raises(ValidationError, match=message):
+        serialize_game(doc)
+
+
+@pytest.mark.parametrize("name", ["a:b", "a b", "a#b", ""])
+def test_serialize_refuses_a_profile_name_it_cannot_write(name):
+    # a profile directive ends at its first ':', so a name holds none
+    doc = parse_game(MINIMAL)
+    doc.profiles = {"ok": MixedProfile.uniform(doc.space), name: MixedProfile.uniform(doc.space)}
+    message = f"^cannot write profile name {re.escape(repr(name))}: "
+    with pytest.raises(ValidationError, match=message):
         serialize_game(doc)
 
 

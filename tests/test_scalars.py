@@ -163,7 +163,8 @@ def test_rational_sqrt_irrational():
 )
 def test_shared_texts_are_the_format_of_each_value(nums, den, broadcast):
     # exact: num / den, reduced, and over 1 as well; float: the same values
-    # as floats; a broadcast view (stride 0 along an axis) as a spread part is
+    # as floats; and any memory layout, a broadcast view (stride 0 along an
+    # axis) included, though no kernel stores one: both read every entry
     exact = _Shared(_object_array(nums, (len(nums),)), den)
     floats = _Shared(np.asarray(nums, dtype=np.float64) / den, 1)
     for x in (exact, _Shared(exact.num, 1), floats):

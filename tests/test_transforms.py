@@ -582,7 +582,7 @@ SERIALIZED_OUTPUTS_DIGEST = "071b2663c7597f3a3e692370188a767182218ca88a93dbbd7c1
 
 def test_transform_outputs_serialize_to_digest():
     # serialize_game alone over the same 400 seeded instances, exact on
-    # half the seeds and float on the other half: broadcast nonstrategic
+    # half the seeds and float on the other half: spread nonstrategic
     # parts, mixed denominators and generators, pinned byte for byte
     digest = hashlib.sha256()
     for seed in range(400):
